@@ -21,7 +21,6 @@ from .integrate import (
     CadlagTrajectory,
     IntegrationOverflowError,
     SampleGrid,
-    SimulationConfig,
     build_grid,
     integrate_deterministic,
     integrate_fluctuation,
@@ -32,8 +31,6 @@ from .integrate import (
 from .kickmap import KickField, affine_kick_map, kick_limit_check, regularized_kick
 from .analysis import (
     ConvergenceReport,
-    PathErrors,
-    compute_path_errors,
     fit_loglog_slope,
     run_convergence_study,
     sup_error,
@@ -47,13 +44,10 @@ __all__ = [
     "IntegrationOverflowError",
     "KickField",
     "Model",
-    "PathErrors",
     "SampleGrid",
-    "SimulationConfig",
     "affine_kick_map",
     "affine_kick_model",
     "build_grid",
-    "compute_path_errors",
     "fit_loglog_slope",
     "impulse_count",
     "impulse_time",

@@ -16,11 +16,13 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .dynamics import ImpulseSchedule, Model
+from .dynamics import Model
 from .integrate import (
     CadlagTrajectory,
     IntegrationOverflowError,
     SampleGrid,
+    _prepare_along_path,
+    _step,
     integrate_deterministic,
     path_seed,
     sample_brownian,
@@ -30,25 +32,12 @@ _CHUNK_SIZE = 125  # fixed: chunking must not depend on the worker count
 
 
 @dataclass(frozen=True)
-class PathErrors:
-    """Sup-norm errors of a single path at one noise scale."""
-
-    eps: float
-    lln_error: np.ndarray  # per-coordinate sup |X_i - x_i|
-    clt_error: np.ndarray  # per-coordinate sup |X_i - x_i - eps*Z_i|
-    lln_norm: float  # sup ||X - x||
-    clt_norm: float  # sup ||X - x - eps*Z||
-    seed: object
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
     """Per-eps mean sup-norm errors and fitted log2-log2 slopes."""
 
     eps_exponents: tuple[int, ...]
     eps_list: np.ndarray
     n_paths: int
-    mode: str
     mean_lln: np.ndarray  # (n_eps, d)
     mean_clt: np.ndarray
     mean_lln_norm: np.ndarray  # (n_eps,)
@@ -125,138 +114,21 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
     return float(slope), float(intercept), r2
 
 
-def _prepare_along_path(model: Model, grid: SampleGrid, det: CadlagTrajectory):
-    """Precompute Db, sigma along x(t) and Dh at the impulse left limits."""
-    n = grid.n_steps
-    db = np.empty((n, model.d, model.d))
-    for i in range(n):
-        db[i] = model.drift_jacobian(det.values[i])
-    if model.diffusion_constant is not None:
-        sig = np.broadcast_to(model.diffusion_constant, (n, model.d, model.r))
-    else:
-        sig = np.empty((n, model.d, model.r))
-        for i in range(n):
-            sig[i] = model.diffusion(det.values[i])
-    det_pre = det.pre_reset_map()
-    dh = {k: np.asarray(model.reset_jacobian(det_pre[k]), float)
-          for k, _ in grid.impulse_indices}
-    return db, sig, dh
-
-
-def compute_path_errors(model, grid, det, epsilon, path) -> PathErrors:
-    """Sup-norm errors for one path, via the per-path integrators."""
-    from .integrate import integrate_fluctuation, integrate_sde
-
-    noisy = integrate_sde(model, grid, det.values[0], epsilon, path)
-    fluct = integrate_fluctuation(model, grid, det, path)
-    lln = sup_error(noisy, det)
-    clt = sup_error(noisy, det, shift=fluct, shift_scale=epsilon)
-    lln_n = _sup_norm_error(noisy, det, None, 0.0)
-    clt_n = _sup_norm_error(noisy, det, fluct, epsilon)
-    return PathErrors(
-        eps=epsilon,
-        lln_error=lln,
-        clt_error=clt,
-        lln_norm=lln_n,
-        clt_norm=clt_n,
-        seed=path.seed,
-    )
-
-
-def _sup_norm_error(a, b, shift, shift_scale) -> float:
-    diff = a.values - b.values
-    if shift is not None:
-        diff = diff - shift_scale * shift.values
-    sup = float(np.max(np.linalg.norm(diff, axis=1)))
-    a_pre, b_pre = a.pre_reset_map(), b.pre_reset_map()
-    s_pre = shift.pre_reset_map() if shift is not None else {}
-    impulse_nodes = {k: idx for k, idx in a.grid.impulse_indices}
-    for k in set(a_pre) | set(b_pre) | set(s_pre):
-        idx = impulse_nodes[k]
-        dv = a_pre.get(k, a.values[idx]) - b_pre.get(k, b.values[idx])
-        if shift is not None:
-            dv = dv - shift_scale * s_pre.get(k, shift.values[idx])
-        sup = max(sup, float(np.linalg.norm(dv)))
-    return sup
-
-
-def _chunk_errors(model, grid, det, db_along, sig_along, dh_at, eps, paths,
-                  path_indices):
-    """Sup errors for a chunk of paths, all noise scales in one sweep.
-
-    Returns (lln, clt, lln_norm, clt_norm) with shapes
-    (n_eps, n_chunk, d) and (n_eps, n_chunk).
-    """
-    d, r, dt = model.d, model.r, grid.dt
-    n_eps, n_chunk = len(eps), len(paths)
-    increments = np.stack([p.increments for p in paths])  # (n_chunk, n_steps, r)
-    eps3 = eps[:, None, None]
-    sigma_const = model.diffusion_constant
-
-    X = np.empty((n_eps, n_chunk, d))
-    X[:] = det.values[0]
-    Z = np.zeros((n_chunk, d))
-    lln = np.zeros((n_eps, n_chunk, d))
-    clt = np.zeros((n_eps, n_chunk, d))
-    lln_n2 = np.zeros((n_eps, n_chunk))
-    clt_n2 = np.zeros((n_eps, n_chunk))
-    impulses = grid.impulse_index_map()
-    det_pre = det.pre_reset_map()
-
-    def update_sups(x_ref, z):
-        diff = X - x_ref
-        a = np.abs(diff)
-        np.maximum(lln, a, out=lln)
-        np.maximum(lln_n2, np.einsum("epd,epd->ep", diff, diff), out=lln_n2)
-        diffc = diff - eps3 * z
-        a = np.abs(diffc)
-        np.maximum(clt, a, out=clt)
-        np.maximum(clt_n2, np.einsum("epd,epd->ep", diffc, diffc), out=clt_n2)
-
-    for n in range(grid.n_steps):
-        xn = det.values[n]
-        dW = increments[:, n, :]
-        if sigma_const is not None:
-            noise = dW @ sigma_const.T
-        else:
-            noise = np.einsum("epij,pj->epi", np.asarray(model.diffusion(X), float), dW)
-        X = X + np.asarray(model.drift(X), float) * dt + eps3 * noise
-        Z = Z + (Z @ db_along[n].T) * dt + dW @ sig_along[n].T
-        k = impulses.get(n + 1)
-        if k is not None:
-            # left limits participate in the sup before the reset applies
-            update_sups(det_pre[k], Z)
-            X = np.asarray(model.reset(X), float)
-            Z = Z @ dh_at[k].T
-        update_sups(det.values[n + 1], Z)
-
-    bad = ~(np.isfinite(lln_n2) & np.isfinite(clt_n2))
-    if np.any(bad):
-        e_idx, p_idx = np.argwhere(bad)[0]
-        raise IntegrationOverflowError(
-            f"path overflow at eps={eps[e_idx]}, path index {path_indices[p_idx]}"
-        )
-    return lln, clt, np.sqrt(lln_n2), np.sqrt(clt_n2)
-
-
 def run_convergence_study(
     model: Model,
-    schedule: ImpulseSchedule,
     grid: SampleGrid,
     x0: np.ndarray,
     eps_exponents: Sequence[int],
     n_paths: int,
     base_seed: int,
-    mode: str = "both",
     threads: int = 1,
 ) -> ConvergenceReport:
     """Estimate mean sup-norm errors per eps = 2^-i and fit log2-log2 slopes.
 
     Each path's seed derives from (base_seed, path index); the deterministic
-    trajectory is shared across all paths and noise scales.
+    trajectory is shared across all paths and noise scales.  A path whose
+    sup is not finite raises, naming every such (eps, path index).
     """
-    if mode not in ("lln", "clt", "both"):
-        raise ValueError(f"mode must be lln, clt or both, got {mode!r}")
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     eps_exponents = tuple(int(i) for i in eps_exponents)
@@ -265,8 +137,10 @@ def run_convergence_study(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     eps = np.array([2.0**-i for i in eps_exponents])
+    eps3 = eps[:, None, None]
     det = integrate_deterministic(model, grid, x0)
-    db_along, sig_along, dh_at = _prepare_along_path(model, grid, det)
+    det_pre = det.pre_reset_map()
+    along = _prepare_along_path(model, grid, det)
 
     chunks = [
         range(lo, min(lo + _CHUNK_SIZE, n_paths))
@@ -274,14 +148,26 @@ def run_convergence_study(
     ]
 
     def run_chunk(idx_range):
-        paths = [
-            sample_brownian(grid, model.r, path_seed(base_seed, j))
-            for j in idx_range
-        ]
-        return _chunk_errors(
-            model, grid, det, db_along, sig_along, dh_at, eps, paths,
-            list(idx_range),
-        )
+        """Per-coordinate and squared-norm sups of |X - x| and |X - x - eps*Z|."""
+        increments = np.empty((len(idx_range), grid.n_steps, model.r))
+        for i, j in enumerate(idx_range):
+            increments[i] = sample_brownian(grid, model.r, path_seed(base_seed, j)).increments
+        shape = (len(eps), len(idx_range), model.d)
+        lln, clt = np.zeros(shape), np.zeros(shape)
+        lln_n2, clt_n2 = np.zeros(shape[:2]), np.zeros(shape[:2])
+
+        def visit(n, k, X, Z):
+            # left limits participate in the sup before the reset applies
+            diff = X - (det.values[n] if k is None else det_pre[k])
+            np.maximum(lln, np.abs(diff), out=lln)
+            np.maximum(lln_n2, np.einsum("epd,epd->ep", diff, diff), out=lln_n2)
+            diff = diff - eps3 * Z
+            np.maximum(clt, np.abs(diff), out=clt)
+            np.maximum(clt_n2, np.einsum("epd,epd->ep", diff, diff), out=clt_n2)
+
+        X = np.tile(det.values[0], shape[:2] + (1,))
+        _step(model, grid, visit, X, eps, increments, along)
+        return lln, clt, lln_n2, clt_n2
 
     if threads == 1:
         results = [run_chunk(c) for c in chunks]
@@ -290,10 +176,13 @@ def run_convergence_study(
             results = list(pool.map(run_chunk, chunks))
 
     # assemble in path-index order; all downstream reductions see one array
-    lln = np.concatenate([r[0] for r in results], axis=1)
-    clt = np.concatenate([r[1] for r in results], axis=1)
-    lln_norm = np.concatenate([r[2] for r in results], axis=1)
-    clt_norm = np.concatenate([r[3] for r in results], axis=1)
+    lln, clt, lln_n2, clt_n2 = (np.concatenate(parts, axis=1) for parts in zip(*results))
+    bad = ~(np.isfinite(lln_n2) & np.isfinite(clt_n2))  # NaN survives np.maximum
+    if bad.any():
+        raise IntegrationOverflowError("path overflow at " + "; ".join(
+            f"eps={eps[e]}, path index {', '.join(map(str, np.flatnonzero(row)))}"
+            for e, row in enumerate(bad) if row.any()))
+    lln_norm, clt_norm = np.sqrt(lln_n2), np.sqrt(clt_n2)
 
     def mean_sem(arr):
         return arr.mean(axis=1), arr.std(axis=1, ddof=1) / np.sqrt(n_paths)
@@ -322,7 +211,6 @@ def run_convergence_study(
         eps_exponents=eps_exponents,
         eps_list=eps,
         n_paths=n_paths,
-        mode=mode,
         mean_lln=mean_lln,
         mean_clt=mean_clt,
         mean_lln_norm=mean_lln_norm,

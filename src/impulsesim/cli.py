@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--paths", type=int, default=1000)
     p_conv.add_argument("--eps-exps", default="1..10",
                         help="exponents i for eps=2^-i, as 'lo..hi' or a comma list")
-    p_conv.add_argument("--mode", default="both", choices=["lln", "clt", "both"])
     p_conv.add_argument("--preset", default=None, choices=["paper", "desk"],
                         help="paper: 1000 paths at dt=2^-12; desk: 200 paths at 2^-10")
 
@@ -137,15 +136,14 @@ def _open_out(args):
 
 def cmd_simulate(args) -> int:
     t0 = time.time()
-    if args.eps == 0.0 and not args.allow_degenerate:
-        raise ValueError("eps=0 requires --allow-degenerate")
-    config = integrate.SimulationConfig(
-        epsilon=args.eps, x0=args.x0, seed=args.seed, T=args.T,
-        m=args.dt_exp, alpha=args.alpha, allow_degenerate=args.allow_degenerate,
-    )
+    if args.eps == 0.0:
+        if not args.allow_degenerate:
+            raise ValueError("eps=0 requires --allow-degenerate")
+    elif not 0.0 < args.eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {args.eps}")
     model = _resolve_model(args)
-    schedule = dynamics.ImpulseSchedule(alpha=config.alpha)
-    grid = integrate.build_grid(config.T, config.m, schedule)
+    schedule = dynamics.ImpulseSchedule(alpha=args.alpha)
+    grid = integrate.build_grid(args.T, args.dt_exp, schedule)
     det = integrate.integrate_deterministic(model, grid, args.x0)
     path = integrate.sample_brownian(grid, model.r, args.seed)
     noisy = integrate.integrate_sde(model, grid, args.x0, args.eps, path)
@@ -184,8 +182,7 @@ def cmd_convergence(args) -> int:
     schedule = dynamics.ImpulseSchedule(alpha=args.alpha)
     grid = integrate.build_grid(args.T, args.dt_exp, schedule)
     report = analysis.run_convergence_study(
-        model, schedule, grid, args.x0, exps, args.paths, args.seed,
-        mode=args.mode, threads=args.threads,
+        model, grid, args.x0, exps, args.paths, args.seed, threads=args.threads,
     )
     out, out_path = _open_out(args)
     try:
@@ -206,7 +203,7 @@ def cmd_convergence(args) -> int:
                 "alpha_pend": args.alpha_pend, "T": args.T,
                 "dt_exp": args.dt_exp, "x0": list(args.x0),
                 "eps_exponents": exps, "paths": args.paths,
-                "mode": args.mode, "seed": args.seed,
+                "seed": args.seed,
                 "threads": args.threads, "preset": args.preset,
             },
             [out_path],
@@ -220,10 +217,7 @@ def cmd_kickmap(args) -> int:
     c = _parse_vector(args.c)
     r = _parse_vector(args.r)
     deltas = [float(v) for v in args.deltas.split(",")]
-    field = kickmap.KickField(
-        g=lambda x: np.asarray(x, float) @ A.T + c,
-        g_jacobian=lambda x: A,
-    )
+    field = kickmap.KickField(g=lambda x: np.asarray(x, float) @ A.T + c)
     closed, _ = kickmap.affine_kick_map(A, c)
     rows = kickmap.kick_limit_check(field, closed, r, deltas)
     out, out_path = _open_out(args)

@@ -9,7 +9,7 @@ models without them fall back to central finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,13 +104,10 @@ class ImpulseSchedule:
     """
 
     alpha: float
-    period: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.period != 1.0:
-            raise ValueError("only unit-period schedules are supported")
 
 
 def impulse_time(schedule: ImpulseSchedule, k: int) -> float:

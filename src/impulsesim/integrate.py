@@ -1,17 +1,18 @@
 """Time grids, Brownian paths, and the coupled Euler/Euler-Maruyama integrators.
 
-All three integrators (deterministic flow, noisy flow, fluctuation process)
-share one dyadic grid with impulse times landing exactly on grid nodes.
-At an impulse node the Euler step into the node produces the left limit,
-the reset applies instantaneously, and the step out of the node starts from
-the post-reset value; no time is consumed by the reset.  Stored values are
-right-continuous, with left limits recorded separately.
+One batched stepper advances the deterministic flow, the noisy flow and the
+fluctuation process on one dyadic grid, with impulse times landing exactly
+on grid nodes; the per-path integrators and the Monte Carlo study both run
+it.  At an impulse node the Euler step into the node produces the left
+limit, the reset applies instantaneously, and the step out of the node
+starts from the post-reset value; no time is consumed by the reset.  Stored
+values are right-continuous, with left limits recorded separately.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Optional
 
 import numpy as np
@@ -115,29 +116,109 @@ class CadlagTrajectory:
         return {k: v for k, v in self.pre_reset}
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Bundle of run parameters for a single simulation."""
-
-    epsilon: float
-    x0: np.ndarray
-    seed: int
-    T: float
-    m: int
-    alpha: float
-    allow_degenerate: bool = False
-
-    def __post_init__(self):
-        if self.epsilon == 0.0 and self.allow_degenerate:
-            return
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v over the last axes, a: (..., d, r), v: (..., r), as products
+    rounded one by one and summed in column order.  The bits of a row never
+    depend on how many rows are stacked; with `@` they can, since BLAS may
+    fuse the multiply-adds of a single row (gemv) but not of many (gemm)."""
+    out = a[..., 0] * v[..., 0, None]
+    for j in range(1, v.shape[-1]):
+        out = out + a[..., j] * v[..., j, None]
+    return out
 
 
-def _check_finite(x: np.ndarray, step: int, what: str):
-    if not np.all(np.isfinite(x)):
-        raise IntegrationOverflowError(
-            f"{what} became non-finite at step {step}; aborting path"
+def _prepare_along_path(model: Model, grid: SampleGrid, det: CadlagTrajectory):
+    """Db and sigma along x(t), and Dh at the impulse left limits of x."""
+    n = grid.n_steps
+    db = np.empty((n, model.d, model.d))
+    for i in range(n):
+        db[i] = model.drift_jacobian(det.values[i])
+    if model.diffusion_constant is not None:
+        sig = np.broadcast_to(model.diffusion_constant, (n, model.d, model.r))
+    else:
+        sig = np.asarray(model.diffusion(det.values[:n]), dtype=float)
+    det_pre = det.pre_reset_map()
+    dh = {k: np.asarray(model.reset_jacobian(det_pre[k]), float)
+          for k, _ in grid.impulse_indices}
+    return db, sig, dh
+
+
+def _step(model, grid, visit, X, eps, increments, along):
+    """The one Euler / Euler-Maruyama / fluctuation scheme, over a batch.
+
+    X: (n_eps, n_paths, d) states of the noisy flow at scales eps (n_eps,),
+    or of the noise-free flow when eps is None; None leaves X out.
+    increments: (n_paths, n_steps, r) Brownian increments shared by X and Z.
+    along: _prepare_along_path of the deterministic flow, or None to leave
+    Z (n_paths, d), started at 0, out.  visit(n, k, X, Z) sees each left
+    limit (impulse counter k, before the reset) and each node n (k None).
+    """
+    dt = grid.dt
+    impulses = grid.impulse_index_map()
+    sigma = model.diffusion_constant
+    sig_x = Z = None
+    if sigma is not None:
+        sig_x = np.broadcast_to(sigma, (grid.n_steps, model.d, model.r))
+    if along is not None:
+        db, sig_x, dh = along
+        Z = np.zeros((increments.shape[0], model.d))
+    if eps is not None:
+        eps = eps[:, None, None]
+    for n in range(grid.n_steps):
+        if increments is not None and sig_x is not None:
+            # sigma(x) dW: the noise of Z, and of X too when sigma is constant
+            noise = _matvec(sig_x[n], increments[:, n])
+        if X is not None:
+            # left-endpoint evaluation: drift and diffusion at the pre-step state
+            step = np.asarray(model.drift(X), float) * dt
+            if eps is None:
+                X = X + step
+            else:
+                dx = noise if sigma is not None else _matvec(
+                    np.asarray(model.diffusion(X), float), increments[:, n])
+                X = X + step + eps * dx
+        if Z is not None:
+            Z = Z + _matvec(db[n], Z) * dt + noise
+        k = impulses.get(n + 1)
+        if k is not None:
+            visit(n + 1, k, X, Z)
+            if X is not None:
+                X = np.asarray(model.reset(X), float)
+            if Z is not None:
+                Z = _matvec(dh[k], Z)
+        visit(n + 1, None, X, Z)
+
+
+def _record(model, grid, start, pick, X=None, eps=None, increments=None,
+            along=None) -> CadlagTrajectory:
+    """Step a batch of one and record pick(X, Z) as a cadlag trajectory;
+    a non-finite recorded value raises, naming its first step."""
+    values = np.empty((grid.n_steps + 1, model.d))
+    values[0] = start
+    pre_reset = []
+
+    def visit(n, k, X, Z):
+        if k is None:
+            values[n] = pick(X, Z)
+        else:
+            pre_reset.append((k, pick(X, Z)))
+
+    _step(model, grid, visit, X, eps, increments, along)
+    nodes = dict(grid.impulse_indices)
+    bad = list(np.flatnonzero(~np.isfinite(values).all(axis=1)))
+    bad += [nodes[k] for k, v in pre_reset if not np.isfinite(v).all()]
+    if bad:
+        raise IntegrationOverflowError(f"trajectory became non-finite at step {min(bad)}")
+    return CadlagTrajectory(grid=grid, values=values, pre_reset=tuple(pre_reset))
+
+
+def _check_path(model: Model, grid: SampleGrid, path: BrownianPath):
+    if path.dt != grid.dt:
+        raise ValueError(f"path.dt={path.dt} does not match grid dt={grid.dt}")
+    if path.increments.shape != (grid.n_steps, model.r):
+        raise ValueError(
+            f"increments shape {path.increments.shape} does not match "
+            f"(n_steps, r) = ({grid.n_steps}, {model.r})"
         )
 
 
@@ -160,45 +241,14 @@ def integrate_sde(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.d,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({model.d},)")
-    noisy = epsilon != 0.0
-    if noisy:
+    eps = increments = None
+    if epsilon != 0.0:
         if path is None:
             raise ValueError("a BrownianPath is required when epsilon > 0")
-        if path.dt != grid.dt:
-            raise ValueError(f"path.dt={path.dt} does not match grid dt={grid.dt}")
-        if path.increments.shape != (grid.n_steps, model.r):
-            raise ValueError(
-                f"increments shape {path.increments.shape} does not match "
-                f"(n_steps, r) = ({grid.n_steps}, {model.r})"
-            )
-    dt = grid.dt
-    impulses = grid.impulse_index_map()
-    sigma_const = model.diffusion_constant
-    values = np.empty((grid.n_steps + 1, model.d))
-    values[0] = x0
-    pre_reset = []
-    x = x0
-    for n in range(grid.n_steps):
-        # left-endpoint evaluation: drift and diffusion at the pre-step state
-        if noisy:
-            sig = (
-                sigma_const
-                if sigma_const is not None
-                else np.asarray(model.diffusion(x), dtype=float)
-            )
-            x = x + np.asarray(model.drift(x), dtype=float) * dt + epsilon * (
-                sig @ path.increments[n]
-            )
-        else:
-            x = x + np.asarray(model.drift(x), dtype=float) * dt
-        _check_finite(x, n + 1, "state")
-        k = impulses.get(n + 1)
-        if k is not None:
-            pre_reset.append((k, x))
-            x = np.asarray(model.reset(x), dtype=float)
-            _check_finite(x, n + 1, "post-reset state")
-        values[n + 1] = x
-    return CadlagTrajectory(grid=grid, values=values, pre_reset=tuple(pre_reset))
+        _check_path(model, grid, path)
+        eps, increments = np.array([epsilon]), path.increments[None]
+    return _record(model, grid, x0, lambda X, Z: X[0, 0],
+                   X=x0[None, None], eps=eps, increments=increments)
 
 
 def integrate_fluctuation(
@@ -215,33 +265,10 @@ def integrate_fluctuation(
     """
     if det.grid is not grid and (det.grid.m != grid.m or det.grid.T != grid.T):
         raise ValueError("deterministic trajectory was produced on a different grid")
-    if path.dt != grid.dt:
-        raise ValueError(f"path.dt={path.dt} does not match grid dt={grid.dt}")
-    if path.increments.shape != (grid.n_steps, model.r):
-        raise ValueError(
-            f"increments shape {path.increments.shape} does not match "
-            f"(n_steps, r) = ({grid.n_steps}, {model.r})"
-        )
-    dt = grid.dt
-    impulses = grid.impulse_index_map()
-    det_pre = det.pre_reset_map()
-    sigma_const = model.diffusion_constant
-    values = np.zeros((grid.n_steps + 1, model.d))
-    pre_reset = []
-    z = np.zeros(model.d)
-    for n in range(grid.n_steps):
-        xn = det.values[n]
-        sig = sigma_const if sigma_const is not None else np.asarray(
-            model.diffusion(xn), dtype=float
-        )
-        z = z + (np.asarray(model.drift_jacobian(xn), float) @ z) * dt + sig @ path.increments[n]
-        _check_finite(z, n + 1, "fluctuation state")
-        k = impulses.get(n + 1)
-        if k is not None:
-            pre_reset.append((k, z))
-            z = np.asarray(model.reset_jacobian(det_pre[k]), float) @ z
-        values[n + 1] = z
-    return CadlagTrajectory(grid=grid, values=values, pre_reset=tuple(pre_reset))
+    _check_path(model, grid, path)
+    return _record(model, grid, 0.0, lambda X, Z: Z[0],
+                   increments=path.increments[None],
+                   along=_prepare_along_path(model, grid, det))
 
 
 def write_trajectory_csv(

@@ -46,7 +46,7 @@ def paper_report():
     sched = ImpulseSchedule(1.0)
     grid = build_grid(8.0, 12, sched)
     return run_convergence_study(
-        model, sched, grid, X0, range(1, 11), 1000, base_seed=2024, threads=8,
+        model, grid, X0, range(1, 11), 1000, base_seed=2024, threads=1,
     )
 
 
@@ -69,7 +69,7 @@ def test_criterion_2_desk_preset():
     sched = ImpulseSchedule(1.0)
     grid = build_grid(8.0, 10, sched)
     rep = run_convergence_study(
-        model, sched, grid, X0, range(1, 11), 200, base_seed=2024, threads=8,
+        model, grid, X0, range(1, 11), 200, base_seed=2024, threads=1,
     )
     slopes = rep.slope_clt
     ok = bool(np.all((1.7 <= slopes) & (slopes <= 2.3)))

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,13 @@ from impulsesim.analysis import (
 from impulsesim.dynamics import ImpulseSchedule, make_model, pendulum_model
 from impulsesim.integrate import (
     CadlagTrajectory,
+    IntegrationOverflowError,
     build_grid,
     integrate_deterministic,
+    integrate_fluctuation,
+    integrate_sde,
+    path_seed,
+    sample_brownian,
 )
 
 from test_integrate import constant_model, linear_model
@@ -113,30 +119,26 @@ class TestConvergenceStudy:
         m = linear_model(A, M)
         sched = ImpulseSchedule(1.0)
         grid = build_grid(4.0, 6, sched)
-        rep = run_convergence_study(
-            m, sched, grid, np.array([0.5, 0.5]), [1, 2, 3], 4, 17, mode="clt",
-        )
+        rep = run_convergence_study(m, grid, np.array([0.5, 0.5]), [1, 2, 3], 4, 17)
         assert np.all(rep.mean_clt <= 1e-9)
 
     def test_determinism_and_seed_sensitivity(self):
         m = pendulum_model()
-        sched = ImpulseSchedule(1.0)
         grid = self.small_grid()
         x0 = np.array([0.5, 0.5])
-        a = run_convergence_study(m, sched, grid, x0, [1, 2, 3], 2, 5)
-        b = run_convergence_study(m, sched, grid, x0, [1, 2, 3], 2, 5)
-        c = run_convergence_study(m, sched, grid, x0, [1, 2, 3], 2, 6)
+        a = run_convergence_study(m, grid, x0, [1, 2, 3], 2, 5)
+        b = run_convergence_study(m, grid, x0, [1, 2, 3], 2, 5)
+        c = run_convergence_study(m, grid, x0, [1, 2, 3], 2, 6)
         assert a.mean_lln.tobytes() == b.mean_lln.tobytes()
         assert a.mean_clt.tobytes() == b.mean_clt.tobytes()
         assert not np.array_equal(a.mean_lln, c.mean_lln)
 
     def test_thread_count_does_not_change_report(self):
         m = pendulum_model()
-        sched = ImpulseSchedule(1.0)
         grid = self.small_grid()
         x0 = np.array([0.5, 0.5])
         reports = [
-            run_convergence_study(m, sched, grid, x0, [1, 2, 3, 4], 260, 13,
+            run_convergence_study(m, grid, x0, [1, 2, 3, 4], 260, 13,
                                   threads=t)
             for t in (1, 2, 8)
         ]
@@ -146,9 +148,8 @@ class TestConvergenceStudy:
 
     def test_error_monotone_in_eps(self):
         m = pendulum_model()
-        sched = ImpulseSchedule(1.0)
         rep = run_convergence_study(
-            m, sched, self.small_grid(), np.array([0.5, 0.5]),
+            m, self.small_grid(), np.array([0.5, 0.5]),
             range(1, 11), 60, 3,
         )
         assert np.all(rep.mean_lln[0] > rep.mean_lln[-1])
@@ -157,24 +158,103 @@ class TestConvergenceStudy:
     def test_correction_strictly_helps_per_path(self):
         # first-order correction beats the raw deviation for eps <= 2^-2
         m = pendulum_model()
-        sched = ImpulseSchedule(1.0)
         rep = run_convergence_study(
-            m, sched, self.small_grid(), np.array([0.5, 0.5]),
+            m, self.small_grid(), np.array([0.5, 0.5]),
             [2, 3, 4, 5, 6], 40, 29,
         )
         assert np.all(rep.clt_paths < rep.lln_paths)
 
     def test_validation(self):
         m = pendulum_model()
-        sched = ImpulseSchedule(1.0)
         grid = self.small_grid()
         x0 = np.array([0.5, 0.5])
         with pytest.raises(ValueError):
-            run_convergence_study(m, sched, grid, x0, [1, 2], 1, 0)
+            run_convergence_study(m, grid, x0, [1, 2], 1, 0)
         with pytest.raises(ValueError):
-            run_convergence_study(m, sched, grid, x0, [0, 1], 4, 0)
-        with pytest.raises(ValueError):
-            run_convergence_study(m, sched, grid, x0, [1, 2], 4, 0, mode="bad")
+            run_convergence_study(m, grid, x0, [0, 1], 4, 0)
+
+
+def state_dependent_pendulum():
+    """Pendulum drift and reset with a state-dependent 2x3 diffusion."""
+    pend = pendulum_model()
+
+    def diffusion(x):
+        x = np.asarray(x, float)
+        s, c = np.sin(x[..., 0]), np.cos(x[..., 1])
+        row1 = np.stack((1.0 + 0.5 * s, 0.3 * c, 0.1 * s * c), axis=-1)
+        row2 = np.stack((0.2 * c, 0.8 + 0.1 * s, -0.4 * s), axis=-1)
+        return np.stack((row1, row2), axis=-2)
+
+    return make_model(
+        2, 3, drift=pend.drift, diffusion=diffusion, reset=pend.reset,
+        drift_jacobian=pend.drift_jacobian, reset_jacobian=pend.reset_jacobian,
+        name="pendulum_sigma_x",
+    )
+
+
+class TestStudyMatchesPerPath:
+    """The study's per-path sups equal, bitwise, sup_error over the per-path
+    integrators fed the same increments (left limits included)."""
+
+    @pytest.mark.parametrize("model, alpha", [
+        (pendulum_model(), 1.0),
+        (pendulum_model(), 0.5),
+        (state_dependent_pendulum(), 0.5),
+    ], ids=["pendulum-alpha1", "pendulum-alpha0.5", "sigma-of-x-alpha0.5"])
+    def test_bitwise_equal(self, model, alpha):
+        grid = build_grid(4.0, 8, ImpulseSchedule(alpha))
+        x0 = np.array([0.5, 0.5])
+        exps, n_paths, seed = [1, 3, 5], 6, 11
+        rep = run_convergence_study(model, grid, x0, exps, n_paths, seed)
+        det = integrate_deterministic(model, grid, x0)
+        for j in range(n_paths):
+            path = sample_brownian(grid, model.r, path_seed(seed, j))
+            fluct = integrate_fluctuation(model, grid, det, path)
+            for e, eps in enumerate(rep.eps_list):
+                noisy = integrate_sde(model, grid, x0, eps, path)
+                lln = sup_error(noisy, det)
+                clt = sup_error(noisy, det, shift=fluct, shift_scale=eps)
+                assert lln.tobytes() == rep.lln_paths[e, j].tobytes(), (e, j)
+                assert clt.tobytes() == rep.clt_paths[e, j].tobytes(), (e, j)
+
+
+class TestStudyOverflow:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_names_every_bad_eps_and_path(self):
+        # x = 0 stays put; a noisy path explodes once it passes 1
+        eye = np.eye(1)
+        m = make_model(
+            1, 1,
+            drift=lambda x: 1e300 * np.asarray(x, float) ** 2 * (np.asarray(x) > 1.0),
+            diffusion=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (1, 1)),
+            reset=lambda x: np.asarray(x, float),
+            drift_jacobian=lambda x: np.zeros((1, 1)),
+            reset_jacobian=lambda x: eye,
+            diffusion_constant=eye,
+        )
+        grid = build_grid(4.0, 6, ImpulseSchedule(1.0))
+        x0 = np.zeros(1)
+        exps, n_paths, seed = [1, 2, 3], 10, 1
+        expected = set()
+        for j in range(n_paths):
+            path = sample_brownian(grid, 1, path_seed(seed, j))
+            for i in exps:
+                try:
+                    integrate_sde(m, grid, x0, 2.0**-i, path)
+                except IntegrationOverflowError:
+                    expected.add((2.0**-i, j))
+        # more than one eps and more than one path blow up, not all of them
+        assert len({e for e, _ in expected}) > 1 and len({j for _, j in expected}) > 1
+        assert len(expected) < len(exps) * n_paths
+        with pytest.raises(IntegrationOverflowError, match="path overflow at eps") as info:
+            run_convergence_study(m, grid, x0, exps, n_paths, seed)
+        named = {
+            (float(e), int(j))
+            for e, js in re.findall(r"eps=([0-9.e-]+), path index ([0-9, ]+)",
+                                    str(info.value))
+            for j in js.split(", ")
+        }
+        assert named == expected
 
 
 class TestReportCsv:
@@ -182,7 +262,7 @@ class TestReportCsv:
         m = pendulum_model()
         sched = ImpulseSchedule(1.0)
         grid = build_grid(2.0, 5, sched)
-        rep = run_convergence_study(m, sched, grid, np.array([0.5, 0.5]),
+        rep = run_convergence_study(m, grid, np.array([0.5, 0.5]),
                                     [1, 2, 3], 4, 1)
         buf = io.StringIO()
         write_report_csv(rep, buf)

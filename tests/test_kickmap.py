@@ -88,6 +88,14 @@ class TestAffineKickMap:
         assert np.allclose(kick(r), expected, rtol=1e-12)
         assert np.allclose(np.diag(jac), np.exp(diag), rtol=1e-12)
 
+    @pytest.mark.parametrize("a", [-20.0, -40.0, -80.0])
+    def test_contracting_scalar_kick_integral(self, a):
+        # K = (e^a - 1)/a; the power series of K had relative errors of
+        # 4e-9, 0.54 and 3.5e17 here
+        kick, jac = affine_kick_map(np.array([[a]]), np.array([1.0]))
+        assert kick(np.zeros(1))[0] == pytest.approx(math.expm1(a) / a, rel=1e-14)
+        assert jac[0, 0] == pytest.approx(math.exp(a), rel=1e-14)
+
     def test_translation_composition(self):
         # q translations from 0 accumulate to q*c
         c = np.array([0.3, -0.7])
