@@ -4,8 +4,11 @@ log-log slope regression across noise scales.
 Per path the noisy flow and the fluctuation process consume identical
 Brownian increments, so path-wise differences reflect the strong error
 bounds being verified.  Paths are batched into fixed-size chunks which may
-run on several threads; the reduction order is fixed by path index, so the
-report is bit-identical for any worker count.
+run on several threads; a chunk steps all its paths and noise scales
+component-major and in place, drawing each path's increments in time blocks
+from its own generator, and reduces the sups as it goes.  No path's bits
+depend on its chunk or block, and the reduction order is fixed by path
+index, so the report is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -21,14 +24,17 @@ from .integrate import (
     CadlagTrajectory,
     IntegrationOverflowError,
     SampleGrid,
+    _brownian_blocks,
     _prepare_along_path,
     _step,
     integrate_deterministic,
     path_seed,
-    sample_brownian,
 )
 
-_CHUNK_SIZE = 125  # fixed: chunking must not depend on the worker count
+# paths per chunk; fixed, since chunking must not depend on the worker count.
+# A chunk holds O(paths x Brownian block) memory, not O(paths x n_steps), so
+# the 250-path benchmark study runs as one chunk.
+_CHUNK_SIZE = 250
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,6 @@ def run_convergence_study(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     eps = np.array([2.0**-i for i in eps_exponents])
-    eps3 = eps[:, None, None]
     det = integrate_deterministic(model, grid, x0)
     det_pre = det.pre_reset_map()
     along = _prepare_along_path(model, grid, det)
@@ -148,26 +153,31 @@ def run_convergence_study(
     ]
 
     def run_chunk(idx_range):
-        """Per-coordinate and squared-norm sups of |X - x| and |X - x - eps*Z|."""
-        increments = np.empty((len(idx_range), grid.n_steps, model.r))
-        for i, j in enumerate(idx_range):
-            increments[i] = sample_brownian(grid, model.r, path_seed(base_seed, j)).increments
-        shape = (len(eps), len(idx_range), model.d)
-        lln, clt = np.zeros(shape), np.zeros(shape)
-        lln_n2, clt_n2 = np.zeros(shape[:2]), np.zeros(shape[:2])
+        """Per-coordinate and squared-norm sups of |X - x| (index 0) and
+        |X - x - eps*Z| (index 1), component-major: (2, d, n_eps, n_paths)
+        and (2, n_eps, n_paths)."""
+        shape = (model.d, len(eps), len(idx_range))
+        eps3 = np.broadcast_to(eps[:, None], shape).copy()  # unit strides multiply faster
+        sup, sup_n2 = np.zeros((2,) + shape), np.zeros((2,) + shape[1:])
+        diff, t, n2 = np.empty_like(sup), np.empty_like(sup), np.empty_like(sup_n2)
 
         def visit(n, k, X, Z):
             # left limits participate in the sup before the reset applies
-            diff = X - (det.values[n] if k is None else det_pre[k])
-            np.maximum(lln, np.abs(diff), out=lln)
-            np.maximum(lln_n2, np.einsum("epd,epd->ep", diff, diff), out=lln_n2)
-            diff = diff - eps3 * Z
-            np.maximum(clt, np.abs(diff), out=clt)
-            np.maximum(clt_n2, np.einsum("epd,epd->ep", diff, diff), out=clt_n2)
+            ref = det.values[n] if k is None else det_pre[k]
+            np.subtract(X, ref[:, None, None], out=diff[0])
+            np.subtract(diff[0], np.multiply(eps3, Z[:, None], out=diff[1]), out=diff[1])
+            np.maximum(sup, np.abs(diff, out=t), out=sup)
+            # squared norm summed in component order
+            sq = np.multiply(diff, diff, out=t)[:, 0]
+            for j in range(1, model.d):
+                sq = np.add(sq, t[:, j], out=n2)
+            np.maximum(sup_n2, sq, out=sup_n2)
 
-        X = np.tile(det.values[0], shape[:2] + (1,))
-        _step(model, grid, visit, X, eps, increments, along)
-        return lln, clt, lln_n2, clt_n2
+        X = np.empty(shape)
+        X[...] = det.values[0][:, None, None]
+        blocks = _brownian_blocks(grid, model.r, [path_seed(base_seed, j) for j in idx_range])
+        _step(model, grid, visit, X, eps, blocks, along)
+        return sup, sup_n2
 
     if threads == 1:
         results = [run_chunk(c) for c in chunks]
@@ -175,8 +185,11 @@ def run_convergence_study(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_chunk, chunks))
 
-    # assemble in path-index order; all downstream reductions see one array
-    lln, clt, lln_n2, clt_n2 = (np.concatenate(parts, axis=1) for parts in zip(*results))
+    # assemble in path-index order; all downstream reductions see one array,
+    # per-coordinate sups laid out (n_eps, n_paths, d)
+    sup, sup_n2 = (np.concatenate(parts, axis=-1) for parts in zip(*results))
+    lln, clt = np.ascontiguousarray(np.moveaxis(sup, 1, -1))
+    lln_n2, clt_n2 = sup_n2
     bad = ~(np.isfinite(lln_n2) & np.isfinite(clt_n2))  # NaN survives np.maximum
     if bad.any():
         raise IntegrationOverflowError("path overflow at " + "; ".join(

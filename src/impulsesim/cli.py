@@ -1,17 +1,20 @@
 """Command-line front end: simulate / convergence / kickmap subcommands.
 
 Every output file is accompanied by a JSON manifest with the fully
-resolved parameter set, so any artifact can be reproduced bit-exactly.
+resolved parameter set and the Python, numpy and scipy versions, so any
+artifact can be reproduced bit-exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__, analysis, dynamics, integrate, kickmap
 
@@ -72,6 +75,8 @@ def _write_manifest(path: str, subcommand: str, params: dict, outputs, t0: float
         "parameters": params,
         "outputs": list(outputs),
         "tool_version": __version__,
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
         "duration_seconds": time.time() - t0,
     }
     with open(path, "w") as f:
@@ -213,6 +218,7 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_kickmap(args) -> int:
+    t0 = time.time()
     A = _parse_matrix(args.A)
     c = _parse_vector(args.c)
     r = _parse_vector(args.r)
@@ -228,6 +234,14 @@ def cmd_kickmap(args) -> int:
     finally:
         if out_path:
             out.close()
+    if out_path:
+        _write_manifest(
+            out_path + ".manifest.json",
+            "kickmap",
+            {"A": A.tolist(), "c": list(c), "r": list(r), "deltas": deltas},
+            [out_path],
+            t0,
+        )
     return 0
 
 

@@ -46,8 +46,11 @@ class Model:
 
     drift, diffusion and reset must accept arrays of shape (..., d) and
     broadcast over leading axes (the Monte Carlo engine batches states).
-    The Jacobian functions are only ever called with single states of
-    shape (d,).  All functions must be pure.
+    The batched stepper stores states component-major and hands these
+    callables non-contiguous (..., d) views; they must not write into their
+    input and must return a new array (np.empty_like keeps the input's
+    layout).  The Jacobian functions are only ever called with single states
+    of shape (d,).  All functions must be pure.
     """
 
     d: int
@@ -133,9 +136,14 @@ def pendulum_model(alpha_pend: float = 1.0) -> Model:
     if alpha_pend <= 0:
         raise ValueError("alpha_pend must be positive")
 
+    # np.empty_like keeps the input's memory layout: the batched stepper's
+    # component planes stay contiguous
     def drift(x):
         x = np.asarray(x, dtype=float)
-        return np.stack((x[..., 1], -alpha_pend * np.sin(x[..., 0])), axis=-1)
+        out = np.empty_like(x)
+        out[..., 0] = x[..., 1]
+        out[..., 1] = -alpha_pend * np.sin(x[..., 0])
+        return out
 
     def drift_jacobian(x):
         return np.array([[0.0, 1.0], [-alpha_pend * math.cos(x[0]), 0.0]])
@@ -148,7 +156,10 @@ def pendulum_model(alpha_pend: float = 1.0) -> Model:
 
     def reset(x):
         x = np.asarray(x, dtype=float)
-        return np.stack((x[..., 0], x[..., 1] + 0.1 * np.sin(x[..., 0])), axis=-1)
+        out = np.empty_like(x)
+        out[..., 0] = x[..., 0]
+        out[..., 1] = x[..., 1] + 0.1 * np.sin(x[..., 0])
+        return out
 
     def reset_jacobian(x):
         return np.array([[1.0, 0.0], [0.1 * math.cos(x[0]), 1.0]])

@@ -11,6 +11,7 @@ values are right-continuous, with left limits recorded separately.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import IO, Optional
@@ -18,6 +19,9 @@ from typing import IO, Optional
 import numpy as np
 
 from .dynamics import ImpulseSchedule, Model, impulse_time
+
+
+_BLOCK_STEPS = 1024  # Brownian increments a study draws per path at a time
 
 
 class IntegrationOverflowError(RuntimeError):
@@ -116,14 +120,16 @@ class CadlagTrajectory:
         return {k: v for k, v in self.pre_reset}
 
 
-def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v over the last axes, a: (..., d, r), v: (..., r), as products
-    rounded one by one and summed in column order.  The bits of a row never
-    depend on how many rows are stacked; with `@` they can, since BLAS may
-    fuse the multiply-adds of a single row (gemv) but not of many (gemm)."""
-    out = a[..., 0] * v[..., 0, None]
-    for j in range(1, v.shape[-1]):
-        out = out + a[..., j] * v[..., j, None]
+def _matvec(a: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+    """out = a v, component-major: a (d, r, ...) against v (r, ...) into out
+    (d, ...), as products rounded one by one and summed in column order.
+    The bits of a path never depend on how many paths are stacked; with `@`
+    they can, since BLAS may fuse the multiply-adds of a single row (gemv)
+    but not of many (gemm)."""
+    np.multiply(a[:, 0], v[0], out=out)
+    for j in range(1, v.shape[0]):
+        np.multiply(a[:, j], v[j], out=tmp)
+        np.add(out, tmp, out=out)
     return out
 
 
@@ -143,50 +149,97 @@ def _prepare_along_path(model: Model, grid: SampleGrid, det: CadlagTrajectory):
     return db, sig, dh
 
 
+def _component_major(a, shape, axes):
+    """A model output as floats of the batch's (..., d[, r]) shape (an
+    unbatched output broadcasts), with its component axes moved first."""
+    a = np.asarray(a, float)
+    if a.shape != shape:
+        a = np.broadcast_to(a, shape)
+    return a.transpose(axes)
+
+
+def _brownian_blocks(grid: SampleGrid, r: int, seeds):
+    """Brownian increments of one path per seed, drawn _BLOCK_STEPS steps at a
+    time into one reused (steps, r, n_paths) buffer; path p's draws are
+    bitwise those of sample_brownian(grid, r, seeds[p])."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    sd = math.sqrt(grid.dt)
+    buf = np.empty((min(_BLOCK_STEPS, grid.n_steps), r, len(rngs)))
+    for lo in range(0, grid.n_steps, _BLOCK_STEPS):
+        block = buf[:min(_BLOCK_STEPS, grid.n_steps - lo)]
+        for p, rng in enumerate(rngs):
+            block[:, :, p] = rng.normal(0.0, sd, size=block.shape[:2])
+        yield block
+
+
 def _step(model, grid, visit, X, eps, increments, along):
     """The one Euler / Euler-Maruyama / fluctuation scheme, over a batch.
 
-    X: (n_eps, n_paths, d) states of the noisy flow at scales eps (n_eps,),
-    or of the noise-free flow when eps is None; None leaves X out.
-    increments: (n_paths, n_steps, r) Brownian increments shared by X and Z.
-    along: _prepare_along_path of the deterministic flow, or None to leave
-    Z (n_paths, d), started at 0, out.  visit(n, k, X, Z) sees each left
-    limit (impulse counter k, before the reset) and each node n (k None).
+    All states are component-major and updated in place.  X: (d, n_eps,
+    n_paths) states of the noisy flow at scales eps (n_eps,), or of the
+    noise-free flow when eps is None; None leaves X out.  increments:
+    blocks (steps, r, n_paths) of Brownian increments, n_steps in all,
+    shared by X and Z.  along: _prepare_along_path of the deterministic
+    flow, or None to leave Z (d, n_paths), started at 0, out; without X the
+    batch is one path.  visit(n, k, X, Z) sees each left limit (impulse
+    counter k, before the reset) and each node n (k None); a visitor that
+    keeps X or Z must copy them.  The model's callables see (..., d) views.
+    A value that leaves the finite floats raises no warning: the callers
+    check the recorded values.
     """
-    dt = grid.dt
+    d, dt = model.d, grid.dt
+    n_paths = 1 if X is None else X.shape[-1]
     impulses = grid.impulse_index_map()
     sigma = model.diffusion_constant
     sig_x = Z = None
     if sigma is not None:
-        sig_x = np.broadcast_to(sigma, (grid.n_steps, model.d, model.r))
+        sig_x = np.broadcast_to(sigma, (grid.n_steps, d, model.r))
     if along is not None:
         db, sig_x, dh = along
-        Z = np.zeros((increments.shape[0], model.d))
+        db = db[..., None]
+        dh = {k: v[..., None] for k, v in dh.items()}
+        Z = np.zeros((d, n_paths))
+        Zt = np.empty_like(Z)
+    if sig_x is not None:
+        sig_x = sig_x[..., None]
+    noise, tmp = np.empty((d, n_paths)), np.empty((d, n_paths))
+    if X is not None:
+        Xv = X.transpose(1, 2, 0)
+        Xt = np.empty_like(X)
+        dx = noise[:, None] if sigma is not None else np.empty_like(X)
     if eps is not None:
-        eps = eps[:, None, None]
-    for n in range(grid.n_steps):
-        if increments is not None and sig_x is not None:
-            # sigma(x) dW: the noise of Z, and of X too when sigma is constant
-            noise = _matvec(sig_x[n], increments[:, n])
-        if X is not None:
-            # left-endpoint evaluation: drift and diffusion at the pre-step state
-            step = np.asarray(model.drift(X), float) * dt
-            if eps is None:
-                X = X + step
-            else:
-                dx = noise if sigma is not None else _matvec(
-                    np.asarray(model.diffusion(X), float), increments[:, n])
-                X = X + step + eps * dx
-        if Z is not None:
-            Z = Z + _matvec(db[n], Z) * dt + noise
-        k = impulses.get(n + 1)
-        if k is not None:
-            visit(n + 1, k, X, Z)
+        eps = np.broadcast_to(eps[:, None], X.shape).copy()  # unit strides multiply faster
+    steps = (itertools.repeat(None, grid.n_steps) if increments is None
+             else itertools.chain.from_iterable(increments))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, dW in enumerate(steps):
+            if dW is not None and sig_x is not None:
+                # sigma(x) dW: the noise of Z, and of X too when sigma is constant
+                _matvec(sig_x[n], dW, noise, tmp)
             if X is not None:
-                X = np.asarray(model.reset(X), float)
+                # left-endpoint evaluation: drift and diffusion at the pre-step state
+                b = _component_major(model.drift(Xv), Xv.shape, (2, 0, 1))
+                if eps is not None and sigma is None:
+                    s = _component_major(model.diffusion(Xv), Xv.shape + (model.r,),
+                                         (2, 3, 0, 1))
+                    _matvec(s, dW, dx, Xt)
+                np.multiply(b, dt, out=Xt)
+                np.add(X, Xt, out=X)
+                if eps is not None:
+                    np.multiply(eps, dx, out=Xt)
+                    np.add(X, Xt, out=X)
             if Z is not None:
-                Z = _matvec(dh[k], Z)
-        visit(n + 1, None, X, Z)
+                np.multiply(_matvec(db[n], Z, Zt, tmp), dt, out=Zt)
+                np.add(Z, Zt, out=Z)
+                np.add(Z, noise, out=Z)
+            k = impulses.get(n + 1)
+            if k is not None:
+                visit(n + 1, k, X, Z)
+                if X is not None:
+                    X[...] = _component_major(model.reset(Xv), Xv.shape, (2, 0, 1))
+                if Z is not None:
+                    Z[...] = _matvec(dh[k], Z, Zt, tmp)
+            visit(n + 1, None, X, Z)
 
 
 def _record(model, grid, start, pick, X=None, eps=None, increments=None,
@@ -201,7 +254,7 @@ def _record(model, grid, start, pick, X=None, eps=None, increments=None,
         if k is None:
             values[n] = pick(X, Z)
         else:
-            pre_reset.append((k, pick(X, Z)))
+            pre_reset.append((k, np.array(pick(X, Z))))
 
     _step(model, grid, visit, X, eps, increments, along)
     nodes = dict(grid.impulse_indices)
@@ -246,9 +299,9 @@ def integrate_sde(
         if path is None:
             raise ValueError("a BrownianPath is required when epsilon > 0")
         _check_path(model, grid, path)
-        eps, increments = np.array([epsilon]), path.increments[None]
-    return _record(model, grid, x0, lambda X, Z: X[0, 0],
-                   X=x0[None, None], eps=eps, increments=increments)
+        eps, increments = np.array([epsilon]), [path.increments[..., None]]
+    return _record(model, grid, x0, lambda X, Z: X[:, 0, 0],
+                   X=x0.reshape(-1, 1, 1).copy(), eps=eps, increments=increments)
 
 
 def integrate_fluctuation(
@@ -266,8 +319,8 @@ def integrate_fluctuation(
     if det.grid is not grid and (det.grid.m != grid.m or det.grid.T != grid.T):
         raise ValueError("deterministic trajectory was produced on a different grid")
     _check_path(model, grid, path)
-    return _record(model, grid, 0.0, lambda X, Z: Z[0],
-                   increments=path.increments[None],
+    return _record(model, grid, 0.0, lambda X, Z: Z[:, 0],
+                   increments=[path.increments[..., None]],
                    along=_prepare_along_path(model, grid, det))
 
 

@@ -1,9 +1,13 @@
+import dataclasses
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from impulsesim import analysis, integrate
 from impulsesim.analysis import (
     fit_loglog_slope,
     run_convergence_study,
@@ -134,6 +138,7 @@ class TestConvergenceStudy:
         assert not np.array_equal(a.mean_lln, c.mean_lln)
 
     def test_thread_count_does_not_change_report(self):
+        assert analysis._CHUNK_SIZE < 260  # 260 paths span two chunks or more
         m = pendulum_model()
         grid = self.small_grid()
         x0 = np.array([0.5, 0.5])
@@ -192,21 +197,72 @@ def state_dependent_pendulum():
     )
 
 
+def three_state_model():
+    """3 states, 2 noises, state-dependent sigma; finite-difference Jacobians."""
+
+    def drift(x):
+        x = np.asarray(x, float)
+        return np.stack((x[..., 1], 0.2 * x[..., 2] - np.sin(x[..., 0]),
+                         0.1 * x[..., 0] * x[..., 1] - 0.5 * x[..., 2]), axis=-1)
+
+    def diffusion(x):
+        x = np.asarray(x, float)
+        s, c = np.sin(x[..., 0]), np.cos(x[..., 2])
+        return np.stack((np.stack((1.0 + 0.3 * s, 0.2 * c), axis=-1),
+                         np.stack((0.1 * c, 0.8 + 0.2 * s), axis=-1),
+                         np.stack((0.3 * s * c, 0.5 + 0.0 * s), axis=-1)), axis=-2)
+
+    def reset(x):
+        x = np.asarray(x, float)
+        return np.stack((x[..., 0], x[..., 1] + 0.1 * np.sin(x[..., 0]),
+                         0.9 * x[..., 2] + 0.05 * x[..., 1]), axis=-1)
+
+    return make_model(3, 2, drift=drift, diffusion=diffusion, reset=reset,
+                      name="three_state")
+
+
+def unbatched_drift_model():
+    """A constant drift returned unbatched, shape (d,); the stepper broadcasts it."""
+    return dataclasses.replace(state_dependent_pendulum(),
+                               drift=lambda x: np.array([0.3, -0.2]),
+                               drift_jacobian=lambda x: np.zeros((2, 2)))
+
+
+def sup_sq_norm(a, b, shift=None, shift_scale=1.0):
+    """Sup over grid nodes and left limits of |a - b - shift_scale*shift|^2,
+    the squares summed in component order."""
+    def rows(t):
+        return np.vstack([t.values] + [v for _, v in t.pre_reset])
+
+    diff = rows(a) - rows(b)
+    if shift is not None:
+        diff = diff - shift_scale * rows(shift)
+    sq = diff[:, 0] * diff[:, 0]
+    for j in range(1, diff.shape[1]):
+        sq = sq + diff[:, j] * diff[:, j]
+    return sq.max()
+
+
 class TestStudyMatchesPerPath:
     """The study's per-path sups equal, bitwise, sup_error over the per-path
-    integrators fed the same increments (left limits included)."""
+    integrators fed the same increments (left limits included); so do its
+    norm means and standard errors, from squares summed in component order."""
 
     @pytest.mark.parametrize("model, alpha", [
         (pendulum_model(), 1.0),
         (pendulum_model(), 0.5),
         (state_dependent_pendulum(), 0.5),
-    ], ids=["pendulum-alpha1", "pendulum-alpha0.5", "sigma-of-x-alpha0.5"])
+        (three_state_model(), 0.5),
+        (unbatched_drift_model(), 1.0),
+    ], ids=["pendulum-alpha1", "pendulum-alpha0.5", "sigma-of-x-alpha0.5",
+            "d3-sigma-of-x-alpha0.5", "unbatched-drift-alpha1"])
     def test_bitwise_equal(self, model, alpha):
         grid = build_grid(4.0, 8, ImpulseSchedule(alpha))
-        x0 = np.array([0.5, 0.5])
+        x0 = np.full(model.d, 0.5)
         exps, n_paths, seed = [1, 3, 5], 6, 11
         rep = run_convergence_study(model, grid, x0, exps, n_paths, seed)
         det = integrate_deterministic(model, grid, x0)
+        n2 = np.empty((2, len(exps), n_paths))
         for j in range(n_paths):
             path = sample_brownian(grid, model.r, path_seed(seed, j))
             fluct = integrate_fluctuation(model, grid, det, path)
@@ -216,12 +272,49 @@ class TestStudyMatchesPerPath:
                 clt = sup_error(noisy, det, shift=fluct, shift_scale=eps)
                 assert lln.tobytes() == rep.lln_paths[e, j].tobytes(), (e, j)
                 assert clt.tobytes() == rep.clt_paths[e, j].tobytes(), (e, j)
+                n2[0, e, j] = sup_sq_norm(noisy, det)
+                n2[1, e, j] = sup_sq_norm(noisy, det, fluct, eps)
+        norms = np.sqrt(n2)
+        for norm, mean, sem in ((norms[0], rep.mean_lln_norm, rep.sem_lln_norm),
+                                (norms[1], rep.mean_clt_norm, rep.sem_clt_norm)):
+            assert norm.mean(axis=1).tobytes() == mean.tobytes()
+            se = norm.std(axis=1, ddof=1) / np.sqrt(n_paths)
+            assert se.tobytes() == sem.tobytes()
+
+
+class TestBatchingInvariance:
+    """Chunk size, Brownian block length and thread count change no bit of
+    the report; the streamed draws are bitwise those of sample_brownian."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(model=st.sampled_from([pendulum_model(), state_dependent_pendulum()]),
+           m=st.integers(2, 4), n_paths=st.integers(2, 9),
+           chunk=st.sampled_from([1, 3, 7]), block=st.sampled_from([1, 3, 5, 7]),
+           threads=st.sampled_from([1, 2]))
+    def test_report_bytes(self, model, m, n_paths, chunk, block, threads):
+        grid = build_grid(2.0, m, ImpulseSchedule(0.5))  # 8, 16 or 32 steps
+        seed = 5
+        args = (model, grid, np.array([0.5, 0.5]), [1, 3], n_paths, seed)
+        ref = run_convergence_study(*args)
+        seeds = [path_seed(seed, j) for j in range(n_paths)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_CHUNK_SIZE", chunk)
+            mp.setattr(integrate, "_BLOCK_STEPS", block)
+            rep = run_convergence_study(*args, threads=threads)
+            draws = np.concatenate([b.copy() for b in
+                                    integrate._brownian_blocks(grid, model.r, seeds)])
+        for f in dataclasses.fields(ref):
+            a, b = np.asarray(getattr(rep, f.name)), np.asarray(getattr(ref, f.name))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        for j, s in enumerate(seeds):
+            expected = sample_brownian(grid, model.r, s).increments
+            assert draws[:, :, j].tobytes() == expected.tobytes(), j
 
 
 class TestStudyOverflow:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_names_every_bad_eps_and_path(self):
-        # x = 0 stays put; a noisy path explodes once it passes 1
+        # x = 0 stays put; a noisy path explodes once it passes 1.  The study
+        # and the per-path integrator raise, and no RuntimeWarning leaks out.
         eye = np.eye(1)
         m = make_model(
             1, 1,
@@ -235,26 +328,28 @@ class TestStudyOverflow:
         grid = build_grid(4.0, 6, ImpulseSchedule(1.0))
         x0 = np.zeros(1)
         exps, n_paths, seed = [1, 2, 3], 10, 1
-        expected = set()
-        for j in range(n_paths):
-            path = sample_brownian(grid, 1, path_seed(seed, j))
-            for i in exps:
-                try:
-                    integrate_sde(m, grid, x0, 2.0**-i, path)
-                except IntegrationOverflowError:
-                    expected.add((2.0**-i, j))
-        # more than one eps and more than one path blow up, not all of them
-        assert len({e for e, _ in expected}) > 1 and len({j for _, j in expected}) > 1
-        assert len(expected) < len(exps) * n_paths
-        with pytest.raises(IntegrationOverflowError, match="path overflow at eps") as info:
-            run_convergence_study(m, grid, x0, exps, n_paths, seed)
-        named = {
-            (float(e), int(j))
-            for e, js in re.findall(r"eps=([0-9.e-]+), path index ([0-9, ]+)",
-                                    str(info.value))
-            for j in js.split(", ")
-        }
-        assert named == expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = set()
+            for j in range(n_paths):
+                path = sample_brownian(grid, 1, path_seed(seed, j))
+                for i in exps:
+                    try:
+                        integrate_sde(m, grid, x0, 2.0**-i, path)
+                    except IntegrationOverflowError:
+                        expected.add((2.0**-i, j))
+            # more than one eps and more than one path blow up, not all of them
+            assert len({e for e, _ in expected}) > 1 and len({j for _, j in expected}) > 1
+            assert len(expected) < len(exps) * n_paths
+            with pytest.raises(IntegrationOverflowError, match="path overflow at eps") as info:
+                run_convergence_study(m, grid, x0, exps, n_paths, seed)
+            named = {
+                (float(e), int(j))
+                for e, js in re.findall(r"eps=([0-9.e-]+), path index ([0-9, ]+)",
+                                        str(info.value))
+                for j in js.split(", ")
+            }
+            assert named == expected
 
 
 class TestReportCsv:

@@ -1,7 +1,9 @@
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from impulsesim.cli import main
 
@@ -26,6 +28,10 @@ class TestSimulate:
         assert manifest["subcommand"] == "simulate"
         assert manifest["parameters"]["seed"] == 7
         assert manifest["outputs"] == [str(out)]
+        assert manifest["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+        }
 
     def test_paper_figure_row_count(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -143,6 +149,20 @@ class TestKickmap:
         for r2, r1 in zip(rows_2d, rows_1d):
             # diagonal system decouples: 2-d error is sqrt(2) times the scalar one
             assert float(r2[2]) == pytest.approx(np.sqrt(2) * float(r1[2]), rel=1e-12)
+
+    def test_manifest(self, tmp_path):
+        out = tmp_path / "table.csv"
+        rc = main(["kickmap", "--A=-0.5,1,-1,-0.5", "--c", "1,0", "--r=0.5,-0.25",
+                   "--deltas", "0.5,0.25", "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+        assert manifest["subcommand"] == "kickmap"
+        assert manifest["parameters"] == {
+            "A": [[-0.5, 1.0], [-1.0, -0.5]], "c": [1.0, 0.0],
+            "r": [0.5, -0.25], "deltas": [0.5, 0.25],
+        }
+        assert manifest["outputs"] == [str(out)]
+        assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
 
     def test_malformed_matrix_rejected(self, capsys):
         rc = main(["kickmap", "--A", "1,2,3", "--c", "1", "--r", "1"])

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -135,8 +136,8 @@ class TestDeterministic:
             assert post[0] == pre[0]
             assert post[1] == pre[1] + 0.1 * np.sin(pre[0])
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_diagnostic(self):
+        # the stepper raises IntegrationOverflowError and lets no RuntimeWarning out
         m = make_model(
             1, 1,
             drift=lambda x: np.asarray(x, float) ** 3 * 1e150,
@@ -144,8 +145,10 @@ class TestDeterministic:
             reset=lambda x: np.asarray(x, float),
         )
         grid = build_grid(1.0, 2, ImpulseSchedule(1.0))
-        with pytest.raises(IntegrationOverflowError, match="step"):
-            integrate_deterministic(m, grid, np.array([10.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationOverflowError, match="step"):
+                integrate_deterministic(m, grid, np.array([10.0]))
 
 
 class TestSde:
