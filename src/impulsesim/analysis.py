@@ -3,17 +3,16 @@ log-log slope regression across noise scales.
 
 Per path the noisy flow and the fluctuation process consume identical
 Brownian increments, so path-wise differences reflect the strong error
-bounds being verified.  Paths are batched into fixed-size chunks which may
-run on several threads; a chunk steps all its paths and noise scales
-component-major and in place, drawing each path's increments in time blocks
-from its own generator, and reduces the sups as it goes.  No path's bits
-depend on its chunk or block, and the reduction order is fixed by path
-index, so the report is bit-identical for any worker count.
+bounds being verified.  Paths are batched into fixed-size chunks, run in
+order; a chunk steps all its paths and noise scales component-major and in
+place, drawing each path's increments in time blocks from its own
+generator, and reduces the sups as it goes.  No path's bits depend on its
+chunk or block, and the reduction order is fixed by path index, so the
+report is bit-identical for any chunk or block size.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -31,9 +30,8 @@ from .integrate import (
     path_seed,
 )
 
-# paths per chunk; fixed, since chunking must not depend on the worker count.
-# A chunk holds O(paths x Brownian block) memory, not O(paths x n_steps), so
-# the 250-path benchmark study runs as one chunk.
+# paths per chunk: a chunk holds O(paths x Brownian block) memory, so this
+# bounds the step loop's memory however many paths a study has.
 _CHUNK_SIZE = 250
 
 
@@ -127,7 +125,6 @@ def run_convergence_study(
     eps_exponents: Sequence[int],
     n_paths: int,
     base_seed: int,
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Estimate mean sup-norm errors per eps = 2^-i and fit log2-log2 slopes.
 
@@ -140,8 +137,6 @@ def run_convergence_study(
     eps_exponents = tuple(int(i) for i in eps_exponents)
     if any(i <= 0 for i in eps_exponents):
         raise ValueError("eps exponents must be positive")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     eps = np.array([2.0**-i for i in eps_exponents])
     det = integrate_deterministic(model, grid, x0)
     det_pre = det.pre_reset_map()
@@ -179,11 +174,7 @@ def run_convergence_study(
         _step(model, grid, visit, X, eps, blocks, along)
         return sup, sup_n2
 
-    if threads == 1:
-        results = [run_chunk(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, chunks))
+    results = [run_chunk(c) for c in chunks]
 
     # assemble in path-index order; all downstream reductions see one array,
     # per-coordinate sups laid out (n_eps, n_paths, d)

@@ -95,7 +95,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--x0", type=_parse_vector, default="0.5,0.5",
                    help="initial state, comma-separated")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--A", default=None, help="kick matrix, row-major comma-separated")
     p.add_argument("--c", default=None, help="kick offset vector")
@@ -119,6 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("convergence", help="Monte Carlo slope study as CSV")
     _add_common(p_conv)
     p_conv.add_argument("--paths", type=int, default=1000)
+    p_conv.add_argument("--threads", type=int, default=1,
+                        help="ignored; the study runs on the calling thread")
     p_conv.add_argument("--eps-exps", default="1..10",
                         help="exponents i for eps=2^-i, as 'lo..hi' or a comma list")
     p_conv.add_argument("--preset", default=None, choices=["paper", "desk"],
@@ -187,8 +188,7 @@ def cmd_convergence(args) -> int:
     schedule = dynamics.ImpulseSchedule(alpha=args.alpha)
     grid = integrate.build_grid(args.T, args.dt_exp, schedule)
     report = analysis.run_convergence_study(
-        model, grid, args.x0, exps, args.paths, args.seed, threads=args.threads,
-    )
+        model, grid, args.x0, exps, args.paths, args.seed)
     out, out_path = _open_out(args)
     try:
         analysis.write_report_csv(report, out)
@@ -208,8 +208,7 @@ def cmd_convergence(args) -> int:
                 "alpha_pend": args.alpha_pend, "T": args.T,
                 "dt_exp": args.dt_exp, "x0": list(args.x0),
                 "eps_exponents": exps, "paths": args.paths,
-                "seed": args.seed,
-                "threads": args.threads, "preset": args.preset,
+                "seed": args.seed, "preset": args.preset,
             },
             [out_path],
             t0,
@@ -248,8 +247,6 @@ def cmd_kickmap(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if isinstance(getattr(args, "x0", None), str):
-        args.x0 = _parse_vector(args.x0)
     handlers = {
         "simulate": cmd_simulate,
         "convergence": cmd_convergence,

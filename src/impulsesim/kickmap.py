@@ -79,13 +79,12 @@ def kick_limit_check(
     closed_form: Callable[[np.ndarray], np.ndarray],
     r: np.ndarray,
     deltas: Sequence[float],
-    substeps_scale: float = 1.0,
 ) -> list[tuple[float, int, float]]:
     """Error table certifying convergence of the regularized flow to closed_form.
 
-    For each delta the flow is integrated with substeps proportional to
-    1/delta, rounded up to a power of two so the Euler step is an exact
-    binary fraction; returns rows (delta, substeps, error).
+    For each delta the flow is integrated with 1/delta substeps, rounded up
+    to a power of two so the Euler step is an exact binary fraction; returns
+    rows (delta, substeps, error).
     """
     deltas = list(deltas)
     if any(d <= 0 for d in deltas):
@@ -95,7 +94,7 @@ def kick_limit_check(
     target = np.atleast_1d(np.asarray(closed_form(np.atleast_1d(r)), dtype=float))
     rows = []
     for delta in deltas:
-        substeps = 1 << max(0, math.ceil(math.log2(substeps_scale / delta)))
+        substeps = 1 << max(0, math.ceil(math.log2(1 / delta)))
         z = regularized_kick(field, r, delta, substeps)
         err = float(np.linalg.norm(z - target))
         rows.append((delta, substeps, err))

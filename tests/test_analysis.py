@@ -137,20 +137,6 @@ class TestConvergenceStudy:
         assert a.mean_clt.tobytes() == b.mean_clt.tobytes()
         assert not np.array_equal(a.mean_lln, c.mean_lln)
 
-    def test_thread_count_does_not_change_report(self):
-        assert analysis._CHUNK_SIZE < 260  # 260 paths span two chunks or more
-        m = pendulum_model()
-        grid = self.small_grid()
-        x0 = np.array([0.5, 0.5])
-        reports = [
-            run_convergence_study(m, grid, x0, [1, 2, 3, 4], 260, 13,
-                                  threads=t)
-            for t in (1, 2, 8)
-        ]
-        for r in reports[1:]:
-            assert r.mean_lln.tobytes() == reports[0].mean_lln.tobytes()
-            assert r.clt_paths.tobytes() == reports[0].clt_paths.tobytes()
-
     def test_error_monotone_in_eps(self):
         m = pendulum_model()
         rep = run_convergence_study(
@@ -283,15 +269,14 @@ class TestStudyMatchesPerPath:
 
 
 class TestBatchingInvariance:
-    """Chunk size, Brownian block length and thread count change no bit of
-    the report; the streamed draws are bitwise those of sample_brownian."""
+    """Chunk size and Brownian block length change no bit of the report;
+    the streamed draws are bitwise those of sample_brownian."""
 
     @settings(max_examples=15, deadline=None)
     @given(model=st.sampled_from([pendulum_model(), state_dependent_pendulum()]),
            m=st.integers(2, 4), n_paths=st.integers(2, 9),
-           chunk=st.sampled_from([1, 3, 7]), block=st.sampled_from([1, 3, 5, 7]),
-           threads=st.sampled_from([1, 2]))
-    def test_report_bytes(self, model, m, n_paths, chunk, block, threads):
+           chunk=st.sampled_from([1, 3, 7]), block=st.sampled_from([1, 3, 5, 7]))
+    def test_report_bytes(self, model, m, n_paths, chunk, block):
         grid = build_grid(2.0, m, ImpulseSchedule(0.5))  # 8, 16 or 32 steps
         seed = 5
         args = (model, grid, np.array([0.5, 0.5]), [1, 3], n_paths, seed)
@@ -300,7 +285,7 @@ class TestBatchingInvariance:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_CHUNK_SIZE", chunk)
             mp.setattr(integrate, "_BLOCK_STEPS", block)
-            rep = run_convergence_study(*args, threads=threads)
+            rep = run_convergence_study(*args)
             draws = np.concatenate([b.copy() for b in
                                     integrate._brownian_blocks(grid, model.r, seeds)])
         for f in dataclasses.fields(ref):

@@ -1,5 +1,7 @@
 import json
 import platform
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,7 +79,7 @@ class TestSimulate:
 
 
 class TestConvergence:
-    def test_byte_identical_across_thread_counts(self, tmp_path):
+    def test_threads_flag_accepted_and_ignored(self, tmp_path):
         outs = []
         for t in (1, 2, 8):
             out = tmp_path / f"rep{t}.csv"
@@ -88,6 +90,8 @@ class TestConvergence:
             ])
             assert rc == 0
             outs.append(out.read_bytes())
+            manifest = json.loads((tmp_path / f"rep{t}.csv.manifest.json").read_text())
+            assert "threads" not in manifest["parameters"]
         assert outs[0] == outs[1] == outs[2]
 
     def test_single_path_rejected(self, tmp_path, capsys):
@@ -182,3 +186,20 @@ class TestPresets:
         assert manifest["parameters"]["paths"] == 200
         assert manifest["parameters"]["dt_exp"] == 10
         assert manifest["parameters"]["preset"] == "desk"
+
+
+def test_benchmark_command_lines(tmp_path):
+    """The CLI accepts every call the benchmark makes, at its self-test size,
+    and each output passes the benchmark's own check."""
+    workloads = runpy.run_path(
+        str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    for wl in workloads["WORKLOADS"].values():
+        out = tmp_path / f"{wl.name}-{wl.out_name}"
+        argv = wl.argv(0, str(out), True)
+        assert main(argv) == 0, wl.name
+        assert wl.check(str(out), argv) == [], wl.name
+        if wl.thread_reference:
+            ref = tmp_path / f"{wl.name}-threads1-{wl.out_name}"
+            ref_argv = workloads["with_threads"](wl.argv(0, str(ref), True), 1)
+            assert main(ref_argv) == 0, wl.name
+            assert ref.read_bytes() == out.read_bytes(), wl.name
