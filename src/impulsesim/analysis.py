@@ -69,31 +69,14 @@ def sup_error(
     shift: CadlagTrajectory | None = None,
     shift_scale: float = 1.0,
 ) -> np.ndarray:
-    """Per-coordinate sup over grid nodes and recorded left limits of
-    |a - b - shift_scale*shift|."""
-    if a.grid.m != b.grid.m or a.grid.T != b.grid.T:
+    """Per-coordinate sup over grid nodes and left limits of
+    |a - b - shift_scale*shift|; all three must live on one grid."""
+    if b.grid != a.grid or (shift is not None and shift.grid != a.grid):
         raise ValueError("trajectories live on different grids")
-    diff = a.values - b.values
+    diff = np.concatenate((a.values, a.left)) - np.concatenate((b.values, b.left))
     if shift is not None:
-        if shift.grid.m != a.grid.m or shift.grid.T != a.grid.T:
-            raise ValueError("shift trajectory lives on a different grid")
-        diff = diff - shift_scale * shift.values
-    sup = np.max(np.abs(diff), axis=0)
-    # left limits participate; a trajectory continuous at a node has no
-    # recorded jump there, so its node value stands in for the left limit
-    a_pre, b_pre = a.pre_reset_map(), b.pre_reset_map()
-    s_pre = shift.pre_reset_map() if shift is not None else {}
-    impulse_nodes = {k: idx for k, idx in a.grid.impulse_indices}
-    ks = set(a_pre) | set(b_pre) | set(s_pre)
-    for k in ks:
-        idx = impulse_nodes[k]
-        av = a_pre.get(k, a.values[idx])
-        bv = b_pre.get(k, b.values[idx])
-        dv = av - bv
-        if shift is not None:
-            dv = dv - shift_scale * s_pre.get(k, shift.values[idx])
-        sup = np.maximum(sup, np.abs(dv))
-    return sup
+        diff = diff - shift_scale * np.concatenate((shift.values, shift.left))
+    return np.max(np.abs(diff), axis=0)
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
@@ -105,8 +88,8 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("xs and ys must be 1-d of equal length")
-    if len(xs) < 2:
-        raise ValueError("need at least 2 points to fit a slope")
+    if len(np.unique(xs)) < 2:
+        raise ValueError("need at least 2 distinct xs to fit a slope")
     if np.any(ys <= 0):
         raise ValueError("ys must be strictly positive")
     ly = np.log2(ys)
@@ -137,9 +120,10 @@ def run_convergence_study(
     eps_exponents = tuple(int(i) for i in eps_exponents)
     if any(i <= 0 for i in eps_exponents):
         raise ValueError("eps exponents must be positive")
+    if len(set(eps_exponents)) < 2:
+        raise ValueError("need at least 2 distinct eps exponents to fit a slope")
     eps = np.array([2.0**-i for i in eps_exponents])
     det = integrate_deterministic(model, grid, x0)
-    det_pre = det.pre_reset_map()
     along = _prepare_along_path(model, grid, det)
 
     chunks = [
@@ -156,9 +140,9 @@ def run_convergence_study(
         sup, sup_n2 = np.zeros((2,) + shape), np.zeros((2,) + shape[1:])
         diff, t, n2 = np.empty_like(sup), np.empty_like(sup), np.empty_like(sup_n2)
 
-        def visit(n, k, X, Z):
+        def visit(n, i, X, Z):
             # left limits participate in the sup before the reset applies
-            ref = det.values[n] if k is None else det_pre[k]
+            ref = det.values[n] if i is None else det.left[i]
             np.subtract(X, ref[:, None, None], out=diff[0])
             np.subtract(diff[0], np.multiply(eps3, Z[:, None], out=diff[1]), out=diff[1])
             np.maximum(sup, np.abs(diff, out=t), out=sup)

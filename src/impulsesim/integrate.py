@@ -5,8 +5,10 @@ fluctuation process on one dyadic grid, with impulse times landing exactly
 on grid nodes; the per-path integrators and the Monte Carlo study both run
 it.  At an impulse node the Euler step into the node produces the left
 limit, the reset applies instantaneously, and the step out of the node
-starts from the post-reset value; no time is consumed by the reset.  Stored
-values are right-continuous, with left limits recorded separately.
+starts from the post-reset value; no time is consumed by the reset.  A
+trajectory is right-continuous: `values` holds every grid node (post-reset
+at impulse nodes) and `left` one left limit per impulse, in the order of
+`SampleGrid.impulse_nodes`, the grid indices of t_k = k - 1 + alpha.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .dynamics import ImpulseSchedule, Model, impulse_time
+from .dynamics import ImpulseSchedule, Model
 
 
 _BLOCK_STEPS = 1024  # Brownian increments a study draws per path at a time
@@ -36,16 +38,11 @@ class SampleGrid:
     m: int
     dt: float
     n_steps: int
-    schedule: ImpulseSchedule
-    # (k, grid index of t_k) for every impulse time t_k <= T
-    impulse_indices: tuple[tuple[int, int], ...]
+    # grid index of t_k = k - 1 + alpha for every impulse t_k <= T, at position k - 1
+    impulse_nodes: tuple[int, ...]
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
-
-    def impulse_index_map(self) -> dict[int, int]:
-        """Grid index -> impulse counter k."""
-        return {idx: k for k, idx in self.impulse_indices}
 
 
 def build_grid(T: float, m: int, schedule: ImpulseSchedule) -> SampleGrid:
@@ -65,20 +62,8 @@ def build_grid(T: float, m: int, schedule: ImpulseSchedule) -> SampleGrid:
     if t_scaled != round(t_scaled):
         raise ValueError(f"T={T} is not a multiple of dt=2^-{m}")
     n_steps = int(round(t_scaled))
-    dt = 1.0 / scale
-    impulses = []
-    k = 1
-    while impulse_time(schedule, k) <= T:
-        impulses.append((k, int(round(a_scaled)) + (k - 1) * scale))
-        k += 1
-    return SampleGrid(
-        T=T,
-        m=m,
-        dt=dt,
-        n_steps=n_steps,
-        schedule=schedule,
-        impulse_indices=tuple(impulses),
-    )
+    nodes = tuple(range(int(round(a_scaled)), n_steps + 1, scale))
+    return SampleGrid(T=T, m=m, dt=1.0 / scale, n_steps=n_steps, impulse_nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -87,7 +72,6 @@ class BrownianPath:
 
     increments: np.ndarray  # (n_steps, r), i.i.d. Normal(0, dt) entries
     dt: float
-    seed: object
 
 
 def path_seed(base_seed: int, path_index: int) -> np.random.SeedSequence:
@@ -101,23 +85,20 @@ def sample_brownian(grid: SampleGrid, r: int, seed) -> BrownianPath:
         raise ValueError("noise dimension r must be >= 1")
     rng = np.random.default_rng(seed)
     increments = rng.normal(0.0, math.sqrt(grid.dt), size=(grid.n_steps, r))
-    return BrownianPath(increments=increments, dt=grid.dt, seed=seed)
+    return BrownianPath(increments=increments, dt=grid.dt)
 
 
 @dataclass(frozen=True)
 class CadlagTrajectory:
     """Right-continuous sampled path with recorded left limits at impulses.
 
-    values[i] is the post-reset state at impulse nodes; pre_reset holds
-    (impulse counter k, left-limit state) for each impulse on the grid.
+    values[n] is the state at grid node n, post-reset at impulse nodes;
+    left[i] is the left limit at grid.impulse_nodes[i], before the reset.
     """
 
     grid: SampleGrid
     values: np.ndarray  # (n_steps + 1, d)
-    pre_reset: tuple[tuple[int, np.ndarray], ...]
-
-    def pre_reset_map(self) -> dict[int, np.ndarray]:
-        return {k: v for k, v in self.pre_reset}
+    left: np.ndarray  # (len(grid.impulse_nodes), d)
 
 
 def _matvec(a: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray):
@@ -143,9 +124,7 @@ def _prepare_along_path(model: Model, grid: SampleGrid, det: CadlagTrajectory):
         sig = np.broadcast_to(model.diffusion_constant, (n, model.d, model.r))
     else:
         sig = np.asarray(model.diffusion(det.values[:n]), dtype=float)
-    det_pre = det.pre_reset_map()
-    dh = {k: np.asarray(model.reset_jacobian(det_pre[k]), float)
-          for k, _ in grid.impulse_indices}
+    dh = np.array([np.asarray(model.reset_jacobian(v), float) for v in det.left])
     return db, sig, dh
 
 
@@ -181,15 +160,16 @@ def _step(model, grid, visit, X, eps, increments, along):
     blocks (steps, r, n_paths) of Brownian increments, n_steps in all,
     shared by X and Z.  along: _prepare_along_path of the deterministic
     flow, or None to leave Z (d, n_paths), started at 0, out; without X the
-    batch is one path.  visit(n, k, X, Z) sees each left limit (impulse
-    counter k, before the reset) and each node n (k None); a visitor that
-    keeps X or Z must copy them.  The model's callables see (..., d) views.
+    batch is one path.  visit(n, i, X, Z) sees each left limit (at node
+    n = grid.impulse_nodes[i], before the reset) and each node n (i None);
+    a visitor that keeps X or Z must copy them.  The model's callables see
+    (..., d) views.
     A value that leaves the finite floats raises no warning: the callers
     check the recorded values.
     """
     d, dt = model.d, grid.dt
     n_paths = 1 if X is None else X.shape[-1]
-    impulses = grid.impulse_index_map()
+    position = {node: i for i, node in enumerate(grid.impulse_nodes)}
     sigma = model.diffusion_constant
     sig_x = Z = None
     if sigma is not None:
@@ -197,7 +177,7 @@ def _step(model, grid, visit, X, eps, increments, along):
     if along is not None:
         db, sig_x, dh = along
         db = db[..., None]
-        dh = {k: v[..., None] for k, v in dh.items()}
+        dh = dh[..., None]
         Z = np.zeros((d, n_paths))
         Zt = np.empty_like(Z)
     if sig_x is not None:
@@ -232,13 +212,13 @@ def _step(model, grid, visit, X, eps, increments, along):
                 np.multiply(_matvec(db[n], Z, Zt, tmp), dt, out=Zt)
                 np.add(Z, Zt, out=Z)
                 np.add(Z, noise, out=Z)
-            k = impulses.get(n + 1)
-            if k is not None:
-                visit(n + 1, k, X, Z)
+            i = position.get(n + 1)
+            if i is not None:
+                visit(n + 1, i, X, Z)
                 if X is not None:
                     X[...] = _component_major(model.reset(Xv), Xv.shape, (2, 0, 1))
                 if Z is not None:
-                    Z[...] = _matvec(dh[k], Z, Zt, tmp)
+                    Z[...] = _matvec(dh[i], Z, Zt, tmp)
             visit(n + 1, None, X, Z)
 
 
@@ -248,21 +228,20 @@ def _record(model, grid, start, pick, X=None, eps=None, increments=None,
     a non-finite recorded value raises, naming its first step."""
     values = np.empty((grid.n_steps + 1, model.d))
     values[0] = start
-    pre_reset = []
+    left = np.empty((len(grid.impulse_nodes), model.d))
 
-    def visit(n, k, X, Z):
-        if k is None:
+    def visit(n, i, X, Z):
+        if i is None:
             values[n] = pick(X, Z)
         else:
-            pre_reset.append((k, np.array(pick(X, Z))))
+            left[i] = pick(X, Z)
 
     _step(model, grid, visit, X, eps, increments, along)
-    nodes = dict(grid.impulse_indices)
     bad = list(np.flatnonzero(~np.isfinite(values).all(axis=1)))
-    bad += [nodes[k] for k, v in pre_reset if not np.isfinite(v).all()]
+    bad += [grid.impulse_nodes[i] for i in np.flatnonzero(~np.isfinite(left).all(axis=1))]
     if bad:
         raise IntegrationOverflowError(f"trajectory became non-finite at step {min(bad)}")
-    return CadlagTrajectory(grid=grid, values=values, pre_reset=tuple(pre_reset))
+    return CadlagTrajectory(grid=grid, values=values, left=left)
 
 
 def _check_path(model: Model, grid: SampleGrid, path: BrownianPath):
@@ -316,7 +295,7 @@ def integrate_fluctuation(
     at impulse k the left limit is reset by Dh evaluated at the
     deterministic left limit.  Uses the same increments as the noisy flow.
     """
-    if det.grid is not grid and (det.grid.m != grid.m or det.grid.T != grid.T):
+    if det.grid != grid:
         raise ValueError("deterministic trajectory was produced on a different grid")
     _check_path(model, grid, path)
     return _record(model, grid, 0.0, lambda X, Z: Z[:, 0],
@@ -363,18 +342,11 @@ def write_trajectory_csv(
         out.write(",".join(cells) + "\n")
 
     times = grid.times()
-    impulses = grid.impulse_index_map()
-    det_pre = det.pre_reset_map()
-    noisy_pre = noisy.pre_reset_map()
-    fluct_pre = fluct.pre_reset_map()
-    n_rows = 0
+    position = {node: i for i, node in enumerate(grid.impulse_nodes)}
     for n in range(grid.n_steps + 1):
-        k = impulses.get(n)
-        if k is not None:
-            row(times[n], det_pre[k], noisy_pre[k], fluct_pre[k], "pre")
-            row(times[n], det.values[n], noisy.values[n], fluct.values[n], "post")
-            n_rows += 2
-        else:
-            row(times[n], det.values[n], noisy.values[n], fluct.values[n], "flow")
-            n_rows += 1
-    return n_rows
+        i = position.get(n)
+        if i is not None:
+            row(times[n], det.left[i], noisy.left[i], fluct.left[i], "pre")
+        row(times[n], det.values[n], noisy.values[n], fluct.values[n],
+            "flow" if i is None else "post")
+    return grid.n_steps + 1 + len(grid.impulse_nodes)

@@ -218,11 +218,9 @@ def test_criterion_10_pathwise_epsilon_squared():
 
     def coupling_sup(eps):
         X = integrate_sde(model, grid, X0, eps, path)
+        # grid nodes and left limits
         sup = np.max(np.linalg.norm(X.values - det.values - eps * Z.values, axis=1))
-        x_pre, X_pre = det.pre_reset_map(), X.pre_reset_map()
-        z_pre = Z.pre_reset_map()
-        for k in x_pre:
-            sup = max(sup, np.linalg.norm(X_pre[k] - x_pre[k] - eps * z_pre[k]))
+        sup = max(sup, np.max(np.linalg.norm(X.left - det.left - eps * Z.left, axis=1)))
         return float(sup)
 
     ratio = coupling_sup(2**-4) / coupling_sup(2**-5)

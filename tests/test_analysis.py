@@ -42,9 +42,11 @@ def normal_equation_fit(xs, ys):
 
 
 class TestSupError:
-    def _traj(self, grid, values, pre=()):
-        return CadlagTrajectory(grid=grid, values=np.asarray(values, float),
-                                pre_reset=tuple(pre))
+    def _traj(self, grid, values, left=None):
+        # without explicit left limits the trajectory is continuous at impulses
+        values = np.asarray(values, float)
+        left = values[list(grid.impulse_nodes)] if left is None else left
+        return CadlagTrajectory(grid=grid, values=values, left=np.asarray(left, float))
 
     def test_identical_trajectories(self):
         grid = build_grid(2.0, 2, ImpulseSchedule(1.0))
@@ -60,11 +62,11 @@ class TestSupError:
         assert np.array_equal(sup_error(a, b), np.abs(v))
 
     def test_left_limits_participate(self):
-        # trajectories equal on all nodes but differing in a pre-reset record
+        # trajectories equal on all nodes but differing in a left limit
         grid = build_grid(2.0, 1, ImpulseSchedule(1.0))
         vals = np.zeros((5, 1))
-        a = self._traj(grid, vals, pre=[(1, np.array([0.9])), (2, np.array([0.0]))])
-        b = self._traj(grid, vals, pre=[(1, np.array([0.0])), (2, np.array([0.0]))])
+        a = self._traj(grid, vals, left=[[0.9], [0.0]])
+        b = self._traj(grid, vals, left=[[0.0], [0.0]])
         assert sup_error(a, b)[0] == pytest.approx(0.9)
 
     def test_shift_applied(self):
@@ -81,6 +83,12 @@ class TestSupError:
         b = self._traj(g2, np.zeros((5, 1)))
         with pytest.raises(ValueError):
             sup_error(a, b)
+        # same T and m, impulses at other nodes; b and shift are both checked
+        c = self._traj(build_grid(1.0, 1, ImpulseSchedule(0.5)), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="different grids"):
+            sup_error(a, c)
+        with pytest.raises(ValueError, match="different grids"):
+            sup_error(a, a, shift=c)
 
 
 class TestFitLoglogSlope:
@@ -111,6 +119,8 @@ class TestFitLoglogSlope:
             fit_loglog_slope([1.0], [2.0])
         with pytest.raises(ValueError):
             fit_loglog_slope([1.0, 2.0], [1.0, -1.0])
+        with pytest.raises(ValueError, match="distinct"):
+            fit_loglog_slope([-3.0, -3.0, -3.0], [0.1, 0.2, 0.3])
 
 
 class TestConvergenceStudy:
@@ -155,7 +165,12 @@ class TestConvergenceStudy:
         )
         assert np.all(rep.clt_paths < rep.lln_paths)
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        # every check runs before the deterministic pass
+        def no_pass(*args):
+            raise AssertionError("the deterministic pass ran")
+
+        monkeypatch.setattr(analysis, "integrate_deterministic", no_pass)
         m = pendulum_model()
         grid = self.small_grid()
         x0 = np.array([0.5, 0.5])
@@ -163,6 +178,9 @@ class TestConvergenceStudy:
             run_convergence_study(m, grid, x0, [1, 2], 1, 0)
         with pytest.raises(ValueError):
             run_convergence_study(m, grid, x0, [0, 1], 4, 0)
+        for exps in ([5], [3, 3], []):
+            with pytest.raises(ValueError, match="distinct eps"):
+                run_convergence_study(m, grid, x0, exps, 4, 0)
 
 
 def state_dependent_pendulum():
@@ -218,7 +236,7 @@ def sup_sq_norm(a, b, shift=None, shift_scale=1.0):
     """Sup over grid nodes and left limits of |a - b - shift_scale*shift|^2,
     the squares summed in component order."""
     def rows(t):
-        return np.vstack([t.values] + [v for _, v in t.pre_reset])
+        return np.concatenate((t.values, t.left))
 
     diff = rows(a) - rows(b)
     if shift is not None:

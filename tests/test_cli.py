@@ -1,6 +1,9 @@
 import json
+import os
 import platform
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +115,15 @@ class TestConvergence:
         out = capsys.readouterr().out
         assert "slope_lln" in out and "slope_clt" in out
 
+    @pytest.mark.parametrize("exps", ["5", "3,3"])
+    def test_fewer_than_two_distinct_eps_rejected(self, exps, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        rc = main(["convergence", "--paths", "4", "--eps-exps", exps,
+                   "--T", "2", "--dt-exp", "4", "--out", str(out)])
+        assert rc == 1
+        assert "distinct eps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eps_exp_comma_list(self, tmp_path):
         out = tmp_path / "r.csv"
         rc = main([
@@ -203,3 +215,35 @@ def test_benchmark_command_lines(tmp_path):
             ref_argv = workloads["with_threads"](wl.argv(0, str(ref), True), 1)
             assert main(ref_argv) == 0, wl.name
             assert ref.read_bytes() == out.read_bytes(), wl.name
+
+
+# per subcommand, the traced layers a benchmark run of it must record
+TRACED_LAYERS = {
+    "simulate": ["integrate.integrate_deterministic", "integrate.integrate_sde",
+                 "integrate.integrate_fluctuation", "integrate.write_trajectory_csv"],
+    "convergence": ["analysis.run_convergence_study", "analysis.write_report_csv",
+                    "dynamics.drift"],
+    "kickmap": ["kickmap.regularized_kick", "kickmap.affine_kick_map"],
+}
+
+
+def test_benchmark_traced_layers(tmp_path):
+    """A traced benchmark repetition (perfbench/child.py with trace on) of
+    every workload, at its self-test size, exits 0, writes an output that
+    passes the workload's check, and records a call to each layer that the
+    workload runs; so the per-layer metrics cannot silently read 0."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    workloads = runpy.run_path(str(bench / "workloads.py"))
+    for wl in workloads["WORKLOADS"].values():
+        out = tmp_path / f"{wl.name}-{wl.out_name}"
+        argv = wl.argv(0, str(out), True)
+        spec = {"root": str(bench.parent), "argv": argv, "trace": True,
+                "spans": str(tmp_path / f"{wl.name}-spans.tsv.gz")}
+        proc = subprocess.run([sys.executable, str(bench / "child.py"), json.dumps(spec)],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 0, (wl.name, proc.stderr)
+        assert wl.check(str(out), argv) == [], wl.name
+        layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
+        for name in TRACED_LAYERS[argv[0]]:
+            assert layers.get(name, {}).get("calls", 0) >= 1, (wl.name, name)
