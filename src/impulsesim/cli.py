@@ -14,6 +14,10 @@ import sys
 import time
 
 import numpy as np
+# numpy loads these two on first use; simulate and convergence always use
+# them (Brownian draws; np.unique in the slope fit), so they load with the CLI
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 import scipy
 
 from . import __version__, analysis, dynamics, integrate, kickmap
@@ -150,10 +154,8 @@ def cmd_simulate(args) -> int:
     model = _resolve_model(args)
     schedule = dynamics.ImpulseSchedule(alpha=args.alpha)
     grid = integrate.build_grid(args.T, args.dt_exp, schedule)
-    det = integrate.integrate_deterministic(model, grid, args.x0)
     path = integrate.sample_brownian(grid, model.r, args.seed)
-    noisy = integrate.integrate_sde(model, grid, args.x0, args.eps, path)
-    fluct = integrate.integrate_fluctuation(model, grid, det, path)
+    det, noisy, fluct = integrate.integrate_coupled(model, grid, args.x0, args.eps, path)
     out, out_path = _open_out(args)
     try:
         integrate.write_trajectory_csv(out, det, noisy, fluct, args.eps)

@@ -3,7 +3,12 @@
 One batched stepper advances the deterministic flow, the noisy flow and the
 fluctuation process on one dyadic grid, with impulse times landing exactly
 on grid nodes; the per-path integrators and the Monte Carlo study both run
-it.  At an impulse node the Euler step into the node produces the left
+it.  integrate_coupled gives the triple (x, X, Z) of one path from two
+passes, the deterministic one and then X and Z together, as the study
+steps them; integrate_sde and integrate_fluctuation run X or Z alone, with
+the same bits.  write_trajectory_csv writes the triple as one table.
+
+At an impulse node the Euler step into the node produces the left
 limit, the reset applies instantaneously, and the step out of the node
 starts from the post-reset value; no time is consumed by the reset.  A
 trajectory is right-continuous: `values` holds every grid node (post-reset
@@ -222,26 +227,36 @@ def _step(model, grid, visit, X, eps, increments, along):
             visit(n + 1, None, X, Z)
 
 
-def _record(model, grid, start, pick, X=None, eps=None, increments=None,
-            along=None) -> CadlagTrajectory:
-    """Step a batch of one and record pick(X, Z) as a cadlag trajectory;
-    a non-finite recorded value raises, naming its first step."""
-    values = np.empty((grid.n_steps + 1, model.d))
-    values[0] = start
-    left = np.empty((len(grid.impulse_nodes), model.d))
+def _record(model, grid, starts, picks, X=None, eps=None, increments=None,
+            along=None) -> list[CadlagTrajectory]:
+    """Step a batch of one and record each pick(X, Z) as a cadlag trajectory
+    started at the matching start; a non-finite recorded value raises,
+    naming its first step."""
+    values = np.empty((len(picks), grid.n_steps + 1, model.d))
+    for k, start in enumerate(starts):
+        values[k, 0] = start
+    left = np.empty((len(picks), len(grid.impulse_nodes), model.d))
 
     def visit(n, i, X, Z):
-        if i is None:
-            values[n] = pick(X, Z)
-        else:
-            left[i] = pick(X, Z)
+        into = values[:, n] if i is None else left[:, i]
+        for k, pick in enumerate(picks):
+            into[k] = pick(X, Z)
 
     _step(model, grid, visit, X, eps, increments, along)
-    bad = list(np.flatnonzero(~np.isfinite(values).all(axis=1)))
-    bad += [grid.impulse_nodes[i] for i in np.flatnonzero(~np.isfinite(left).all(axis=1))]
+    bad = list(np.flatnonzero(~np.isfinite(values).all(axis=(0, 2))))
+    bad += [grid.impulse_nodes[i]
+            for i in np.flatnonzero(~np.isfinite(left).all(axis=(0, 2)))]
     if bad:
         raise IntegrationOverflowError(f"trajectory became non-finite at step {min(bad)}")
-    return CadlagTrajectory(grid=grid, values=values, left=left)
+    return [CadlagTrajectory(grid=grid, values=v, left=lv) for v, lv in zip(values, left)]
+
+
+def _noisy(X, Z):
+    return X[:, 0, 0]
+
+
+def _fluct(X, Z):
+    return Z[:, 0]
 
 
 def _check_path(model: Model, grid: SampleGrid, path: BrownianPath):
@@ -261,6 +276,13 @@ def integrate_deterministic(
     return integrate_sde(model, grid, x0, 0.0, None)
 
 
+def _check_x0(model: Model, x0) -> np.ndarray:
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (model.d,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({model.d},)")
+    return x0
+
+
 def integrate_sde(
     model: Model,
     grid: SampleGrid,
@@ -270,17 +292,16 @@ def integrate_sde(
 ) -> CadlagTrajectory:
     """Euler-Maruyama flow of the impulsive SDE; epsilon=0 degenerates bitwise
     to the deterministic integrator."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (model.d,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({model.d},)")
+    x0 = _check_x0(model, x0)
     eps = increments = None
     if epsilon != 0.0:
         if path is None:
             raise ValueError("a BrownianPath is required when epsilon > 0")
         _check_path(model, grid, path)
         eps, increments = np.array([epsilon]), [path.increments[..., None]]
-    return _record(model, grid, x0, lambda X, Z: X[:, 0, 0],
-                   X=x0.reshape(-1, 1, 1).copy(), eps=eps, increments=increments)
+    [noisy] = _record(model, grid, [x0], [_noisy], X=x0.reshape(-1, 1, 1).copy(),
+                      eps=eps, increments=increments)
+    return noisy
 
 
 def integrate_fluctuation(
@@ -298,9 +319,36 @@ def integrate_fluctuation(
     if det.grid != grid:
         raise ValueError("deterministic trajectory was produced on a different grid")
     _check_path(model, grid, path)
-    return _record(model, grid, 0.0, lambda X, Z: Z[:, 0],
-                   increments=[path.increments[..., None]],
-                   along=_prepare_along_path(model, grid, det))
+    [fluct] = _record(model, grid, [0.0], [_fluct],
+                      increments=[path.increments[..., None]],
+                      along=_prepare_along_path(model, grid, det))
+    return fluct
+
+
+def integrate_coupled(
+    model: Model,
+    grid: SampleGrid,
+    x0: np.ndarray,
+    epsilon: float,
+    path: BrownianPath,
+) -> tuple[CadlagTrajectory, CadlagTrajectory, CadlagTrajectory]:
+    """The coupled triple (x, X, Z) on one Brownian path: the deterministic
+    pass, then X and Z advanced together in one pass of the stepper.  Each
+    is bitwise the trajectory of integrate_deterministic, integrate_sde and
+    integrate_fluctuation; epsilon=0 gives X = x."""
+    x0 = _check_x0(model, x0)
+    _check_path(model, grid, path)
+    det = integrate_deterministic(model, grid, x0)
+    # at epsilon 0, X runs noise-free: a 0.0 * noise term would turn -0.0 into +0.0
+    eps = None if epsilon == 0.0 else np.array([epsilon])
+    noisy, fluct = _record(model, grid, [x0, 0.0], [_noisy, _fluct],
+                           X=x0.reshape(-1, 1, 1).copy(), eps=eps,
+                           increments=[path.increments[..., None]],
+                           along=_prepare_along_path(model, grid, det))
+    return det, noisy, fluct
+
+
+_WRITE_ROWS = 4096  # rows turned into Python floats at once; bounds the writer's memory
 
 
 def write_trajectory_csv(
@@ -318,35 +366,35 @@ def write_trajectory_csv(
     """
     grid = det.grid
     d = det.values.shape[1]
-    header = (
-        ["t"]
-        + [f"x{j}" for j in range(1, d + 1)]
-        + [f"X{j}" for j in range(1, d + 1)]
-        + [f"Z{j}" for j in range(1, d + 1)]
-        + [f"A{j}" for j in range(1, d + 1)]
-        + [f"Y{j}" for j in range(1, d + 1)]
-        + ["event"]
-    )
-    out.write(",".join(header) + "\n")
+    names = ["t"] + [f"{c}{j}" for c in "xXZAY" for j in range(1, d + 1)] + ["event"]
+    out.write(",".join(names) + "\n")
 
-    def fmt(v: float) -> str:
-        return f"{v:.17g}"
-
-    def row(t, x, X, Z, event):
-        A = x + epsilon * Z
-        Y = (X - x) / epsilon if epsilon != 0.0 else np.zeros_like(x)
-        cells = [fmt(t)]
-        for arr in (x, X, Z, A, Y):
-            cells.extend(fmt(v) for v in arr)
-        cells.append(event)
-        out.write(",".join(cells) + "\n")
-
+    # node n goes to row n + #{impulse nodes <= n}, the pre row of impulse i
+    # to row nodes[i] + i, just above its node's post row
+    nodes = np.array(grid.impulse_nodes, dtype=np.intp)
+    n_rows = grid.n_steps + 1 + len(nodes)
+    node_rows = np.arange(grid.n_steps + 1)
+    node_rows += np.searchsorted(nodes, node_rows, side="right")
+    pre_rows = nodes + np.arange(len(nodes))
+    table = np.empty((n_rows, 1 + 5 * d))
     times = grid.times()
-    position = {node: i for i, node in enumerate(grid.impulse_nodes)}
-    for n in range(grid.n_steps + 1):
-        i = position.get(n)
-        if i is not None:
-            row(times[n], det.left[i], noisy.left[i], fluct.left[i], "pre")
-        row(times[n], det.values[n], noisy.values[n], fluct.values[n],
-            "flow" if i is None else "post")
-    return grid.n_steps + 1 + len(grid.impulse_nodes)
+    table[node_rows, 0] = times
+    table[pre_rows, 0] = times[nodes]
+    x, X, Z, A, Y = (table[:, 1 + k * d:1 + (k + 1) * d] for k in range(5))
+    for col, traj in ((x, det), (X, noisy), (Z, fluct)):
+        col[node_rows] = traj.values
+        col[pre_rows] = traj.left
+    np.add(x, epsilon * Z, out=A)
+    if epsilon != 0.0:
+        np.divide(X - x, epsilon, out=Y)
+    else:
+        Y[...] = 0.0
+
+    events = ["flow"] * n_rows
+    for row in pre_rows.tolist():
+        events[row], events[row + 1] = "pre", "post"
+    fmt = "%.17g," * (1 + 5 * d) + "%s\n"
+    for lo in range(0, n_rows, _WRITE_ROWS):
+        out.writelines(fmt % (*row, event) for row, event in
+                       zip(table[lo:lo + _WRITE_ROWS].tolist(), events[lo:lo + _WRITE_ROWS]))
+    return n_rows

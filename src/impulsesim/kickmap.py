@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
+
+_CHECK_EVERY = 1024  # regularized-kick substeps between finiteness checks
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,24 @@ def regularized_kick(
         raise ValueError("substeps must be >= 1")
     z = np.atleast_1d(np.asarray(r, dtype=float)).copy()
     h = 1.0 / substeps
-    for n in range(substeps):
-        z = z + h * np.asarray(field.g(z), dtype=float)
-        if not np.all(np.isfinite(z)):
-            raise FloatingPointError(
-                f"regularized kick overflowed at substep {n + 1}/{substeps}"
-            )
+    g = field.g
+    # a non-finite component stays non-finite under z + h*g(z), so checking
+    # once per block and replaying a bad block step by step names the first
+    # bad substep
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, substeps, _CHECK_EVERY):
+            start, hi = z, min(lo + _CHECK_EVERY, substeps)
+            for _ in range(lo, hi):
+                z = z + h * np.asarray(g(z), dtype=float)
+            if np.isfinite(z).all():
+                continue
+            z = start
+            for n in range(lo, hi):
+                z = z + h * np.asarray(g(z), dtype=float)
+                if not np.isfinite(z).all():
+                    raise FloatingPointError(
+                        f"regularized kick overflowed at substep {n + 1}/{substeps}"
+                    )
     return z
 
 
@@ -62,6 +75,8 @@ def affine_kick_map(A: np.ndarray, c: np.ndarray):
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if c.shape != (A.shape[0],):
         raise ValueError(f"c has shape {c.shape}, expected ({A.shape[0]},)")
+    from scipy.linalg import expm  # loaded here: no other layer needs scipy.linalg
+
     d = A.shape[0]
     block = expm(np.block([[A, np.eye(d)], [np.zeros((d, 2 * d))]]))
     eA = block[:d, :d]

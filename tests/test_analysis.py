@@ -19,6 +19,7 @@ from impulsesim.integrate import (
     CadlagTrajectory,
     IntegrationOverflowError,
     build_grid,
+    integrate_coupled,
     integrate_deterministic,
     integrate_fluctuation,
     integrate_sde,
@@ -284,6 +285,48 @@ class TestStudyMatchesPerPath:
             assert norm.mean(axis=1).tobytes() == mean.tobytes()
             se = norm.std(axis=1, ddof=1) / np.sqrt(n_paths)
             assert se.tobytes() == sem.tobytes()
+
+
+class TestCoupledMatchesPasses:
+    """integrate_coupled, one pass for X and Z, gives bitwise the
+    trajectories of the three separate integrators."""
+
+    @pytest.mark.parametrize("model, eps", [
+        (pendulum_model(), 2**-4),
+        (pendulum_model(), 0.0),
+        (state_dependent_pendulum(), 2**-3),
+        (three_state_model(), 2**-3),
+        (three_state_model(), 0.0),
+    ], ids=["pendulum", "pendulum-eps0", "sigma-of-x", "d3-sigma-of-x",
+            "d3-sigma-of-x-eps0"])
+    def test_bitwise_equal(self, model, eps):
+        grid = build_grid(4.0, 7, ImpulseSchedule(0.5))
+        x0 = np.linspace(0.5, -0.25, model.d)
+        path = sample_brownian(grid, model.r, path_seed(4, 2))
+        det, noisy, fluct = integrate_coupled(model, grid, x0, eps, path)
+        ref_det = integrate_deterministic(model, grid, x0)
+        refs = (ref_det, integrate_sde(model, grid, x0, eps, path),
+                integrate_fluctuation(model, grid, ref_det, path))
+        for got, ref in zip((det, noisy, fluct), refs):
+            assert got.grid == grid
+            assert got.values.tobytes() == ref.values.tobytes()
+            assert got.left.tobytes() == ref.left.tobytes()
+        if eps == 0.0:
+            assert noisy.values.tobytes() == det.values.tobytes()
+
+    def test_negative_zero_kept_at_eps0(self):
+        # X = x bitwise at eps = 0, signed zeros included: the noise term
+        # is left out, not multiplied by 0.0
+        m = make_model(1, 1, drift=lambda x: -np.asarray(x, float) ** 2,
+                       diffusion=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)),
+                       reset=lambda x: np.asarray(x, float),
+                       drift_jacobian=lambda x: -2.0 * np.atleast_2d(x),
+                       reset_jacobian=lambda x: np.eye(1))
+        grid = build_grid(2.0, 2, ImpulseSchedule(1.0))
+        path = sample_brownian(grid, 1, 0)
+        det, noisy, _ = integrate_coupled(m, grid, np.array([-0.0]), 0.0, path)
+        assert np.signbit(det.values).all()
+        assert noisy.values.tobytes() == det.values.tobytes()
 
 
 class TestBatchingInvariance:

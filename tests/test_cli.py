@@ -74,6 +74,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "alpha" in err and "0.3" in err
 
+    def test_overflow_exits_1_naming_the_step(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        rc = main(["simulate", "--eps", "0.5", "--T", "2", "--dt-exp", "0",
+                   "--x0=1e308,1e308", "--out", str(out)])
+        assert rc == 1
+        assert "non-finite at step 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eps_out_of_range(self, tmp_path, capsys):
         rc = main(["simulate", "--eps", "1.5", "--T", "1", "--dt-exp", "2",
                    "--out", str(tmp_path / "t.csv")])
@@ -200,6 +208,17 @@ class TestPresets:
         assert manifest["parameters"]["preset"] == "desk"
 
 
+def test_import_leaves_scipy_linalg_unloaded():
+    """Only the affine kick map needs scipy.linalg; loading it costs more
+    than the rest of the import."""
+    code = "import sys, impulsesim.cli; print('scipy.linalg' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_benchmark_command_lines(tmp_path):
     """The CLI accepts every call the benchmark makes, at its self-test size,
     and each output passes the benchmark's own check."""
@@ -219,8 +238,8 @@ def test_benchmark_command_lines(tmp_path):
 
 # per subcommand, the traced layers a benchmark run of it must record
 TRACED_LAYERS = {
-    "simulate": ["integrate.integrate_deterministic", "integrate.integrate_sde",
-                 "integrate.integrate_fluctuation", "integrate.write_trajectory_csv"],
+    "simulate": ["integrate.integrate_deterministic", "dynamics.drift",
+                 "dynamics.drift_jacobian", "integrate.write_trajectory_csv"],
     "convergence": ["analysis.run_convergence_study", "analysis.write_report_csv",
                     "dynamics.drift"],
     "kickmap": ["kickmap.regularized_kick", "kickmap.affine_kick_map"],

@@ -9,9 +9,11 @@ from hypothesis.extra.numpy import arrays
 from impulsesim.dynamics import ImpulseSchedule, make_model, pendulum_model
 from impulsesim.integrate import (
     BrownianPath,
+    CadlagTrajectory,
     IntegrationOverflowError,
     SampleGrid,
     build_grid,
+    integrate_coupled,
     integrate_deterministic,
     integrate_fluctuation,
     integrate_sde,
@@ -332,3 +334,95 @@ class TestTrajectoryCsv:
             Yv = np.array([float(r[9]), float(r[10])])
             assert np.allclose(Av, x + 0.25 * Zv, atol=1e-15)
             assert np.allclose(Yv, (Xv - x) / 0.25, atol=1e-12)
+
+
+def reference_trajectory_csv(det, noisy, fluct, epsilon):
+    """write_trajectory_csv cell by cell, in time order: an f-string per value."""
+    grid = det.grid
+    d = det.values.shape[1]
+    lines = [",".join(["t"] + [f"{c}{j}" for c in "xXZAY" for j in range(1, d + 1)]
+                      + ["event"])]
+
+    def row(t, x, X, Z, event):
+        A = x + epsilon * Z
+        Y = (X - x) / epsilon if epsilon != 0.0 else np.zeros_like(x)
+        cells = [f"{t:.17g}"] + [f"{v:.17g}" for arr in (x, X, Z, A, Y) for v in arr]
+        lines.append(",".join(cells + [event]))
+
+    times = grid.times()
+    for n in range(grid.n_steps + 1):
+        i = grid.impulse_nodes.index(n) if n in grid.impulse_nodes else None
+        if i is not None:
+            row(times[n], det.left[i], noisy.left[i], fluct.left[i], "pre")
+        row(times[n], det.values[n], noisy.values[n], fluct.values[n],
+            "flow" if i is None else "post")
+    return "".join(line + "\n" for line in lines)
+
+
+def written_csv(det, noisy, fluct, epsilon):
+    buf = io.StringIO()
+    n_rows = write_trajectory_csv(buf, det, noisy, fluct, epsilon)
+    assert n_rows == det.grid.n_steps + 1 + len(det.grid.impulse_nodes)
+    return buf.getvalue()
+
+
+class TestTrajectoryCsvBytes:
+    """The table writer gives the bytes of the cell-by-cell reference."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [2**-4, 0.3, 0.0])
+    def test_hand_built(self, d, eps):
+        # impulses at the first node, at two adjacent nodes and at the last
+        grid = SampleGrid(T=1.25, m=3, dt=0.125, n_steps=10, impulse_nodes=(0, 4, 5, 10))
+        rng = np.random.default_rng(d)
+        special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -1.7976931348623157e308,
+                            1e16, 0.1, -2.5e-300])
+
+        def traj():
+            n = (grid.n_steps + 1 + 4) * d
+            cells = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+            cells[rng.permutation(n)[:len(special)]] = special
+            cells = cells.reshape(-1, d)
+            return CadlagTrajectory(grid=grid, values=cells[:-4], left=cells[-4:])
+
+        det, noisy, fluct = traj(), traj(), traj()
+        with np.errstate(all="ignore"):
+            expected = reference_trajectory_csv(det, noisy, fluct, eps)
+            got = written_csv(det, noisy, fluct, eps)
+        assert got == expected
+
+    @pytest.mark.parametrize("eps, alpha", [(2**-4, 1.0), (0.1, 0.5), (0.0, 0.25)])
+    def test_pendulum(self, eps, alpha):
+        m = pendulum_model()
+        grid = build_grid(3.0, 5, ImpulseSchedule(alpha))
+        path = sample_brownian(grid, 2, 1)
+        trajs = integrate_coupled(m, grid, np.array([0.5, 0.5]), eps, path)
+        assert written_csv(*trajs, eps) == reference_trajectory_csv(*trajs, eps)
+
+
+class TestCoupledOverflow:
+    def overflow_model(self):
+        """x = 0 is a fixed point of the drift, so the noise-free flow stays
+        finite while the noisy one blows up."""
+        return make_model(
+            1, 1,
+            drift=lambda x: np.asarray(x, float) ** 3 * 1e150,
+            diffusion=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)),
+            reset=lambda x: np.asarray(x, float),
+            drift_jacobian=lambda x: 3e150 * np.atleast_2d(x) ** 2,
+            reset_jacobian=lambda x: np.eye(1),
+        )
+
+    def test_names_the_first_step(self):
+        m = self.overflow_model()
+        grid = build_grid(2.0, 4, ImpulseSchedule(1.0))
+        path = sample_brownian(grid, 1, 3)
+        x0 = np.zeros(1)
+        with pytest.raises(IntegrationOverflowError) as ref:
+            integrate_sde(m, grid, x0, 0.5, path)
+        assert "step 0" not in str(ref.value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationOverflowError) as got:
+                integrate_coupled(m, grid, x0, 0.5, path)
+        assert str(got.value) == str(ref.value)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,28 @@ from impulsesim.kickmap import (
     kick_limit_check,
     regularized_kick,
 )
+
+
+def reference_kick(g, r, substeps):
+    """regularized_kick as a plain Euler loop checked at every substep;
+    returns (z, None) or (None, the first non-finite substep)."""
+    z = np.atleast_1d(np.asarray(r, dtype=float)).copy()
+    h = 1.0 / substeps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(substeps):
+            z = z + h * np.asarray(g(z), dtype=float)
+            if not np.all(np.isfinite(z)):
+                return None, n + 1
+    return z, None
+
+
+def blows_up_at(k, substeps, bad=np.inf):
+    """Unit speed from 0 until z reaches its value after k - 1 substeps;
+    from there on g is `bad`, so substep k is the first non-finite one."""
+    threshold, h = 0.0, 1.0 / substeps
+    for _ in range(k - 1):
+        threshold += h
+    return lambda z: np.where(z >= threshold, bad, 1.0)
 
 
 def scalar_affine_closed_form(a, c, r):
@@ -53,11 +76,49 @@ class TestRegularizedKick:
         with pytest.raises(ValueError):
             regularized_kick(field, np.zeros(1), delta=0.1, substeps=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_aborts(self):
         field = KickField(g=lambda x: x**3 * 1e200)
-        with pytest.raises(FloatingPointError):
-            regularized_kick(field, np.array([10.0]), delta=0.1, substeps=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="substep 2/50$"):
+                regularized_kick(field, np.array([10.0]), delta=0.1, substeps=50)
+
+    @pytest.mark.parametrize("k, substeps, bad", [
+        (1, 4096, np.inf), (1023, 4096, np.inf), (1024, 4096, np.inf),
+        (1025, 4096, np.inf), (1025, 4096, np.nan), (3000, 4096, -np.inf),
+        (2048, 2048, np.nan), (2049, 2049, np.inf),
+    ])
+    def test_first_bad_substep_named_in_any_block(self, k, substeps, bad):
+        g = blows_up_at(k, substeps, bad)
+        assert reference_kick(g, [0.0], substeps) == (None, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=f"substep {k}/{substeps}$"):
+                regularized_kick(KickField(g=g), np.array([0.0]), 0.1, substeps)
+
+    def test_one_component_overflows_in_a_later_block(self):
+        # z2' = z2^2 from 1.5 blows up near t = 2/3; Euler overflows a few
+        # substeps after it passes 1/h, while z1 stays finite
+        def g(z):
+            return np.array([-z[0], z[1] ** 2])
+
+        substeps = 4096
+        _, k = reference_kick(g, [1.0, 1.5], substeps)
+        assert k is not None and k > 1024
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=f"substep {k}/{substeps}$"):
+                regularized_kick(KickField(g=g), np.array([1.0, 1.5]), 0.1, substeps)
+
+    @pytest.mark.parametrize("substeps", [1, 1023, 1024, 1025, 3000])
+    def test_finite_flow_matches_reference_bitwise(self, substeps):
+        def g(z):
+            return np.sin(z) + 0.5 * z[::-1]
+
+        r = np.array([0.3, -1.2])
+        z, k = reference_kick(g, r, substeps)
+        assert k is None
+        assert regularized_kick(KickField(g=g), r, 0.1, substeps).tobytes() == z.tobytes()
 
 
 class TestAffineKickMap:
@@ -135,6 +196,24 @@ class TestKickLimitCheck:
         # Euler is globally first order: halving the substep roughly halves the error
         for big, small in zip(errs, errs[1:]):
             assert 1.8 <= big / small <= 2.2
+
+    def test_rows_match_reference_bitwise(self):
+        A = np.array([[-0.5, 1.0], [-1.0, -0.5]])
+        c = np.array([1.0, 0.0])
+
+        def g(x):
+            return np.asarray(x, float) @ A.T + c
+
+        kick, _ = affine_kick_map(A, c)
+        r = np.array([0.375, -0.625])
+        deltas = [2.0**-i for i in range(1, 13)]
+        target = kick(r)
+        expected = []
+        for delta in deltas:
+            substeps = 1 << max(0, math.ceil(math.log2(1 / delta)))
+            z, _ = reference_kick(g, r, substeps)
+            expected.append((delta, substeps, float(np.linalg.norm(z - target))))
+        assert kick_limit_check(KickField(g=g), kick, r, deltas) == expected
 
     def test_nonmonotone_deltas_rejected(self):
         field = KickField(g=lambda x: x)
