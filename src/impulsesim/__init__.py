@@ -28,7 +28,7 @@ from .integrate import (
     path_seed,
     sample_brownian,
 )
-from .kickmap import KickField, affine_kick_map, kick_limit_check, regularized_kick
+from .kickmap import affine_kick_map, kick_limit_check, regularized_kick
 from .analysis import (
     ConvergenceReport,
     fit_loglog_slope,
@@ -42,7 +42,6 @@ __all__ = [
     "ConvergenceReport",
     "ImpulseSchedule",
     "IntegrationOverflowError",
-    "KickField",
     "Model",
     "SampleGrid",
     "affine_kick_map",

@@ -88,7 +88,7 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("xs and ys must be 1-d of equal length")
-    if len(np.unique(xs)) < 2:
+    if len(set(xs.tolist())) < 2:
         raise ValueError("need at least 2 distinct xs to fit a slope")
     if np.any(ys <= 0):
         raise ValueError("ys must be strictly positive")

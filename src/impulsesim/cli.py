@@ -1,8 +1,11 @@
 """Command-line front end: simulate / convergence / kickmap subcommands.
 
-Every output file is accompanied by a JSON manifest with the fully
-resolved parameter set and the Python, numpy and scipy versions, so any
-artifact can be reproduced bit-exactly.
+Every output file is accompanied by a JSON manifest with every resolved
+parameter of the run (the kick matrix and offset too, for
+`--model affine_kick`) and the Python, numpy and scipy versions, so any
+artifact can be reproduced bit-exactly.  All three subcommands compute
+first and then write through `_emit`, so a failed run leaves neither an
+output nor a manifest.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ import sys
 import time
 
 import numpy as np
-# numpy loads these two on first use; simulate and convergence always use
-# them (Brownian draws; np.unique in the slope fit), so they load with the CLI
-import numpy.ma  # noqa: F401
+# numpy loads it on first use; simulate and convergence always draw from it,
+# so it loads with the CLI
 import numpy.random  # noqa: F401
 import scipy
 
@@ -47,43 +49,39 @@ def _parse_eps_exps(s: str) -> list[int]:
     return [int(v) for v in s.split(",")]
 
 
-def _resolve_model(args) -> dynamics.Model:
+def _resolve_model(args, **params) -> tuple[dynamics.Model, dict]:
+    """The model of a simulate or convergence run, and the run's manifest
+    parameters: the common options, the given params, and for
+    --model affine_kick the kick matrix A and offset c (zero where not given)."""
+    params.update(model=args.model, alpha=args.alpha, alpha_pend=args.alpha_pend,
+                  T=args.T, dt_exp=args.dt_exp, x0=args.x0.tolist(), seed=args.seed)
     if args.model == "pendulum":
-        return dynamics.pendulum_model(alpha_pend=args.alpha_pend)
-    if args.model == "affine_kick":
-        A = _parse_matrix(args.A) if args.A else np.zeros((len(args.x0), len(args.x0)))
-        c = (
-            _parse_vector(args.c)
-            if args.c
-            else np.zeros(A.shape[0])
-        )
-        d = A.shape[0]
-        eye = np.eye(d)
-        # kick-only system: zero drift, identity diffusion
-        return dynamics.affine_kick_model(
-            A,
-            c,
-            base_drift=lambda x: np.zeros_like(np.asarray(x, float)),
-            diffusion=lambda x: np.broadcast_to(
-                eye, np.shape(np.asarray(x))[:-1] + (d, d)
-            ),
-            drift_jacobian=lambda x: np.zeros((d, d)),
-            diffusion_constant=eye,
-        )
-    raise ValueError(f"unknown model {args.model!r}")
+        return dynamics.pendulum_model(alpha_pend=args.alpha_pend), params
+    d = len(args.x0)
+    A = _parse_matrix(args.A) if args.A else np.zeros((d, d))
+    c = _parse_vector(args.c) if args.c else np.zeros(A.shape[0])
+    params.update(A=A.tolist(), c=c.tolist())
+    return dynamics.affine_kick_model(A, c), params
 
 
-def _write_manifest(path: str, subcommand: str, params: dict, outputs, t0: float):
+def _emit(args, t0: float, params: dict, write) -> None:
+    """Call write on the file named by --out, or on stdout when it is not set;
+    a file output then gets its manifest, `<out>.manifest.json`."""
+    if args.out is None:
+        write(sys.stdout)
+        return
+    with open(args.out, "w", newline="\n") as f:
+        write(f)
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "parameters": params,
-        "outputs": list(outputs),
+        "outputs": [args.out],
         "tool_version": __version__,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__},
         "duration_seconds": time.time() - t0,
     }
-    with open(path, "w") as f:
+    with open(args.out + ".manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -100,8 +98,9 @@ def _add_common(p: argparse.ArgumentParser):
                    help="initial state, comma-separated")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p.add_argument("--A", default=None, help="kick matrix, row-major comma-separated")
-    p.add_argument("--c", default=None, help="kick offset vector")
+    p.add_argument("--A", default=None,
+                   help="affine_kick: kick matrix, row-major comma-separated (default 0)")
+    p.add_argument("--c", default=None, help="affine_kick: kick offset vector (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,12 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(args):
-    if args.out is None:
-        return sys.stdout, None
-    return open(args.out, "w", newline="\n"), args.out
-
-
 def cmd_simulate(args) -> int:
     t0 = time.time()
     if args.eps == 0.0:
@@ -151,31 +144,14 @@ def cmd_simulate(args) -> int:
             raise ValueError("eps=0 requires --allow-degenerate")
     elif not 0.0 < args.eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {args.eps}")
-    model = _resolve_model(args)
+    model, params = _resolve_model(args, eps=args.eps,
+                                   allow_degenerate=args.allow_degenerate)
     schedule = dynamics.ImpulseSchedule(alpha=args.alpha)
     grid = integrate.build_grid(args.T, args.dt_exp, schedule)
     path = integrate.sample_brownian(grid, model.r, args.seed)
     det, noisy, fluct = integrate.integrate_coupled(model, grid, args.x0, args.eps, path)
-    out, out_path = _open_out(args)
-    try:
-        integrate.write_trajectory_csv(out, det, noisy, fluct, args.eps)
-    finally:
-        if out_path:
-            out.close()
-    if out_path:
-        _write_manifest(
-            out_path + ".manifest.json",
-            "simulate",
-            {
-                "model": args.model, "alpha": args.alpha,
-                "alpha_pend": args.alpha_pend, "T": args.T,
-                "dt_exp": args.dt_exp, "x0": list(args.x0),
-                "eps": args.eps, "seed": args.seed,
-                "allow_degenerate": args.allow_degenerate,
-            },
-            [out_path],
-            t0,
-        )
+    _emit(args, t0, params, lambda f: integrate.write_trajectory_csv(
+        f, det, noisy, fluct, args.eps))
     return 0
 
 
@@ -186,35 +162,17 @@ def cmd_convergence(args) -> int:
     elif args.preset == "desk":
         args.paths, args.dt_exp = 200, 10
     exps = _parse_eps_exps(args.eps_exps)
-    model = _resolve_model(args)
+    model, params = _resolve_model(args, eps_exponents=exps, paths=args.paths,
+                                   preset=args.preset)
     schedule = dynamics.ImpulseSchedule(alpha=args.alpha)
     grid = integrate.build_grid(args.T, args.dt_exp, schedule)
     report = analysis.run_convergence_study(
         model, grid, args.x0, exps, args.paths, args.seed)
-    out, out_path = _open_out(args)
-    try:
-        analysis.write_report_csv(report, out)
-    finally:
-        if out_path:
-            out.close()
+    _emit(args, t0, params, lambda f: analysis.write_report_csv(report, f))
     print("slope_lln per coordinate:",
           " ".join(f"{s:.4f}" for s in report.slope_lln))
     print("slope_clt per coordinate:",
           " ".join(f"{s:.4f}" for s in report.slope_clt))
-    if out_path:
-        _write_manifest(
-            out_path + ".manifest.json",
-            "convergence",
-            {
-                "model": args.model, "alpha": args.alpha,
-                "alpha_pend": args.alpha_pend, "T": args.T,
-                "dt_exp": args.dt_exp, "x0": list(args.x0),
-                "eps_exponents": exps, "paths": args.paths,
-                "seed": args.seed, "preset": args.preset,
-            },
-            [out_path],
-            t0,
-        )
     return 0
 
 
@@ -224,25 +182,17 @@ def cmd_kickmap(args) -> int:
     c = _parse_vector(args.c)
     r = _parse_vector(args.r)
     deltas = [float(v) for v in args.deltas.split(",")]
-    field = kickmap.KickField(g=lambda x: np.asarray(x, float) @ A.T + c)
     closed, _ = kickmap.affine_kick_map(A, c)
-    rows = kickmap.kick_limit_check(field, closed, r, deltas)
-    out, out_path = _open_out(args)
-    try:
-        out.write("delta,substeps,error\n")
+    rows = kickmap.kick_limit_check(
+        lambda x: np.asarray(x, float) @ A.T + c, closed, r, deltas)
+
+    def write(f):
+        f.write("delta,substeps,error\n")
         for delta, substeps, err in rows:
-            out.write(f"{delta:.17g},{substeps},{err:.17g}\n")
-    finally:
-        if out_path:
-            out.close()
-    if out_path:
-        _write_manifest(
-            out_path + ".manifest.json",
-            "kickmap",
-            {"A": A.tolist(), "c": list(c), "r": list(r), "deltas": deltas},
-            [out_path],
-            t0,
-        )
+            f.write(f"{delta:.17g},{substeps},{err:.17g}\n")
+
+    _emit(args, t0, {"A": A.tolist(), "c": c.tolist(), "r": r.tolist(),
+                     "deltas": deltas}, write)
     return 0
 
 
@@ -256,7 +206,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.subcommand](args)
-    except (ValueError, argparse.ArgumentTypeError,
+    except (ValueError, argparse.ArgumentTypeError, FloatingPointError,
             integrate.IntegrationOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

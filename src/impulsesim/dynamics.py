@@ -2,8 +2,10 @@
 
 A system with impulse effects flows along an ODE between impulses and is
 reset instantaneously by a map h at each impulse time.  The built-in
-models (kicked pendulum, affine kick) carry analytic Jacobians; user
-models without them fall back to central finite differences.
+models carry analytic Jacobians: the kicked pendulum, and
+`affine_kick_model(A, c)`, the kick-only system whose reset is the
+closed-form kick map of the field Ax + c.  User models without Jacobians
+fall back to central finite differences.
 """
 
 from __future__ import annotations
@@ -177,38 +179,23 @@ def pendulum_model(alpha_pend: float = 1.0) -> Model:
     )
 
 
-def affine_kick_model(
-    A: np.ndarray,
-    c: np.ndarray,
-    base_drift: Callable,
-    diffusion: Callable,
-    drift_jacobian: Callable | None = None,
-    diffusion_constant: np.ndarray | None = None,
-    r: int | None = None,
-    name: str = "affine_kick",
-) -> Model:
-    """Model whose reset is the closed-form kick map for the kick field Ax + c.
+def affine_kick_model(A: np.ndarray, c: np.ndarray) -> Model:
+    """Kick-only system: zero drift, identity diffusion (r = d), and the
+    closed-form kick map of the kick field Ax + c as its reset.
 
     The reset Jacobian is the constant matrix exp(A).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got shape {A.shape}")
-    d = A.shape[0]
-    if c.shape != (d,):
-        raise ValueError(f"c has shape {c.shape}, expected ({d},)")
-    kick, jac = kickmap.affine_kick_map(A, c)
-    if r is None:
-        r = d
-    return make_model(
+    kick, jac = kickmap.affine_kick_map(A, c)  # checks the shapes of A and c
+    d = jac.shape[0]
+    eye = np.eye(d)
+    return Model(
         d=d,
-        r=r,
-        drift=base_drift,
-        diffusion=diffusion,
+        r=d,
+        drift=lambda x: np.zeros_like(np.asarray(x, float)),
+        drift_jacobian=lambda x: np.zeros((d, d)),
+        diffusion=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (d, d)),
         reset=kick,
         reset_jacobian=lambda x: jac,
-        drift_jacobian=drift_jacobian,
-        name=name,
-        diffusion_constant=diffusion_constant,
+        name="affine_kick",
+        diffusion_constant=eye,
     )

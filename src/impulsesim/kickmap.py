@@ -3,13 +3,13 @@
 An impulse forcing g(x) * sum_n delta(t - t_n) acts, in the vanishing-width
 limit, like the unit-time flow of zdot = g(z).  For affine fields
 g(x) = Ax + c this flow has the closed form exp(A) r + K c with
-K = integral_0^1 exp(uA) du.
+K = integral_0^1 exp(uA) du.  A kick field g is a plain callable taking and
+returning arrays of shape (d,).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,20 +17,14 @@ import numpy as np
 _CHECK_EVERY = 1024  # regularized-kick substeps between finiteness checks
 
 
-@dataclass(frozen=True)
-class KickField:
-    """Kick vector field g."""
-
-    g: Callable[[np.ndarray], np.ndarray]
-
-
 def regularized_kick(
-    field: KickField, r: np.ndarray, delta: float, substeps: int
+    g: Callable[[np.ndarray], np.ndarray], r: np.ndarray, delta: float, substeps: int
 ) -> np.ndarray:
     """Flow of the width-delta regularized kick, zdot = (1/delta) g(z) over [0, delta].
 
     Integrated in rescaled time as zdot = g(z) over [0, 1] with explicit
-    Euler, so the result depends on substeps only, never on delta.
+    Euler, so the result depends on substeps only, never on delta.  Raises
+    FloatingPointError naming the first substep whose state is not finite.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -38,7 +32,6 @@ def regularized_kick(
         raise ValueError("substeps must be >= 1")
     z = np.atleast_1d(np.asarray(r, dtype=float)).copy()
     h = 1.0 / substeps
-    g = field.g
     # a non-finite component stays non-finite under z + h*g(z), so checking
     # once per block and replaying a bad block step by step names the first
     # bad substep
@@ -90,7 +83,7 @@ def affine_kick_map(A: np.ndarray, c: np.ndarray):
 
 
 def kick_limit_check(
-    field: KickField,
+    g: Callable[[np.ndarray], np.ndarray],
     closed_form: Callable[[np.ndarray], np.ndarray],
     r: np.ndarray,
     deltas: Sequence[float],
@@ -110,7 +103,7 @@ def kick_limit_check(
     rows = []
     for delta in deltas:
         substeps = 1 << max(0, math.ceil(math.log2(1 / delta)))
-        z = regularized_kick(field, r, delta, substeps)
+        z = regularized_kick(g, r, delta, substeps)
         err = float(np.linalg.norm(z - target))
         rows.append((delta, substeps, err))
     return rows

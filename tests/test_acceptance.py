@@ -16,6 +16,7 @@ from impulsesim.analysis import run_convergence_study
 from impulsesim.cli import main
 from impulsesim.dynamics import (
     ImpulseSchedule,
+    affine_kick_model,
     impulse_count,
     impulse_time,
     pendulum_model,
@@ -28,7 +29,7 @@ from impulsesim.integrate import (
     path_seed,
     sample_brownian,
 )
-from impulsesim.kickmap import KickField, affine_kick_map, regularized_kick
+from impulsesim.kickmap import affine_kick_map, regularized_kick
 
 from test_dynamics import jacobian_consistency
 from test_integrate import linear_model
@@ -129,7 +130,7 @@ def test_criterion_5_kick_map_oracle():
     ok = ok and bool(np.allclose(kick_d(rr), expected, rtol=1e-12))
 
     # doubling substeps halves the flow error for g(x) = x + 1 at r = 1
-    field = KickField(g=lambda x: x + 1.0)
+    field = lambda x: x + 1.0
     target = math.e * 1.0 + (math.e - 1.0)
     errs = [abs(float(regularized_kick(field, np.array([1.0]), 1.0, n)[0]) - target)
             for n in (64, 128, 256, 512)]
@@ -140,10 +141,8 @@ def test_criterion_5_kick_map_oracle():
 
 
 def test_criterion_6_jacobian_consistency():
-    from test_dynamics import TestAffineKickModel
-
     pend_dev = jacobian_consistency(pendulum_model(), 100, seed=23)
-    kick_model = TestAffineKickModel()._zero_drift_model(
+    kick_model = affine_kick_model(
         np.array([[0.0, 0.3], [-0.2, 0.1]]), np.array([0.1, -0.2])
     )
     kick_dev = jacobian_consistency(kick_model, 100, seed=29)

@@ -194,6 +194,57 @@ class TestKickmap:
         assert "square" in capsys.readouterr().err
 
 
+def _argv_from_manifest(manifest, out):
+    """The CLI call a simulate or convergence manifest describes, built from
+    its parameters alone."""
+    argv = [manifest["subcommand"], f"--out={out}"]
+    for key, value in manifest["parameters"].items():
+        option = "--eps-exps" if key == "eps_exponents" else "--" + key.replace("_", "-")
+        if value is None or value is False:
+            continue
+        if value is True:
+            argv.append(option)
+        elif isinstance(value, str):
+            argv.append(f"{option}={value}")
+        else:
+            argv.append(f"{option}={','.join(map(repr, np.ravel(value).tolist()))}")
+    return argv
+
+
+class TestAffineKickModel:
+    AFFINE = ["--model", "affine_kick", "--A=0.5,0,0,0.5", "--c", "1,0"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--eps", "0.25", "--T", "2", "--dt-exp", "4", "--seed", "3"],
+        ["convergence", "--paths", "4", "--eps-exps", "1..3", "--T", "2",
+         "--dt-exp", "4", "--seed", "3"],
+    ], ids=["simulate", "convergence"])
+    def test_manifest_replays_the_run(self, argv, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(argv + self.AFFINE + ["--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        params = manifest["parameters"]
+        assert params["A"] == [[0.5, 0.0], [0.0, 0.5]] and params["c"] == [1.0, 0.0]
+        rerun = tmp_path / "rerun.csv"
+        assert main(_argv_from_manifest(manifest, rerun)) == 0
+        assert rerun.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--eps", "0.5", "--T", "2", "--dt-exp", "0", "--x0=1e308,1e308"],
+     "non-finite at step 1"),
+    (["convergence", "--paths", "1", "--eps-exps", "1..3", "--T", "2", "--dt-exp", "4"],
+     "n_paths"),
+    (["kickmap", "--A=-5000", "--c", "1", "--r", "1", "--deltas", "0.001"],
+     "error: regularized kick overflowed at substep 518/1024"),
+], ids=["simulate", "convergence", "kickmap"])
+def test_failure_exits_1_without_output_or_manifest(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestPresets:
     def test_desk_preset_parameters_in_manifest(self, tmp_path):
         out = tmp_path / "desk.csv"
@@ -217,6 +268,20 @@ def test_import_leaves_scipy_linalg_unloaded():
                           timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_runs_leave_numpy_ma_unloaded():
+    """simulate and convergence never use numpy.ma; numpy loads it lazily,
+    so loading it would only add to every run's start-up."""
+    code = ("import sys; from impulsesim.cli import main; "
+            "main(['simulate', '--eps', '0.25', '--T', '2', '--dt-exp', '3']); "
+            "main(['convergence', '--paths', '4', '--eps-exps', '1..3', '--T', '2', "
+            "'--dt-exp', '3']); print('numpy.ma' in sys.modules, file=sys.stderr)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
 
 
 def test_benchmark_command_lines(tmp_path):

@@ -97,38 +97,38 @@ class TestPendulumModel:
 
 
 class TestAffineKickModel:
-    def _zero_drift_model(self, A, c):
-        d = np.atleast_2d(A).shape[0]
-        eye = np.eye(d)
-        return affine_kick_model(
-            A, c,
-            base_drift=lambda x: np.zeros_like(np.asarray(x, float)),
-            diffusion=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (d, d)),
-            drift_jacobian=lambda x: np.zeros((d, d)),
-            diffusion_constant=eye,
-        )
+    def test_kick_only_system(self):
+        m = affine_kick_model(np.eye(3), np.ones(3))
+        x = np.arange(12.0).reshape(4, 3)
+        assert (m.d, m.r, m.name) == (3, 3, "affine_kick")
+        assert np.array_equal(m.drift(x), np.zeros((4, 3)))
+        assert np.array_equal(m.drift_jacobian(x[0]), np.zeros((3, 3)))
+        assert np.array_equal(m.diffusion(x), np.broadcast_to(np.eye(3), (4, 3, 3)))
+        assert np.array_equal(m.diffusion_constant, np.eye(3))
 
     def test_zero_matrix_is_translation(self):
-        m = self._zero_drift_model(np.zeros((2, 2)), np.array([1.0, -2.0]))
+        m = affine_kick_model(np.zeros((2, 2)), np.array([1.0, -2.0]))
         r = np.array([0.3, 0.4])
         assert np.allclose(m.reset(r), r + [1.0, -2.0])
 
     def test_zero_kick_is_identity(self):
-        m = self._zero_drift_model(np.zeros((2, 2)), np.zeros(2))
+        m = affine_kick_model(np.zeros((2, 2)), np.zeros(2))
         r = np.array([0.3, 0.4])
         assert np.allclose(m.reset(r), r)
         assert np.allclose(m.reset_jacobian(r), np.eye(2))
 
     def test_log2_scalar_closed_form(self):
         # e^A r + e^A (int_0^1 e^{-sA} ds) c = 2r + 1/ln2 for A=ln2, c=1
-        m = self._zero_drift_model(np.array([[math.log(2.0)]]), np.array([1.0]))
+        m = affine_kick_model(np.array([[math.log(2.0)]]), np.array([1.0]))
         r = np.array([0.7])
         assert np.allclose(m.reset(r), 2 * 0.7 + 1.0 / math.log(2.0), rtol=1e-12)
         assert np.allclose(m.reset_jacobian(r), [[2.0]], rtol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            self._zero_drift_model(np.zeros((2, 2)), np.zeros(3))
+            affine_kick_model(np.zeros((2, 2)), np.zeros(3))
+        with pytest.raises(ValueError, match="square"):
+            affine_kick_model(np.zeros((2, 3)), np.zeros(2))
 
 
 def jacobian_consistency(model, n_points, seed, tol=1e-5):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from impulsesim.kickmap import (
-    KickField,
     affine_kick_map,
     kick_limit_check,
     regularized_kick,
@@ -43,7 +42,7 @@ def scalar_affine_closed_form(a, c, r):
 
 class TestRegularizedKick:
     def test_constant_field_exact(self):
-        field = KickField(g=lambda x: np.array([2.0, -1.0]))
+        field = lambda x: np.array([2.0, -1.0])
         r = np.array([0.1, 0.2])
         for delta, substeps in ((1.0, 1), (0.01, 3), (0.5, 17)):
             assert np.allclose(
@@ -52,32 +51,32 @@ class TestRegularizedKick:
 
     def test_linear_field_converges_to_exponential(self):
         a = 0.7
-        field = KickField(g=lambda x: a * x)
+        field = lambda x: a * x
         r = np.array([1.5])
         out = regularized_kick(field, r, delta=0.1, substeps=200_000)
         assert np.allclose(out, math.exp(a) * 1.5, rtol=1e-5)
 
     def test_zero_field_identity(self):
-        field = KickField(g=lambda x: np.zeros_like(x))
+        field = lambda x: np.zeros_like(x)
         r = np.array([3.0, -4.0])
         assert np.allclose(regularized_kick(field, r, 0.2, 5), r)
 
     def test_delta_invariance_in_rescaled_time(self):
-        field = KickField(g=lambda x: np.sin(x) + 0.5)
+        field = lambda x: np.sin(x) + 0.5
         r = np.array([0.3])
         a = regularized_kick(field, r, delta=0.2, substeps=64)
         b = regularized_kick(field, r, delta=0.1, substeps=64)
         assert np.array_equal(a, b)
 
     def test_validation(self):
-        field = KickField(g=lambda x: x)
+        field = lambda x: x
         with pytest.raises(ValueError):
             regularized_kick(field, np.zeros(1), delta=-1.0, substeps=4)
         with pytest.raises(ValueError):
             regularized_kick(field, np.zeros(1), delta=0.1, substeps=0)
 
     def test_overflow_aborts(self):
-        field = KickField(g=lambda x: x**3 * 1e200)
+        field = lambda x: x**3 * 1e200
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="substep 2/50$"):
@@ -94,7 +93,7 @@ class TestRegularizedKick:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match=f"substep {k}/{substeps}$"):
-                regularized_kick(KickField(g=g), np.array([0.0]), 0.1, substeps)
+                regularized_kick(g, np.array([0.0]), 0.1, substeps)
 
     def test_one_component_overflows_in_a_later_block(self):
         # z2' = z2^2 from 1.5 blows up near t = 2/3; Euler overflows a few
@@ -108,7 +107,7 @@ class TestRegularizedKick:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match=f"substep {k}/{substeps}$"):
-                regularized_kick(KickField(g=g), np.array([1.0, 1.5]), 0.1, substeps)
+                regularized_kick(g, np.array([1.0, 1.5]), 0.1, substeps)
 
     @pytest.mark.parametrize("substeps", [1, 1023, 1024, 1025, 3000])
     def test_finite_flow_matches_reference_bitwise(self, substeps):
@@ -118,7 +117,7 @@ class TestRegularizedKick:
         r = np.array([0.3, -1.2])
         z, k = reference_kick(g, r, substeps)
         assert k is None
-        assert regularized_kick(KickField(g=g), r, 0.1, substeps).tobytes() == z.tobytes()
+        assert regularized_kick(g, r, 0.1, substeps).tobytes() == z.tobytes()
 
 
 class TestAffineKickMap:
@@ -174,20 +173,20 @@ class TestAffineKickMap:
 class TestKickLimitCheck:
     def test_constant_field_zero_errors(self):
         c = np.array([1.0])
-        field = KickField(g=lambda x: c)
+        field = lambda x: c
         kick, _ = affine_kick_map(np.zeros((1, 1)), c)
         rows = kick_limit_check(field, kick, np.array([0.0]), [0.1, 0.05])
         assert all(err == 0.0 for _, _, err in rows)
 
     def test_zero_field_zero_errors(self):
-        field = KickField(g=lambda x: np.zeros_like(x))
+        field = lambda x: np.zeros_like(x)
         rows = kick_limit_check(field, lambda r: r, np.array([2.0]), [0.2, 0.1])
         assert all(err == 0.0 for _, _, err in rows)
 
     def test_affine_first_order_convergence(self):
         A = np.array([[1.0]])
         c = np.array([1.0])
-        field = KickField(g=lambda x: x @ A.T + c)
+        field = lambda x: x @ A.T + c
         kick, _ = affine_kick_map(A, c)
         rows = kick_limit_check(
             field, kick, np.array([1.0]), [0.1, 0.05, 0.025, 0.0125],
@@ -213,9 +212,9 @@ class TestKickLimitCheck:
             substeps = 1 << max(0, math.ceil(math.log2(1 / delta)))
             z, _ = reference_kick(g, r, substeps)
             expected.append((delta, substeps, float(np.linalg.norm(z - target))))
-        assert kick_limit_check(KickField(g=g), kick, r, deltas) == expected
+        assert kick_limit_check(g, kick, r, deltas) == expected
 
     def test_nonmonotone_deltas_rejected(self):
-        field = KickField(g=lambda x: x)
+        field = lambda x: x
         with pytest.raises(ValueError):
             kick_limit_check(field, lambda r: r, np.zeros(1), [0.1, 0.2])
