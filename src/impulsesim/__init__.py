@@ -8,12 +8,8 @@ estimates strong convergence rates by Monte Carlo.
 __version__ = "0.1.0"
 
 from .dynamics import (
-    ImpulseSchedule,
     Model,
     affine_kick_model,
-    impulse_count,
-    impulse_time,
-    make_model,
     pendulum_model,
 )
 from .integrate import (
@@ -40,7 +36,6 @@ __all__ = [
     "BrownianPath",
     "CadlagTrajectory",
     "ConvergenceReport",
-    "ImpulseSchedule",
     "IntegrationOverflowError",
     "Model",
     "SampleGrid",
@@ -48,13 +43,10 @@ __all__ = [
     "affine_kick_model",
     "build_grid",
     "fit_loglog_slope",
-    "impulse_count",
-    "impulse_time",
     "integrate_deterministic",
     "integrate_fluctuation",
     "integrate_sde",
     "kick_limit_check",
-    "make_model",
     "path_seed",
     "pendulum_model",
     "regularized_kick",

@@ -180,6 +180,13 @@ def run_convergence_study(
     mean_lln_norm, sem_lln_norm = mean_sem(lln_norm)
     mean_clt_norm, sem_clt_norm = mean_sem(clt_norm)
 
+    for stat, means in (("lln", np.column_stack((mean_lln, mean_lln_norm))),
+                        ("clt", np.column_stack((mean_clt, mean_clt_norm)))):
+        for e, j in zip(*np.nonzero(means <= 0)):
+            col = "norm" if j == model.d else f"e{j + 1}"
+            raise ValueError(f"{stat} mean error of column {col} is 0 at eps={eps[e]}: "
+                             "no log-log slope can be fitted")
+
     xs = -np.array(eps_exponents, dtype=float)
 
     def slopes(means):  # means: (n_eps, d)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -146,8 +147,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"eps must lie in (0, 1), got {args.eps}")
     model, params = _resolve_model(args, eps=args.eps,
                                    allow_degenerate=args.allow_degenerate)
-    schedule = dynamics.ImpulseSchedule(alpha=args.alpha)
-    grid = integrate.build_grid(args.T, args.dt_exp, schedule)
+    grid = integrate.build_grid(args.T, args.dt_exp, args.alpha)
     path = integrate.sample_brownian(grid, model.r, args.seed)
     det, noisy, fluct = integrate.integrate_coupled(model, grid, args.x0, args.eps, path)
     _emit(args, t0, params, lambda f: integrate.write_trajectory_csv(
@@ -164,8 +164,7 @@ def cmd_convergence(args) -> int:
     exps = _parse_eps_exps(args.eps_exps)
     model, params = _resolve_model(args, eps_exponents=exps, paths=args.paths,
                                    preset=args.preset)
-    schedule = dynamics.ImpulseSchedule(alpha=args.alpha)
-    grid = integrate.build_grid(args.T, args.dt_exp, schedule)
+    grid = integrate.build_grid(args.T, args.dt_exp, args.alpha)
     report = analysis.run_convergence_study(
         model, grid, args.x0, exps, args.paths, args.seed)
     _emit(args, t0, params, lambda f: analysis.write_report_csv(report, f))
@@ -205,7 +204,13 @@ def main(argv=None) -> int:
         "kickmap": cmd_kickmap,
     }
     try:
-        return handlers[args.subcommand](args)
+        rc = handlers[args.subcommand](args)
+        sys.stdout.flush()  # a reader that left shows up here, not at exit
+        return rc
+    except BrokenPipeError:
+        # stdout's reader left: send the rest to devnull (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, argparse.ArgumentTypeError, FloatingPointError,
             integrate.IntegrationOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,17 +1,19 @@
-"""System definitions: drift, diffusion, reset map, and impulse schedules.
+"""System definitions: drift, diffusion, reset map and their Jacobians.
 
 A system with impulse effects flows along an ODE between impulses and is
-reset instantaneously by a map h at each impulse time.  The built-in
-models carry analytic Jacobians: the kicked pendulum, and
+reset instantaneously by a map h at each impulse time; the impulse times
+themselves, t_k = k - 1 + alpha, belong to the grid (integrate.build_grid).
+The built-in models carry analytic Jacobians: the kicked pendulum, and
 `affine_kick_model(A, c)`, the kick-only system whose reset is the
-closed-form kick map of the field Ax + c.  User models without Jacobians
-fall back to central finite differences.
+closed-form kick map of the field Ax + c.  A Model built without a
+Jacobian falls back to central finite differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,16 +54,17 @@ class Model:
     callables non-contiguous (..., d) views; they must not write into their
     input and must return a new array (np.empty_like keeps the input's
     layout).  The Jacobian functions are only ever called with single states
-    of shape (d,).  All functions must be pure.
+    of shape (d,); a missing one becomes the central finite-difference
+    Jacobian of drift or reset.  All functions must be pure.
     """
 
     d: int
     r: int
     drift: Callable[[np.ndarray], np.ndarray]
-    drift_jacobian: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
     reset: Callable[[np.ndarray], np.ndarray]
-    reset_jacobian: Callable[[np.ndarray], np.ndarray]
+    drift_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    reset_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "custom"
     # set when sigma is state-independent; lets integrators skip re-evaluation
     diffusion_constant: Optional[np.ndarray] = None
@@ -69,64 +72,9 @@ class Model:
     def __post_init__(self):
         if self.d < 1 or self.r < 1:
             raise ValueError("dimensions d and r must be positive")
-
-
-def make_model(
-    d: int,
-    r: int,
-    drift: Callable,
-    diffusion: Callable,
-    reset: Callable,
-    drift_jacobian: Callable | None = None,
-    reset_jacobian: Callable | None = None,
-    name: str = "custom",
-    diffusion_constant: np.ndarray | None = None,
-) -> Model:
-    """Build a Model, filling in finite-difference Jacobians where missing."""
-    if drift_jacobian is None:
-        drift_jacobian = lambda x: finite_difference_jacobian(drift, x)
-    if reset_jacobian is None:
-        reset_jacobian = lambda x: finite_difference_jacobian(reset, x)
-    return Model(
-        d=d,
-        r=r,
-        drift=drift,
-        drift_jacobian=drift_jacobian,
-        diffusion=diffusion,
-        reset=reset,
-        reset_jacobian=reset_jacobian,
-        name=name,
-        diffusion_constant=diffusion_constant,
-    )
-
-
-@dataclass(frozen=True)
-class ImpulseSchedule:
-    """Unit-period impulse schedule with offset alpha in (0, 1].
-
-    Impulses arrive at t_k = k - 1 + alpha for k >= 1; t_0 = 0 is the
-    initial time, not an impulse.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-
-
-def impulse_time(schedule: ImpulseSchedule, k: int) -> float:
-    """Time of the k-th impulse, k >= 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1 (t_0 = 0 is the initial time, not an impulse)")
-    return k - 1 + schedule.alpha
-
-
-def impulse_count(schedule: ImpulseSchedule, t: float) -> int:
-    """Number of impulses up to and including time t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return max(0, math.floor(t - schedule.alpha) + 1)
+        for jac, f in (("drift_jacobian", self.drift), ("reset_jacobian", self.reset)):
+            if getattr(self, jac) is None:
+                object.__setattr__(self, jac, partial(finite_difference_jacobian, f))
 
 
 def pendulum_model(alpha_pend: float = 1.0) -> Model:

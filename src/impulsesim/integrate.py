@@ -1,11 +1,12 @@
 """Time grids, Brownian paths, and the coupled Euler/Euler-Maruyama integrators.
 
-One batched stepper advances the deterministic flow, the noisy flow and the
-fluctuation process on one dyadic grid, with impulse times landing exactly
-on grid nodes; the per-path integrators and the Monte Carlo study both run
-it.  integrate_coupled gives the triple (x, X, Z) of one path from two
-passes, the deterministic one and then X and Z together, as the study
-steps them; integrate_sde and integrate_fluctuation run X or Z alone, with
+build_grid lays out the impulse schedule t_k = k - 1 + alpha as grid nodes;
+no other code writes it down.  One batched stepper advances the
+deterministic flow, the noisy flow and the fluctuation process on that
+grid; the per-path integrators and the Monte Carlo study both run it.
+integrate_coupled gives the triple (x, X, Z) of one path from two passes,
+the deterministic one and then X and Z together, as the study steps them;
+integrate_sde and integrate_fluctuation run X or Z alone, with
 the same bits.  write_trajectory_csv writes the triple as one table.
 
 At an impulse node the Euler step into the node produces the left
@@ -25,7 +26,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .dynamics import ImpulseSchedule, Model
+from .dynamics import Model
 
 
 _BLOCK_STEPS = 1024  # Brownian increments a study draws per path at a time
@@ -50,17 +51,20 @@ class SampleGrid:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-def build_grid(T: float, m: int, schedule: ImpulseSchedule) -> SampleGrid:
-    """Grid on [0, T] with dt = 2^-m; rejects misaligned alpha or T."""
+def build_grid(T: float, m: int, alpha: float) -> SampleGrid:
+    """Grid on [0, T], dt = 2^-m, with impulse nodes at t_k = k - 1 + alpha <= T
+    for k >= 1 and alpha in (0, 1]; rejects a misaligned alpha or T."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
     if m < 0:
         raise ValueError(f"dt exponent m must be >= 0, got {m}")
     scale = 2**m
-    a_scaled = schedule.alpha * scale
+    a_scaled = alpha * scale
     if a_scaled != round(a_scaled):
         raise ValueError(
-            f"impulse offset alpha={schedule.alpha} is not aligned with "
+            f"impulse offset alpha={alpha} is not aligned with "
             f"dt=2^-{m}: alpha*2^m = {a_scaled} is not an integer"
         )
     t_scaled = T * scale

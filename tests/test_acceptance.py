@@ -14,13 +14,7 @@ import pytest
 from impulsesim import analysis
 from impulsesim.analysis import run_convergence_study
 from impulsesim.cli import main
-from impulsesim.dynamics import (
-    ImpulseSchedule,
-    affine_kick_model,
-    impulse_count,
-    impulse_time,
-    pendulum_model,
-)
+from impulsesim.dynamics import affine_kick_model, pendulum_model
 from impulsesim.integrate import (
     build_grid,
     integrate_deterministic,
@@ -46,8 +40,7 @@ def check(criterion: int, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def paper_report():
     model = pendulum_model()
-    sched = ImpulseSchedule(1.0)
-    grid = build_grid(8.0, 12, sched)
+    grid = build_grid(8.0, 12, 1.0)
     return run_convergence_study(
         model, grid, X0, range(1, 11), 1000, base_seed=2024,
     )
@@ -69,8 +62,7 @@ def test_criterion_2_clt_slope(paper_report):
 
 def test_criterion_2_desk_preset():
     model = pendulum_model()
-    sched = ImpulseSchedule(1.0)
-    grid = build_grid(8.0, 10, sched)
+    grid = build_grid(8.0, 10, 1.0)
     rep = run_convergence_study(
         model, grid, X0, range(1, 11), 200, base_seed=2024,
     )
@@ -83,7 +75,7 @@ def test_criterion_3_exact_coupling_oracle():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     M = np.array([[1.0, 0.0], [0.1, 1.0]])
     model = linear_model(A, M)
-    grid = build_grid(8.0, 12, ImpulseSchedule(1.0))
+    grid = build_grid(8.0, 12, 1.0)
     det = integrate_deterministic(model, grid, X0)
     worst = 0.0
     for eps, seed in ((2**-2, 11), (2**-6, 5)):
@@ -105,7 +97,7 @@ def test_criterion_4_epsilon_degeneracy():
         T = float(rng.integers(2, 5))
         x0 = rng.normal(size=2)
         model = pendulum_model(alpha_pend=float(rng.uniform(0.5, 2.0)))
-        grid = build_grid(T, m_exp, ImpulseSchedule(alpha))
+        grid = build_grid(T, m_exp, alpha)
         det = integrate_deterministic(model, grid, x0)
         sde = integrate_sde(model, grid, x0, 0.0, None)
         ok = ok and det.values.tobytes() == sde.values.tobytes()
@@ -180,15 +172,15 @@ def test_criterion_7_reset_quadratic_remainder():
 def test_criterion_8_schedule_properties():
     ok = True
     for alpha in (0.25, 0.5, 1.0):
-        sched = ImpulseSchedule(alpha)
-        ok = ok and all(
-            impulse_count(sched, impulse_time(sched, k)) == k
-            for k in range(1, 101)
+        grid = build_grid(100.0, 2, alpha)
+        nodes = grid.impulse_nodes
+        ok = ok and len(nodes) == 100 and all(
+            nodes[k - 1] * grid.dt == k - 1 + alpha for k in range(1, 101)
         )
-        counts = [impulse_count(sched, t) for t in np.linspace(0, 20, 4001)]
-        ok = ok and all(b >= a for a, b in zip(counts, counts[1:]))
-    check(8, ok, "impulse_count of impulse_time is the identity for k <= 100, "
-                 "alpha in {0.25, 0.5, 1}; count nondecreasing on a dense grid")
+        ok = ok and all(b > a for a, b in zip(nodes, nodes[1:]))
+    check(8, ok, "impulse node k of build_grid(100, 2, alpha) lies at t_k = k - 1 "
+                 "+ alpha for k <= 100, alpha in {0.25, 0.5, 1}; nodes strictly "
+                 "increasing")
 
 
 def test_criterion_9_chunk_determinism(tmp_path, monkeypatch):
@@ -210,7 +202,7 @@ def test_criterion_9_chunk_determinism(tmp_path, monkeypatch):
 
 def test_criterion_10_pathwise_epsilon_squared():
     model = pendulum_model()
-    grid = build_grid(8.0, 12, ImpulseSchedule(1.0))
+    grid = build_grid(8.0, 12, 1.0)
     det = integrate_deterministic(model, grid, X0)
     path = sample_brownian(grid, 2, path_seed(1234, 0))
     Z = integrate_fluctuation(model, grid, det, path)

@@ -14,7 +14,7 @@ from impulsesim.analysis import (
     sup_error,
     write_report_csv,
 )
-from impulsesim.dynamics import ImpulseSchedule, make_model, pendulum_model
+from impulsesim.dynamics import Model, pendulum_model
 from impulsesim.integrate import (
     CadlagTrajectory,
     IntegrationOverflowError,
@@ -50,13 +50,13 @@ class TestSupError:
         return CadlagTrajectory(grid=grid, values=values, left=np.asarray(left, float))
 
     def test_identical_trajectories(self):
-        grid = build_grid(2.0, 2, ImpulseSchedule(1.0))
+        grid = build_grid(2.0, 2, 1.0)
         m = pendulum_model()
         t = integrate_deterministic(m, grid, np.array([0.5, 0.5]))
         assert np.all(sup_error(t, t) == 0.0)
 
     def test_constant_versus_zero(self):
-        grid = build_grid(1.0, 1, ImpulseSchedule(1.0))
+        grid = build_grid(1.0, 1, 1.0)
         v = np.array([2.0, -3.0])
         a = self._traj(grid, np.tile(v, (3, 1)))
         b = self._traj(grid, np.zeros((3, 2)))
@@ -64,28 +64,28 @@ class TestSupError:
 
     def test_left_limits_participate(self):
         # trajectories equal on all nodes but differing in a left limit
-        grid = build_grid(2.0, 1, ImpulseSchedule(1.0))
+        grid = build_grid(2.0, 1, 1.0)
         vals = np.zeros((5, 1))
         a = self._traj(grid, vals, left=[[0.9], [0.0]])
         b = self._traj(grid, vals, left=[[0.0], [0.0]])
         assert sup_error(a, b)[0] == pytest.approx(0.9)
 
     def test_shift_applied(self):
-        grid = build_grid(1.0, 1, ImpulseSchedule(1.0))
+        grid = build_grid(1.0, 1, 1.0)
         a = self._traj(grid, np.full((3, 1), 5.0))
         b = self._traj(grid, np.full((3, 1), 1.0))
         shift = self._traj(grid, np.full((3, 1), 2.0))
         assert sup_error(a, b, shift=shift, shift_scale=2.0)[0] == pytest.approx(0.0)
 
     def test_grid_mismatch_rejected(self):
-        g1 = build_grid(1.0, 1, ImpulseSchedule(1.0))
-        g2 = build_grid(1.0, 2, ImpulseSchedule(1.0))
+        g1 = build_grid(1.0, 1, 1.0)
+        g2 = build_grid(1.0, 2, 1.0)
         a = self._traj(g1, np.zeros((3, 1)))
         b = self._traj(g2, np.zeros((5, 1)))
         with pytest.raises(ValueError):
             sup_error(a, b)
         # same T and m, impulses at other nodes; b and shift are both checked
-        c = self._traj(build_grid(1.0, 1, ImpulseSchedule(0.5)), np.zeros((3, 1)))
+        c = self._traj(build_grid(1.0, 1, 0.5), np.zeros((3, 1)))
         with pytest.raises(ValueError, match="different grids"):
             sup_error(a, c)
         with pytest.raises(ValueError, match="different grids"):
@@ -126,14 +126,13 @@ class TestFitLoglogSlope:
 
 class TestConvergenceStudy:
     def small_grid(self):
-        return build_grid(4.0, 6, ImpulseSchedule(1.0))
+        return build_grid(4.0, 6, 1.0)
 
     def test_linear_model_clt_error_vanishes(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         M = np.array([[1.0, 0.0], [0.1, 1.0]])
         m = linear_model(A, M)
-        sched = ImpulseSchedule(1.0)
-        grid = build_grid(4.0, 6, sched)
+        grid = build_grid(4.0, 6, 1.0)
         rep = run_convergence_study(m, grid, np.array([0.5, 0.5]), [1, 2, 3], 4, 17)
         assert np.all(rep.mean_clt <= 1e-9)
 
@@ -195,7 +194,7 @@ def state_dependent_pendulum():
         row2 = np.stack((0.2 * c, 0.8 + 0.1 * s, -0.4 * s), axis=-1)
         return np.stack((row1, row2), axis=-2)
 
-    return make_model(
+    return Model(
         2, 3, drift=pend.drift, diffusion=diffusion, reset=pend.reset,
         drift_jacobian=pend.drift_jacobian, reset_jacobian=pend.reset_jacobian,
         name="pendulum_sigma_x",
@@ -222,8 +221,8 @@ def three_state_model():
         return np.stack((x[..., 0], x[..., 1] + 0.1 * np.sin(x[..., 0]),
                          0.9 * x[..., 2] + 0.05 * x[..., 1]), axis=-1)
 
-    return make_model(3, 2, drift=drift, diffusion=diffusion, reset=reset,
-                      name="three_state")
+    return Model(3, 2, drift=drift, diffusion=diffusion, reset=reset,
+                 name="three_state")
 
 
 def unbatched_drift_model():
@@ -262,7 +261,7 @@ class TestStudyMatchesPerPath:
     ], ids=["pendulum-alpha1", "pendulum-alpha0.5", "sigma-of-x-alpha0.5",
             "d3-sigma-of-x-alpha0.5", "unbatched-drift-alpha1"])
     def test_bitwise_equal(self, model, alpha):
-        grid = build_grid(4.0, 8, ImpulseSchedule(alpha))
+        grid = build_grid(4.0, 8, alpha)
         x0 = np.full(model.d, 0.5)
         exps, n_paths, seed = [1, 3, 5], 6, 11
         rep = run_convergence_study(model, grid, x0, exps, n_paths, seed)
@@ -300,7 +299,7 @@ class TestCoupledMatchesPasses:
     ], ids=["pendulum", "pendulum-eps0", "sigma-of-x", "d3-sigma-of-x",
             "d3-sigma-of-x-eps0"])
     def test_bitwise_equal(self, model, eps):
-        grid = build_grid(4.0, 7, ImpulseSchedule(0.5))
+        grid = build_grid(4.0, 7, 0.5)
         x0 = np.linspace(0.5, -0.25, model.d)
         path = sample_brownian(grid, model.r, path_seed(4, 2))
         det, noisy, fluct = integrate_coupled(model, grid, x0, eps, path)
@@ -317,12 +316,12 @@ class TestCoupledMatchesPasses:
     def test_negative_zero_kept_at_eps0(self):
         # X = x bitwise at eps = 0, signed zeros included: the noise term
         # is left out, not multiplied by 0.0
-        m = make_model(1, 1, drift=lambda x: -np.asarray(x, float) ** 2,
-                       diffusion=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)),
-                       reset=lambda x: np.asarray(x, float),
-                       drift_jacobian=lambda x: -2.0 * np.atleast_2d(x),
-                       reset_jacobian=lambda x: np.eye(1))
-        grid = build_grid(2.0, 2, ImpulseSchedule(1.0))
+        m = Model(1, 1, drift=lambda x: -np.asarray(x, float) ** 2,
+                  diffusion=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)),
+                  reset=lambda x: np.asarray(x, float),
+                  drift_jacobian=lambda x: -2.0 * np.atleast_2d(x),
+                  reset_jacobian=lambda x: np.eye(1))
+        grid = build_grid(2.0, 2, 1.0)
         path = sample_brownian(grid, 1, 0)
         det, noisy, _ = integrate_coupled(m, grid, np.array([-0.0]), 0.0, path)
         assert np.signbit(det.values).all()
@@ -338,7 +337,7 @@ class TestBatchingInvariance:
            m=st.integers(2, 4), n_paths=st.integers(2, 9),
            chunk=st.sampled_from([1, 3, 7]), block=st.sampled_from([1, 3, 5, 7]))
     def test_report_bytes(self, model, m, n_paths, chunk, block):
-        grid = build_grid(2.0, m, ImpulseSchedule(0.5))  # 8, 16 or 32 steps
+        grid = build_grid(2.0, m, 0.5)  # 8, 16 or 32 steps
         seed = 5
         args = (model, grid, np.array([0.5, 0.5]), [1, 3], n_paths, seed)
         ref = run_convergence_study(*args)
@@ -362,7 +361,7 @@ class TestStudyOverflow:
         # x = 0 stays put; a noisy path explodes once it passes 1.  The study
         # and the per-path integrator raise, and no RuntimeWarning leaks out.
         eye = np.eye(1)
-        m = make_model(
+        m = Model(
             1, 1,
             drift=lambda x: 1e300 * np.asarray(x, float) ** 2 * (np.asarray(x) > 1.0),
             diffusion=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (1, 1)),
@@ -371,7 +370,7 @@ class TestStudyOverflow:
             reset_jacobian=lambda x: eye,
             diffusion_constant=eye,
         )
-        grid = build_grid(4.0, 6, ImpulseSchedule(1.0))
+        grid = build_grid(4.0, 6, 1.0)
         x0 = np.zeros(1)
         exps, n_paths, seed = [1, 2, 3], 10, 1
         with warnings.catch_warnings():
@@ -401,8 +400,7 @@ class TestStudyOverflow:
 class TestReportCsv:
     def test_layout(self):
         m = pendulum_model()
-        sched = ImpulseSchedule(1.0)
-        grid = build_grid(2.0, 5, sched)
+        grid = build_grid(2.0, 5, 1.0)
         rep = run_convergence_study(m, grid, np.array([0.5, 0.5]),
                                     [1, 2, 3], 4, 1)
         buf = io.StringIO()

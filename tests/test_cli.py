@@ -237,7 +237,17 @@ class TestAffineKickModel:
      "n_paths"),
     (["kickmap", "--A=-5000", "--c", "1", "--r", "1", "--deltas", "0.001"],
      "error: regularized kick overflowed at substep 518/1024"),
-], ids=["simulate", "convergence", "kickmap"])
+    (["simulate", "--eps", "0.25", "--T", "2", "--dt-exp", "2", "--alpha", "0"],
+     "error: alpha must lie in (0, 1], got 0.0"),
+    (["convergence", "--paths", "2", "--eps-exps", "1..2", "--T", "2", "--dt-exp", "2",
+      "--alpha", "1.5"],
+     "error: alpha must lie in (0, 1], got 1.5"),
+    # zero drift and kick: X - x - eps*Z is exactly 0, so the CLT means are too
+    (["convergence", "--model", "affine_kick", "--x0", "0,0", "--paths", "2",
+      "--eps-exps", "1..2", "--T", "1", "--dt-exp", "0"],
+     "error: clt mean error of column e1 is 0 at eps=0.5"),
+], ids=["simulate", "convergence", "kickmap", "simulate-alpha-0", "convergence-alpha-1.5",
+        "convergence-zero-mean-error"])
 def test_failure_exits_1_without_output_or_manifest(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
@@ -282,6 +292,20 @@ def test_runs_leave_numpy_ma_unloaded():
                           timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == "False"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    """A reader that stops early, as `simulate ... | head -1` does, ends the
+    run with exit code 1 and nothing on stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "impulsesim.cli", "simulate", "--eps", "0.25", "--T", "8",
+         "--dt-exp", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline().startswith(b"t,x1,x2,")
+    proc.stdout.close()  # the rows still to come (about 400 kB) overfill the pipe
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""  # a traceback fits in the pipe
 
 
 def test_benchmark_command_lines(tmp_path):

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from impulsesim import dynamics
-from impulsesim.dynamics import (
-    ImpulseSchedule,
-    affine_kick_model,
-    impulse_count,
-    impulse_time,
-    pendulum_model,
-)
+from impulsesim.dynamics import affine_kick_model, pendulum_model
+from impulsesim.integrate import build_grid
 
 
 def enumerate_impulse_count(alpha, t, k_max=10_000):
@@ -19,54 +14,54 @@ def enumerate_impulse_count(alpha, t, k_max=10_000):
     return sum(1 for k in range(1, k_max + 1) if k - 1 + alpha <= t)
 
 
+def impulse_times(grid):
+    return [n * grid.dt for n in grid.impulse_nodes]
+
+
 class TestSchedule:
+    """The impulse schedule t_k = k - 1 + alpha, as build_grid lays it out."""
+
     def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            ImpulseSchedule(alpha=0.0)
-        with pytest.raises(ValueError):
-            ImpulseSchedule(alpha=1.5)
-        ImpulseSchedule(alpha=1.0)
+        for alpha in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+                build_grid(4.0, 2, alpha)
+        build_grid(4.0, 2, 1.0)
 
     def test_impulse_time_examples(self):
-        assert impulse_time(ImpulseSchedule(1.0), 1) == 1.0
-        assert impulse_time(ImpulseSchedule(0.5), 3) == 2.5
-        assert impulse_time(ImpulseSchedule(1.0), 8) == 8.0
-
-    def test_impulse_time_rejects_k0(self):
-        with pytest.raises(ValueError):
-            impulse_time(ImpulseSchedule(1.0), 0)
+        assert impulse_times(build_grid(8.0, 1, 1.0))[0] == 1.0
+        assert impulse_times(build_grid(8.0, 1, 0.5))[2] == 2.5
+        assert impulse_times(build_grid(8.0, 1, 1.0))[7] == 8.0
 
     def test_impulse_count_examples(self):
-        assert impulse_count(ImpulseSchedule(1.0), 0.5) == 0
-        assert impulse_count(ImpulseSchedule(1.0), 1.0) == 1
-        # frozen from the enumeration oracle: t_1=0.5, t_2=1.5 are <= 1.6
-        assert enumerate_impulse_count(0.5, 1.6) == 2
-        assert impulse_count(ImpulseSchedule(0.5), 1.6) == 2
-
-    def test_impulse_count_rejects_negative(self):
-        with pytest.raises(ValueError):
-            impulse_count(ImpulseSchedule(1.0), -0.1)
+        assert len(build_grid(0.5, 1, 1.0).impulse_nodes) == 0
+        assert len(build_grid(1.0, 1, 1.0).impulse_nodes) == 1
+        # frozen from the enumeration oracle: t_1=0.5, t_2=1.5 are <= 1.75
+        assert enumerate_impulse_count(0.5, 1.75) == 2
+        assert len(build_grid(1.75, 2, 0.5).impulse_nodes) == 2
 
     @given(
         j=st.integers(min_value=1, max_value=64),
         k=st.integers(min_value=1, max_value=100),
     )
     def test_count_of_time_roundtrip(self, j, k):
-        # dyadic offsets land impulse times exactly on binary floats
-        sched = ImpulseSchedule(alpha=j / 64.0)
-        assert impulse_count(sched, impulse_time(sched, k)) == k
+        # dyadic offsets land impulse times exactly on grid nodes
+        alpha = j / 64.0
+        t_k = k - 1 + alpha
+        grid = build_grid(100.0, 6, alpha)
+        assert grid.impulse_nodes[k - 1] * grid.dt == t_k
+        assert len(build_grid(t_k, 6, alpha).impulse_nodes) == k
 
     def test_count_nondecreasing(self):
-        sched = ImpulseSchedule(alpha=0.25)
-        ts = np.linspace(0.0, 10.0, 2001)
-        counts = [impulse_count(sched, t) for t in ts]
+        nodes = build_grid(10.0, 4, 0.25).impulse_nodes
+        assert all(b > a for a, b in zip(nodes, nodes[1:]))
+        counts = [len(build_grid(T, 4, 0.25).impulse_nodes) for T in np.arange(1, 161) / 16]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_count_matches_enumeration(self):
         for alpha in (0.25, 0.5, 1.0):
-            sched = ImpulseSchedule(alpha)
-            for t in np.linspace(0.0, 12.0, 97):
-                assert impulse_count(sched, t) == enumerate_impulse_count(alpha, t)
+            for T in np.arange(1, 97) / 8.0:
+                grid = build_grid(T, 3, alpha)
+                assert len(grid.impulse_nodes) == enumerate_impulse_count(alpha, T)
 
 
 class TestPendulumModel:
@@ -176,7 +171,7 @@ def test_finite_difference_fallback():
     def drift(x):
         return np.array([x[0] ** 2, x[0] * x[1]])
 
-    m = dynamics.make_model(
+    m = dynamics.Model(
         2, 1,
         drift=drift,
         diffusion=lambda x: np.ones((2, 1)),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from impulsesim.dynamics import ImpulseSchedule, make_model, pendulum_model
+from impulsesim.dynamics import Model, pendulum_model
 from impulsesim.integrate import (
     BrownianPath,
     CadlagTrajectory,
@@ -28,7 +28,7 @@ def linear_model(A, M, d=2):
     A = np.asarray(A, float)
     M = np.asarray(M, float)
     eye = np.eye(d)
-    return make_model(
+    return Model(
         d, d,
         drift=lambda x: np.asarray(x, float) @ A.T,
         diffusion=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (d, d)),
@@ -43,7 +43,7 @@ def linear_model(A, M, d=2):
 def constant_model(c=0.0, d=1):
     """b = 0, h(x) = x + c; the flow is the identity between impulses."""
     eye = np.eye(d)
-    return make_model(
+    return Model(
         d, d,
         drift=lambda x: np.zeros_like(np.asarray(x, float)),
         diffusion=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (d, d)),
@@ -56,28 +56,28 @@ def constant_model(c=0.0, d=1):
 
 class TestBuildGrid:
     def test_paper_scale_grid(self):
-        grid = build_grid(8.0, 12, ImpulseSchedule(1.0))
+        grid = build_grid(8.0, 12, 1.0)
         assert grid.n_steps == 32768
         assert grid.impulse_nodes == tuple(4096 * k for k in range(1, 9))
         assert grid.n_steps * grid.dt == 8.0
 
     def test_half_offset_grid(self):
-        grid = build_grid(2.0, 1, ImpulseSchedule(0.5))
+        grid = build_grid(2.0, 1, 0.5)
         assert grid.n_steps == 4
         assert grid.impulse_nodes == (1, 3)
 
     def test_misaligned_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
-            build_grid(1.0, 0, ImpulseSchedule(0.3))
+            build_grid(1.0, 0, 0.3)
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
-            build_grid(0.0, 4, ImpulseSchedule(1.0))
+            build_grid(0.0, 4, 1.0)
         with pytest.raises(ValueError):
-            build_grid(1.1, 1, ImpulseSchedule(1.0))
+            build_grid(1.1, 1, 1.0)
 
     def test_impulse_nodes_exact(self):
-        grid = build_grid(5.0, 6, ImpulseSchedule(0.25))
+        grid = build_grid(5.0, 6, 0.25)
         times = grid.times()
         for i, idx in enumerate(grid.impulse_nodes):
             assert times[idx] == i + 0.25
@@ -85,14 +85,14 @@ class TestBuildGrid:
 
 class TestSampleBrownian:
     def test_seed_determinism(self):
-        grid = build_grid(2.0, 5, ImpulseSchedule(1.0))
+        grid = build_grid(2.0, 5, 1.0)
         a = sample_brownian(grid, 2, 42)
         b = sample_brownian(grid, 2, 42)
         assert a.increments.tobytes() == b.increments.tobytes()
 
     def test_terminal_variance(self):
         # Var(W_T) = T, estimated across 10^4 seeded paths
-        grid = build_grid(2.0, 3, ImpulseSchedule(1.0))
+        grid = build_grid(2.0, 3, 1.0)
         totals = [
             sample_brownian(grid, 1, path_seed(7, j)).increments.sum()
             for j in range(10_000)
@@ -105,7 +105,7 @@ class TestSampleBrownian:
         assert path.increments.shape == (0, 3)
 
     def test_bad_dimension(self):
-        grid = build_grid(1.0, 2, ImpulseSchedule(1.0))
+        grid = build_grid(1.0, 2, 1.0)
         with pytest.raises(ValueError):
             sample_brownian(grid, 0, 1)
 
@@ -113,7 +113,7 @@ class TestSampleBrownian:
 class TestDeterministic:
     def test_fixed_point(self):
         m = constant_model(c=0.0, d=2)
-        grid = build_grid(3.0, 3, ImpulseSchedule(1.0))
+        grid = build_grid(3.0, 3, 1.0)
         v = np.array([1.5, -2.5])
         traj = integrate_deterministic(m, grid, v)
         assert np.all(traj.values == v)
@@ -124,14 +124,14 @@ class TestDeterministic:
         # flow is the identity; two impulses (t=1, 2) before T=2.5 add 2c
         c = 0.7
         m = constant_model(c=c, d=1)
-        grid = build_grid(2.5, 1, ImpulseSchedule(1.0))
+        grid = build_grid(2.5, 1, 1.0)
         traj = integrate_deterministic(m, grid, np.array([0.0]))
         assert np.allclose(traj.values[-1], 2 * c)
         assert len(traj.left) == 2
 
     def test_pendulum_first_coordinate_continuous(self):
         m = pendulum_model()
-        grid = build_grid(8.0, 6, ImpulseSchedule(1.0))
+        grid = build_grid(8.0, 6, 1.0)
         traj = integrate_deterministic(m, grid, np.array([0.5, 0.5]))
         for idx, pre in zip(grid.impulse_nodes, traj.left):
             post = traj.values[idx]
@@ -140,13 +140,13 @@ class TestDeterministic:
 
     def test_overflow_diagnostic(self):
         # the stepper raises IntegrationOverflowError and lets no RuntimeWarning out
-        m = make_model(
+        m = Model(
             1, 1,
             drift=lambda x: np.asarray(x, float) ** 3 * 1e150,
             diffusion=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)),
             reset=lambda x: np.asarray(x, float),
         )
-        grid = build_grid(1.0, 2, ImpulseSchedule(1.0))
+        grid = build_grid(1.0, 2, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationOverflowError, match="step"):
@@ -156,7 +156,7 @@ class TestDeterministic:
 class TestSde:
     def test_zero_noise_bitwise_degenerate(self):
         m = pendulum_model()
-        grid = build_grid(4.0, 5, ImpulseSchedule(0.5))
+        grid = build_grid(4.0, 5, 0.5)
         x0 = np.array([0.5, 0.5])
         det = integrate_deterministic(m, grid, x0)
         sde = integrate_sde(m, grid, x0, 0.0, None)
@@ -164,7 +164,7 @@ class TestSde:
 
     def test_reduces_to_scaled_random_walk(self):
         m = constant_model(c=0.0, d=1)
-        grid = build_grid(2.0, 4, ImpulseSchedule(1.0))
+        grid = build_grid(2.0, 4, 1.0)
         path = sample_brownian(grid, 1, 3)
         eps = 0.25
         traj = integrate_sde(m, grid, np.array([1.0]), eps, path)
@@ -174,7 +174,7 @@ class TestSde:
 
     def test_reproducible_across_runs(self):
         m = pendulum_model()
-        grid = build_grid(8.0, 7, ImpulseSchedule(1.0))
+        grid = build_grid(8.0, 7, 1.0)
         x0 = np.array([0.5, 0.5])
         runs = []
         for _ in range(2):
@@ -184,7 +184,7 @@ class TestSde:
 
     def test_dimension_mismatch_rejected(self):
         m = pendulum_model()
-        grid = build_grid(1.0, 3, ImpulseSchedule(1.0))
+        grid = build_grid(1.0, 3, 1.0)
         bad = BrownianPath(np.zeros((grid.n_steps, 1)), grid.dt)
         with pytest.raises(ValueError):
             integrate_sde(m, grid, np.array([0.5, 0.5]), 0.1, bad)
@@ -193,7 +193,7 @@ class TestSde:
 class TestFluctuation:
     def test_zero_path_gives_zero(self):
         m = pendulum_model()
-        grid = build_grid(4.0, 4, ImpulseSchedule(1.0))
+        grid = build_grid(4.0, 4, 1.0)
         det = integrate_deterministic(m, grid, np.array([0.5, 0.5]))
         path = BrownianPath(np.zeros((grid.n_steps, 2)), grid.dt)
         fl = integrate_fluctuation(m, grid, det, path)
@@ -205,7 +205,7 @@ class TestFluctuation:
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         M = np.array([[1.0, 0.0], [0.1, 1.0]])
         m = linear_model(A, M)
-        grid = build_grid(8.0, 8, ImpulseSchedule(1.0))
+        grid = build_grid(8.0, 8, 1.0)
         x0 = np.array([0.5, 0.5])
         det = integrate_deterministic(m, grid, x0)
         path = sample_brownian(grid, 2, 5)
@@ -217,7 +217,7 @@ class TestFluctuation:
 
     def test_pendulum_fluctuation_jump_structure(self):
         m = pendulum_model()
-        grid = build_grid(8.0, 6, ImpulseSchedule(1.0))
+        grid = build_grid(8.0, 6, 1.0)
         det = integrate_deterministic(m, grid, np.array([0.5, 0.5]))
         path = sample_brownian(grid, 2, 8)
         fl = integrate_fluctuation(m, grid, det, path)
@@ -231,14 +231,14 @@ class TestFluctuation:
 
     def test_grid_mismatch_rejected(self):
         m = pendulum_model()
-        grid = build_grid(2.0, 4, ImpulseSchedule(1.0))
-        other = build_grid(2.0, 5, ImpulseSchedule(1.0))
+        grid = build_grid(2.0, 4, 1.0)
+        other = build_grid(2.0, 5, 1.0)
         det = integrate_deterministic(m, other, np.array([0.5, 0.5]))
         path = sample_brownian(grid, 2, 0)
         with pytest.raises(ValueError):
             integrate_fluctuation(m, grid, det, path)
         # same T and m, impulses at other nodes
-        shifted = build_grid(2.0, 4, ImpulseSchedule(0.5))
+        shifted = build_grid(2.0, 4, 0.5)
         det = integrate_deterministic(m, shifted, np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="different grid"):
             integrate_fluctuation(m, grid, det, path)
@@ -258,7 +258,7 @@ class TestExactLinearCoupling:
            seed=st.integers(0, 2**16))
     def test_residual_is_round_off(self, A, U, x0, alpha, T, m, eps_exp, seed):
         model = linear_model(A, np.eye(2) + U)
-        grid = build_grid(float(T), m, ImpulseSchedule(alpha))
+        grid = build_grid(float(T), m, alpha)
         eps = 2.0**-eps_exp
         det = integrate_deterministic(model, grid, x0)
         path = sample_brownian(grid, 2, seed)
@@ -276,7 +276,7 @@ class TestPathwiseCoupling:
     def test_second_order_epsilon_ratio(self):
         # sup|X - x - eps*Z| should scale ~eps^2: quartering under halving
         m = pendulum_model()
-        grid = build_grid(8.0, 8, ImpulseSchedule(1.0))
+        grid = build_grid(8.0, 8, 1.0)
         x0 = np.array([0.5, 0.5])
         det = integrate_deterministic(m, grid, x0)
         path = sample_brownian(grid, 2, path_seed(21, 0))
@@ -293,7 +293,7 @@ class TestPathwiseCoupling:
 class TestTrajectoryCsv:
     def test_schema_and_row_counts(self):
         m = pendulum_model()
-        grid = build_grid(3.0, 4, ImpulseSchedule(1.0))
+        grid = build_grid(3.0, 4, 1.0)
         x0 = np.array([0.5, 0.5])
         det = integrate_deterministic(m, grid, x0)
         path = sample_brownian(grid, 2, 1)
@@ -313,7 +313,7 @@ class TestTrajectoryCsv:
 
     def test_pre_row_holds_left_limit(self):
         m = pendulum_model()
-        grid = build_grid(2.0, 3, ImpulseSchedule(1.0))
+        grid = build_grid(2.0, 3, 1.0)
         x0 = np.array([0.5, 0.5])
         det = integrate_deterministic(m, grid, x0)
         path = sample_brownian(grid, 2, 1)
@@ -394,7 +394,7 @@ class TestTrajectoryCsvBytes:
     @pytest.mark.parametrize("eps, alpha", [(2**-4, 1.0), (0.1, 0.5), (0.0, 0.25)])
     def test_pendulum(self, eps, alpha):
         m = pendulum_model()
-        grid = build_grid(3.0, 5, ImpulseSchedule(alpha))
+        grid = build_grid(3.0, 5, alpha)
         path = sample_brownian(grid, 2, 1)
         trajs = integrate_coupled(m, grid, np.array([0.5, 0.5]), eps, path)
         assert written_csv(*trajs, eps) == reference_trajectory_csv(*trajs, eps)
@@ -404,7 +404,7 @@ class TestCoupledOverflow:
     def overflow_model(self):
         """x = 0 is a fixed point of the drift, so the noise-free flow stays
         finite while the noisy one blows up."""
-        return make_model(
+        return Model(
             1, 1,
             drift=lambda x: np.asarray(x, float) ** 3 * 1e150,
             diffusion=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)),
@@ -415,7 +415,7 @@ class TestCoupledOverflow:
 
     def test_names_the_first_step(self):
         m = self.overflow_model()
-        grid = build_grid(2.0, 4, ImpulseSchedule(1.0))
+        grid = build_grid(2.0, 4, 1.0)
         path = sample_brownian(grid, 1, 3)
         x0 = np.zeros(1)
         with pytest.raises(IntegrationOverflowError) as ref:
