@@ -11,7 +11,6 @@ Jacobian falls back to central finite differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -24,24 +23,19 @@ from . import kickmap
 _FD_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
-def fd_step(xi: float) -> float:
-    """Central-difference step for coordinate value xi."""
-    return max(1.0, abs(xi)) * _FD_EPS
-
-
 def finite_difference_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Jacobian of f at x, one column per coordinate."""
+    """Central finite-difference Jacobian (..., d_out, d) of f at states x (..., d)."""
     x = np.asarray(x, dtype=float)
-    fx = np.asarray(f(x), dtype=float)
-    jac = np.empty((fx.shape[0], x.shape[0]))
-    for i in range(x.shape[0]):
-        h = fd_step(x[i])
+    cols = []
+    for i in range(x.shape[-1]):
+        h = np.maximum(1.0, np.abs(x[..., i])) * _FD_EPS
         xp = x.copy()
         xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        jac[:, i] = (np.asarray(f(xp), float) - np.asarray(f(xm), float)) / (2.0 * h)
-    return jac
+        xp[..., i] += h
+        xm[..., i] -= h
+        diff = np.asarray(f(xp), float) - np.asarray(f(xm), float)
+        cols.append(diff / (2.0 * h)[..., None])
+    return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -53,9 +47,9 @@ class Model:
     The batched stepper stores states component-major and hands these
     callables non-contiguous (..., d) views; they must not write into their
     input and must return a new array (np.empty_like keeps the input's
-    layout).  The Jacobian functions are only ever called with single states
-    of shape (d,); a missing one becomes the central finite-difference
-    Jacobian of drift or reset.  All functions must be pure.
+    layout).  The Jacobians take (..., d) too and return (..., d, d), or one
+    constant (d, d) that broadcasts; a missing one becomes the central
+    finite-difference Jacobian of drift or reset.  All functions must be pure.
     """
 
     d: int
@@ -95,9 +89,6 @@ def pendulum_model(alpha_pend: float = 1.0) -> Model:
         out[..., 1] = -alpha_pend * np.sin(x[..., 0])
         return out
 
-    def drift_jacobian(x):
-        return np.array([[0.0, 1.0], [-alpha_pend * math.cos(x[0]), 0.0]])
-
     eye2 = np.eye(2)
 
     def diffusion(x):
@@ -111,17 +102,22 @@ def pendulum_model(alpha_pend: float = 1.0) -> Model:
         out[..., 1] = x[..., 1] + 0.1 * np.sin(x[..., 0])
         return out
 
-    def reset_jacobian(x):
-        return np.array([[1.0, 0.0], [0.1 * math.cos(x[0]), 1.0]])
+    def jacobian(const, scale, x):
+        """const (2, 2) with entry (1, 0) set to scale * cos x1, per state."""
+        x = np.asarray(x, dtype=float)
+        out = np.broadcast_to(const, x.shape[:-1] + (2, 2)).copy()
+        # in place: temporaries as long as the path would raise the peak RSS
+        np.multiply(np.cos(x[..., 0], out=out[..., 1, 0]), scale, out=out[..., 1, 0])
+        return out
 
     return Model(
         d=2,
         r=2,
         drift=drift,
-        drift_jacobian=drift_jacobian,
+        drift_jacobian=partial(jacobian, np.array([[0.0, 1.0], [0.0, 0.0]]), -alpha_pend),
         diffusion=diffusion,
         reset=reset,
-        reset_jacobian=reset_jacobian,
+        reset_jacobian=partial(jacobian, eye2, 0.1),
         name="pendulum",
         diffusion_constant=eye2,
     )

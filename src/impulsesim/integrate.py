@@ -3,11 +3,11 @@
 build_grid lays out the impulse schedule t_k = k - 1 + alpha as grid nodes;
 no other code writes it down.  One batched stepper advances the
 deterministic flow, the noisy flow and the fluctuation process on that
-grid; the per-path integrators and the Monte Carlo study both run it.
-integrate_coupled gives the triple (x, X, Z) of one path from two passes,
-the deterministic one and then X and Z together, as the study steps them;
-integrate_sde and integrate_fluctuation run X or Z alone, with
-the same bits.  write_trajectory_csv writes the triple as one table.
+grid, with the noise of a Brownian block formed at once; the per-path
+integrators and the Monte Carlo study both run it.  integrate_coupled
+steps X and Z of one path together after the deterministic pass, as the
+study does; integrate_sde and integrate_fluctuation run X or Z alone,
+with the same bits.  write_trajectory_csv writes the triple as one table.
 
 At an impulse node the Euler step into the node produces the left
 limit, the reset applies instantaneously, and the step out of the node
@@ -29,7 +29,7 @@ import numpy as np
 from .dynamics import Model
 
 
-_BLOCK_STEPS = 1024  # Brownian increments a study draws per path at a time
+_BLOCK_STEPS = 256  # Brownian increments per path drawn, and their noise formed, at a time
 
 
 class IntegrationOverflowError(RuntimeError):
@@ -124,17 +124,15 @@ def _matvec(a: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray):
 
 
 def _prepare_along_path(model: Model, grid: SampleGrid, det: CadlagTrajectory):
-    """Db and sigma along x(t), and Dh at the impulse left limits of x."""
-    n = grid.n_steps
-    db = np.empty((n, model.d, model.d))
-    for i in range(n):
-        db[i] = model.drift_jacobian(det.values[i])
+    """Db and sigma along x(t), and Dh at its impulse left limits, one call each."""
+    n, d = grid.n_steps, model.d
+    db = np.broadcast_to(np.asarray(model.drift_jacobian(det.values[:n]), float), (n, d, d))
     if model.diffusion_constant is not None:
-        sig = np.broadcast_to(model.diffusion_constant, (n, model.d, model.r))
+        sig = np.broadcast_to(model.diffusion_constant, (n, d, model.r))
     else:
         sig = np.asarray(model.diffusion(det.values[:n]), dtype=float)
-    dh = np.array([np.asarray(model.reset_jacobian(v), float) for v in det.left])
-    return db, sig, dh
+    dh = np.asarray(model.reset_jacobian(det.left), float)
+    return db, sig, np.broadcast_to(dh, (len(det.left), d, d))
 
 
 def _component_major(a, shape, axes):
@@ -166,13 +164,15 @@ def _step(model, grid, visit, X, eps, increments, along):
     All states are component-major and updated in place.  X: (d, n_eps,
     n_paths) states of the noisy flow at scales eps (n_eps,), or of the
     noise-free flow when eps is None; None leaves X out.  increments:
-    blocks (steps, r, n_paths) of Brownian increments, n_steps in all,
-    shared by X and Z.  along: _prepare_along_path of the deterministic
-    flow, or None to leave Z (d, n_paths), started at 0, out; without X the
-    batch is one path.  visit(n, i, X, Z) sees each left limit (at node
-    n = grid.impulse_nodes[i], before the reset) and each node n (i None);
-    a visitor that keeps X or Z must copy them.  The model's callables see
-    (..., d) views.
+    blocks (steps, r, n_paths), none longer than the first, of Brownian
+    increments, n_steps in all, shared by X and Z; the noise sigma(x_n) dW_n
+    of Z, and of X when sigma is constant, is formed a block at a time.
+    along: _prepare_along_path of the deterministic flow, or None to leave
+    Z (d, n_paths), started at 0, out; without X the batch is one path.
+    visit(n, i, X, Z) sees each node n from 0 (i None) and each left limit
+    (at node n = grid.impulse_nodes[i], before the reset); X and Z are the
+    same arrays at every visit, and a visitor that keeps values must copy
+    them.  The model's callables see (..., d) views.
     A value that leaves the finite floats raises no warning: the callers
     check the recorded values.
     """
@@ -188,23 +188,36 @@ def _step(model, grid, visit, X, eps, increments, along):
         db = db[..., None]
         dh = dh[..., None]
         Z = np.zeros((d, n_paths))
-        Zt = np.empty_like(Z)
+        Zt, tmp = np.empty_like(Z), np.empty_like(Z)
     if sig_x is not None:
-        sig_x = sig_x[..., None]
-    noise, tmp = np.empty((d, n_paths)), np.empty((d, n_paths))
+        sig_x = sig_x.transpose(1, 2, 0)[..., None]  # (d, r, n_steps, 1)
     if X is not None:
         Xv = X.transpose(1, 2, 0)
         Xt = np.empty_like(X)
-        dx = noise[:, None] if sigma is not None else np.empty_like(X)
+        dx = np.empty_like(X) if sigma is None else None
     if eps is not None:
         eps = np.broadcast_to(eps[:, None], X.shape).copy()  # unit strides multiply faster
-    steps = (itertools.repeat(None, grid.n_steps) if increments is None
-             else itertools.chain.from_iterable(increments))
+
+    def noisy_steps():
+        """(dW, sigma(x_n) dW_n) per step; the noise of a whole block is one
+        column sum, with the products and order of a per-step _matvec."""
+        lo = 0
+        for block in increments:
+            hi, noise = lo + len(block), itertools.repeat(None)
+            if sig_x is not None:
+                if lo == 0:
+                    buf, buf_tmp = np.empty((2, len(block), d, n_paths))
+                noise, t = buf[:hi - lo], buf_tmp[:hi - lo]
+                _matvec(sig_x[:, :, lo:hi], block.transpose(1, 0, 2),
+                        noise.transpose(1, 0, 2), t.transpose(1, 0, 2))
+            yield from zip(block, noise)
+            lo = hi
+
+    steps = (itertools.repeat((None, None), grid.n_steps) if increments is None
+             else noisy_steps())
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, dW in enumerate(steps):
-            if dW is not None and sig_x is not None:
-                # sigma(x) dW: the noise of Z, and of X too when sigma is constant
-                _matvec(sig_x[n], dW, noise, tmp)
+        visit(0, None, X, Z)
+        for n, (dW, noise) in enumerate(steps):
             if X is not None:
                 # left-endpoint evaluation: drift and diffusion at the pre-step state
                 b = _component_major(model.drift(Xv), Xv.shape, (2, 0, 1))
@@ -215,7 +228,7 @@ def _step(model, grid, visit, X, eps, increments, along):
                 np.multiply(b, dt, out=Xt)
                 np.add(X, Xt, out=X)
                 if eps is not None:
-                    np.multiply(eps, dx, out=Xt)
+                    np.multiply(eps, dx if sigma is None else noise[:, None], out=Xt)
                     np.add(X, Xt, out=X)
             if Z is not None:
                 np.multiply(_matvec(db[n], Z, Zt, tmp), dt, out=Zt)
@@ -231,20 +244,21 @@ def _step(model, grid, visit, X, eps, increments, along):
             visit(n + 1, None, X, Z)
 
 
-def _record(model, grid, starts, picks, X=None, eps=None, increments=None,
+def _record(model, grid, picks, X=None, eps=None, increments=None,
             along=None) -> list[CadlagTrajectory]:
-    """Step a batch of one and record each pick(X, Z) as a cadlag trajectory
-    started at the matching start; a non-finite recorded value raises,
-    naming its first step."""
+    """Step a batch of one and record each pick(X, Z) as a cadlag
+    trajectory; a non-finite recorded value raises, naming its first step.
+    The picks are views, taken once, at node 0."""
     values = np.empty((len(picks), grid.n_steps + 1, model.d))
-    for k, start in enumerate(starts):
-        values[k, 0] = start
     left = np.empty((len(picks), len(grid.impulse_nodes), model.d))
+    views = []
 
     def visit(n, i, X, Z):
+        if not views:
+            views.extend(pick(X, Z) for pick in picks)
         into = values[:, n] if i is None else left[:, i]
-        for k, pick in enumerate(picks):
-            into[k] = pick(X, Z)
+        for k, view in enumerate(views):
+            into[k] = view
 
     _step(model, grid, visit, X, eps, increments, along)
     bad = list(np.flatnonzero(~np.isfinite(values).all(axis=(0, 2))))
@@ -261,6 +275,12 @@ def _noisy(X, Z):
 
 def _fluct(X, Z):
     return Z[:, 0]
+
+
+def _path_blocks(path: BrownianPath):
+    """A path's increments as a batch of one, in _BLOCK_STEPS-step blocks."""
+    inc = path.increments[..., None]
+    return (inc[lo:lo + _BLOCK_STEPS] for lo in range(0, len(inc), _BLOCK_STEPS))
 
 
 def _check_path(model: Model, grid: SampleGrid, path: BrownianPath):
@@ -302,8 +322,8 @@ def integrate_sde(
         if path is None:
             raise ValueError("a BrownianPath is required when epsilon > 0")
         _check_path(model, grid, path)
-        eps, increments = np.array([epsilon]), [path.increments[..., None]]
-    [noisy] = _record(model, grid, [x0], [_noisy], X=x0.reshape(-1, 1, 1).copy(),
+        eps, increments = np.array([epsilon]), _path_blocks(path)
+    [noisy] = _record(model, grid, [_noisy], X=x0.reshape(-1, 1, 1).copy(),
                       eps=eps, increments=increments)
     return noisy
 
@@ -323,8 +343,8 @@ def integrate_fluctuation(
     if det.grid != grid:
         raise ValueError("deterministic trajectory was produced on a different grid")
     _check_path(model, grid, path)
-    [fluct] = _record(model, grid, [0.0], [_fluct],
-                      increments=[path.increments[..., None]],
+    [fluct] = _record(model, grid, [_fluct],
+                      increments=_path_blocks(path),
                       along=_prepare_along_path(model, grid, det))
     return fluct
 
@@ -345,9 +365,9 @@ def integrate_coupled(
     det = integrate_deterministic(model, grid, x0)
     # at epsilon 0, X runs noise-free: a 0.0 * noise term would turn -0.0 into +0.0
     eps = None if epsilon == 0.0 else np.array([epsilon])
-    noisy, fluct = _record(model, grid, [x0, 0.0], [_noisy, _fluct],
+    noisy, fluct = _record(model, grid, [_noisy, _fluct],
                            X=x0.reshape(-1, 1, 1).copy(), eps=eps,
-                           increments=[path.increments[..., None]],
+                           increments=_path_blocks(path),
                            along=_prepare_along_path(model, grid, det))
     return det, noisy, fluct
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from impulsesim import analysis, integrate
 from impulsesim.analysis import (
@@ -27,7 +28,7 @@ from impulsesim.integrate import (
     sample_brownian,
 )
 
-from test_integrate import constant_model, linear_model
+from test_integrate import constant_model, linear_model, state_dependent_pendulum
 
 
 def normal_equation_fit(xs, ys):
@@ -183,24 +184,6 @@ class TestConvergenceStudy:
                 run_convergence_study(m, grid, x0, exps, 4, 0)
 
 
-def state_dependent_pendulum():
-    """Pendulum drift and reset with a state-dependent 2x3 diffusion."""
-    pend = pendulum_model()
-
-    def diffusion(x):
-        x = np.asarray(x, float)
-        s, c = np.sin(x[..., 0]), np.cos(x[..., 1])
-        row1 = np.stack((1.0 + 0.5 * s, 0.3 * c, 0.1 * s * c), axis=-1)
-        row2 = np.stack((0.2 * c, 0.8 + 0.1 * s, -0.4 * s), axis=-1)
-        return np.stack((row1, row2), axis=-2)
-
-    return Model(
-        2, 3, drift=pend.drift, diffusion=diffusion, reset=pend.reset,
-        drift_jacobian=pend.drift_jacobian, reset_jacobian=pend.reset_jacobian,
-        name="pendulum_sigma_x",
-    )
-
-
 def three_state_model():
     """3 states, 2 noises, state-dependent sigma; finite-difference Jacobians."""
 
@@ -247,6 +230,43 @@ def sup_sq_norm(a, b, shift=None, shift_scale=1.0):
     return sq.max()
 
 
+def sin_mix(M, x):
+    """y_i = sum_j M_ij sin x_j, summed in column order: without BLAS a
+    state's bits do not depend on the batch around it."""
+    s = np.sin(x)
+    y = M[:, 0] * s[..., :1]
+    for j in range(1, M.shape[1]):
+        y = y + M[:, j] * s[..., j:j + 1]
+    return y
+
+
+@st.composite
+def random_models(draw):
+    """d, r in {1, 2}: drift sin_mix(A, x), reset x + sin_mix(K, x) with
+    analytic batched Jacobians, and sigma S constant or S (1 + cos x_i / 2)."""
+    d, r = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    away_from_0 = st.floats(-1.0, 1.0).filter(lambda v: abs(v) >= 0.25)
+    A = draw(arrays(float, (d, d), elements=away_from_0))
+    K = draw(arrays(float, (d, d), elements=st.floats(-0.5, 0.5)))
+    S = draw(arrays(float, (d, r), elements=away_from_0))
+    eye = np.eye(d)
+    if draw(st.booleans()):
+        def diffusion(x):
+            return S * (1.0 + 0.5 * np.cos(x))[..., :, None]
+        constant = None
+    else:
+        def diffusion(x):
+            return np.broadcast_to(S, np.shape(x)[:-1] + (d, r))
+        constant = S
+    return Model(
+        d, r, drift=lambda x: sin_mix(A, x), diffusion=diffusion,
+        reset=lambda x: x + sin_mix(K, x),
+        drift_jacobian=lambda x: A * np.cos(x)[..., None, :],
+        reset_jacobian=lambda x: eye + K * np.cos(x)[..., None, :],
+        diffusion_constant=constant,
+    )
+
+
 class TestStudyMatchesPerPath:
     """The study's per-path sups equal, bitwise, sup_error over the per-path
     integrators fed the same increments (left limits included); so do its
@@ -285,6 +305,23 @@ class TestStudyMatchesPerPath:
             se = norm.std(axis=1, ddof=1) / np.sqrt(n_paths)
             assert se.tobytes() == sem.tobytes()
 
+    @settings(max_examples=25, deadline=None)
+    @given(model=random_models(), alpha=st.sampled_from([0.5, 1.0]),
+           seed=st.integers(0, 2**16))
+    def test_random_models_match_coupled(self, model, alpha, seed):
+        grid = build_grid(2.0, 4, alpha)
+        x0 = np.full(model.d, 0.5)
+        n_paths = 3
+        rep = run_convergence_study(model, grid, x0, [1, 3], n_paths, seed)
+        for j in range(n_paths):
+            path = sample_brownian(grid, model.r, path_seed(seed, j))
+            for e, eps in enumerate(rep.eps_list):
+                det, noisy, fluct = integrate_coupled(model, grid, x0, eps, path)
+                lln = sup_error(noisy, det)
+                clt = sup_error(noisy, det, shift=fluct, shift_scale=eps)
+                assert lln.tobytes() == rep.lln_paths[e, j].tobytes(), (e, j)
+                assert clt.tobytes() == rep.clt_paths[e, j].tobytes(), (e, j)
+
 
 class TestCoupledMatchesPasses:
     """integrate_coupled, one pass for X and Z, gives bitwise the
@@ -319,7 +356,7 @@ class TestCoupledMatchesPasses:
         m = Model(1, 1, drift=lambda x: -np.asarray(x, float) ** 2,
                   diffusion=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)),
                   reset=lambda x: np.asarray(x, float),
-                  drift_jacobian=lambda x: -2.0 * np.atleast_2d(x),
+                  drift_jacobian=lambda x: -2.0 * x[..., None],
                   reset_jacobian=lambda x: np.eye(1))
         grid = build_grid(2.0, 2, 1.0)
         path = sample_brownian(grid, 1, 0)

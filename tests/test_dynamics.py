@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from impulsesim import dynamics
 from impulsesim.dynamics import affine_kick_model, pendulum_model
-from impulsesim.integrate import build_grid
+from impulsesim.integrate import _prepare_along_path, build_grid, integrate_deterministic
 
 
 def enumerate_impulse_count(alpha, t, k_max=10_000):
@@ -181,3 +181,62 @@ def test_finite_difference_fallback():
     expected = np.array([[2 * 1.3, 0.0], [-0.7, 1.3]])
     assert np.allclose(m.drift_jacobian(x), expected, atol=1e-7)
     assert np.allclose(m.reset_jacobian(x), np.eye(2), atol=1e-9)
+
+
+def finite_difference_model():
+    """Batched drift and reset without Jacobians: both fall back to central
+    finite differences."""
+
+    def drift(x):
+        x = np.asarray(x, float)
+        return np.stack((x[..., 0] * x[..., 1], np.sin(x[..., 0]) - x[..., 1] ** 2), axis=-1)
+
+    def reset(x):
+        x = np.asarray(x, float)
+        return np.stack((x[..., 0] + 0.1 * x[..., 1] ** 2, 0.9 * x[..., 1]), axis=-1)
+
+    eye = np.eye(2)
+    return dynamics.Model(2, 2, drift=drift, reset=reset,
+                          diffusion=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (2, 2)))
+
+
+JACOBIAN_MODELS = [
+    pendulum_model(1.7),
+    affine_kick_model(np.array([[0.2, 1.0, 0.0], [-1.0, 0.2, 0.0], [0.0, 0.0, -0.5]]),
+                      np.array([1.0, 0.0, 0.5])),
+    finite_difference_model(),
+]
+JACOBIAN_IDS = ["pendulum", "affine_kick", "finite_differences"]
+
+
+def stacked(jac, states):
+    """jac called on one state at a time, the results stacked in the batch's shape."""
+    flat = states.reshape(-1, states.shape[-1])
+    out = np.array([np.asarray(jac(x), float) for x in flat])
+    return out.reshape(states.shape[:-1] + out.shape[1:])
+
+
+class TestBatchedJacobians:
+    """drift_jacobian and reset_jacobian take (..., d) batches, as drift does,
+    and return (..., d, d) or one constant (d, d) that broadcasts."""
+
+    @pytest.mark.parametrize("model", JACOBIAN_MODELS, ids=JACOBIAN_IDS)
+    def test_batch_equals_single_states(self, model):
+        xs = np.random.default_rng(4).uniform(-2.0, 2.0, size=(5, 7, model.d))
+        for jac in (model.drift_jacobian, model.reset_jacobian):
+            batch = np.broadcast_to(jac(xs), (5, 7, model.d, model.d))
+            assert batch.tobytes() == stacked(jac, xs).tobytes()
+
+    @pytest.mark.parametrize("model", JACOBIAN_MODELS, ids=JACOBIAN_IDS)
+    @pytest.mark.parametrize("T, alpha", [(2.0, 0.5), (0.5, 1.0)], ids=["impulses", "none"])
+    def test_prepare_along_path(self, model, T, alpha):
+        # one call along x and one at its left limits, also for a constant
+        # Jacobian and for a grid without impulses
+        grid = build_grid(T, 3, alpha)
+        det = integrate_deterministic(model, grid, np.full(model.d, 0.5))
+        db, _, dh = _prepare_along_path(model, grid, det)
+        d, n = model.d, grid.n_steps
+        assert db.shape == (n, d, d) and dh.shape == (len(grid.impulse_nodes), d, d)
+        assert db.tobytes() == stacked(model.drift_jacobian, det.values[:n]).tobytes()
+        if grid.impulse_nodes:
+            assert dh.tobytes() == stacked(model.reset_jacobian, det.left).tobytes()

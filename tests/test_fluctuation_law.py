@@ -26,7 +26,7 @@ from impulsesim.integrate import (
     sample_brownian,
 )
 
-from test_analysis import state_dependent_pendulum
+from test_integrate import state_dependent_pendulum
 
 X0 = np.array([0.5, 0.5])
 N_PATHS = 2000

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from impulsesim import integrate
 from impulsesim.dynamics import Model, pendulum_model
 from impulsesim.integrate import (
     BrownianPath,
@@ -51,6 +52,24 @@ def constant_model(c=0.0, d=1):
         drift_jacobian=lambda x: np.zeros((d, d)),
         reset_jacobian=lambda x: eye,
         diffusion_constant=eye,
+    )
+
+
+def state_dependent_pendulum():
+    """Pendulum drift and reset with a state-dependent 2x3 diffusion."""
+    pend = pendulum_model()
+
+    def diffusion(x):
+        x = np.asarray(x, float)
+        s, c = np.sin(x[..., 0]), np.cos(x[..., 1])
+        row1 = np.stack((1.0 + 0.5 * s, 0.3 * c, 0.1 * s * c), axis=-1)
+        row2 = np.stack((0.2 * c, 0.8 + 0.1 * s, -0.4 * s), axis=-1)
+        return np.stack((row1, row2), axis=-2)
+
+    return Model(
+        2, 3, drift=pend.drift, diffusion=diffusion, reset=pend.reset,
+        drift_jacobian=pend.drift_jacobian, reset_jacobian=pend.reset_jacobian,
+        name="pendulum_sigma_x",
     )
 
 
@@ -400,6 +419,25 @@ class TestTrajectoryCsvBytes:
         assert written_csv(*trajs, eps) == reference_trajectory_csv(*trajs, eps)
 
 
+class TestBlockInvariance:
+    """The per-path integrators feed a path's increments in _BLOCK_STEPS-step
+    blocks, and the stepper forms the noise of a block at once; no block
+    length changes a byte of the coupled trajectory."""
+
+    @pytest.mark.parametrize("model", [pendulum_model(), state_dependent_pendulum()],
+                             ids=["pendulum", "sigma-of-x"])
+    @pytest.mark.parametrize("eps", [0.0, 0.25])
+    def test_csv_bytes(self, model, eps, monkeypatch):
+        grid = build_grid(3.0, 4, 0.5)
+        x0 = np.array([0.5, 0.5])
+        path = sample_brownian(grid, model.r, path_seed(6, 1))
+        ref = written_csv(*integrate_coupled(model, grid, x0, eps, path), eps)
+        for block in (1, 3, 7, grid.n_steps):
+            monkeypatch.setattr(integrate, "_BLOCK_STEPS", block)
+            got = written_csv(*integrate_coupled(model, grid, x0, eps, path), eps)
+            assert got == ref, block
+
+
 class TestCoupledOverflow:
     def overflow_model(self):
         """x = 0 is a fixed point of the drift, so the noise-free flow stays
@@ -409,7 +447,7 @@ class TestCoupledOverflow:
             drift=lambda x: np.asarray(x, float) ** 3 * 1e150,
             diffusion=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)),
             reset=lambda x: np.asarray(x, float),
-            drift_jacobian=lambda x: 3e150 * np.atleast_2d(x) ** 2,
+            drift_jacobian=lambda x: 3e150 * x[..., None] ** 2,
             reset_jacobian=lambda x: np.eye(1),
         )
 
