@@ -42,22 +42,15 @@ class ConvergenceReport:
     eps_exponents: tuple[int, ...]
     eps_list: np.ndarray
     n_paths: int
-    mean_lln: np.ndarray  # (n_eps, d)
+    # tables over the columns e1..ed, norm (column d is the Euclidean norm)
+    mean_lln: np.ndarray  # (n_eps, d + 1)
     mean_clt: np.ndarray
-    mean_lln_norm: np.ndarray  # (n_eps,)
-    mean_clt_norm: np.ndarray
     sem_lln: np.ndarray  # standard errors of the mean (diagnostic extension)
     sem_clt: np.ndarray
-    sem_lln_norm: np.ndarray
-    sem_clt_norm: np.ndarray
-    slope_lln: np.ndarray  # (d,)
+    slope_lln: np.ndarray  # (d + 1,)
     slope_clt: np.ndarray
-    slope_lln_norm: float
-    slope_clt_norm: float
     r2_lln: np.ndarray
     r2_clt: np.ndarray
-    r2_lln_norm: float
-    r2_clt_norm: float
     # per-path sups, path axis in path-index order: (n_eps, n_paths, d)
     lln_paths: np.ndarray
     clt_paths: np.ndarray
@@ -88,6 +81,8 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("xs and ys must be 1-d of equal length")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError(f"xs and ys must be finite, got xs={xs.tolist()}, ys={ys.tolist()}")
     if len(set(xs.tolist())) < 2:
         raise ValueError("need at least 2 distinct xs to fit a slope")
     if np.any(ys <= 0):
@@ -170,98 +165,53 @@ def run_convergence_study(
         raise IntegrationOverflowError("path overflow at " + "; ".join(
             f"eps={eps[e]}, path index {', '.join(map(str, np.flatnonzero(row)))}"
             for e, row in enumerate(bad) if row.any()))
-    lln_norm, clt_norm = np.sqrt(lln_n2), np.sqrt(clt_n2)
-
-    def mean_sem(arr):
-        return arr.mean(axis=1), arr.std(axis=1, ddof=1) / np.sqrt(n_paths)
-
-    mean_lln, sem_lln = mean_sem(lln)
-    mean_clt, sem_clt = mean_sem(clt)
-    mean_lln_norm, sem_lln_norm = mean_sem(lln_norm)
-    mean_clt_norm, sem_clt_norm = mean_sem(clt_norm)
-
-    for stat, means in (("lln", np.column_stack((mean_lln, mean_lln_norm))),
-                        ("clt", np.column_stack((mean_clt, mean_clt_norm)))):
-        for e, j in zip(*np.nonzero(means <= 0)):
-            col = "norm" if j == model.d else f"e{j + 1}"
-            raise ValueError(f"{stat} mean error of column {col} is 0 at eps={eps[e]}: "
-                             "no log-log slope can be fitted")
 
     xs = -np.array(eps_exponents, dtype=float)
 
-    def slopes(means):  # means: (n_eps, d)
-        out_s, out_r2 = [], []
-        for j in range(means.shape[1]):
-            s, _, r2 = fit_loglog_slope(xs, means[:, j])
-            out_s.append(s)
-            out_r2.append(r2)
-        return np.array(out_s), np.array(out_r2)
+    def tables(stat, per_coord, norm_sq):
+        """Mean and standard error over paths, (n_eps, d + 1), and each
+        column's log-log slope and r^2, (d + 1,); column d is the norm."""
+        # the norm reduces on its own: a reduction over the stacked columns
+        # would sum it in another order and change its last bits
+        norm = np.sqrt(norm_sq)
+        mean = np.column_stack((per_coord.mean(axis=1), norm.mean(axis=1)))
+        sem = np.column_stack((per_coord.std(axis=1, ddof=1), norm.std(axis=1, ddof=1)))
+        for e, j in zip(*np.nonzero(mean <= 0)):
+            col = "norm" if j == model.d else f"e{j + 1}"
+            raise ValueError(f"{stat} mean error of column {col} is 0 at eps={eps[e]}: "
+                             "no log-log slope can be fitted")
+        fits = np.array([fit_loglog_slope(xs, col) for col in mean.T])
+        return mean, sem / np.sqrt(n_paths), fits[:, 0], fits[:, 2]
 
-    slope_lln, r2_lln = slopes(mean_lln)
-    slope_clt, r2_clt = slopes(mean_clt)
-    s_ln, _, r2_ln = fit_loglog_slope(xs, mean_lln_norm)
-    s_cn, _, r2_cn = fit_loglog_slope(xs, mean_clt_norm)
-
+    mean_lln, sem_lln, slope_lln, r2_lln = tables("lln", lln, lln_n2)
+    mean_clt, sem_clt, slope_clt, r2_clt = tables("clt", clt, clt_n2)
     return ConvergenceReport(
-        eps_exponents=eps_exponents,
-        eps_list=eps,
-        n_paths=n_paths,
-        mean_lln=mean_lln,
-        mean_clt=mean_clt,
-        mean_lln_norm=mean_lln_norm,
-        mean_clt_norm=mean_clt_norm,
-        sem_lln=sem_lln,
-        sem_clt=sem_clt,
-        sem_lln_norm=sem_lln_norm,
-        sem_clt_norm=sem_clt_norm,
-        slope_lln=slope_lln,
-        slope_clt=slope_clt,
-        slope_lln_norm=s_ln,
-        slope_clt_norm=s_cn,
-        r2_lln=r2_lln,
-        r2_clt=r2_clt,
-        r2_lln_norm=r2_ln,
-        r2_clt_norm=r2_cn,
-        lln_paths=lln,
-        clt_paths=clt,
+        eps_exponents=eps_exponents, eps_list=eps, n_paths=n_paths,
+        mean_lln=mean_lln, mean_clt=mean_clt, sem_lln=sem_lln, sem_clt=sem_clt,
+        slope_lln=slope_lln, slope_clt=slope_clt, r2_lln=r2_lln, r2_clt=r2_clt,
+        lln_paths=lln, clt_paths=clt,
     )
 
 
 def write_report_csv(report: ConvergenceReport, out: IO[str]) -> None:
-    """Report CSV: one row per eps, slope/r2 footer rows."""
-    d = report.mean_lln.shape[1]
+    """Report CSV: per eps, i, eps and the rows of the mean and sem tables
+    (lln, then clt); then one footer row per slope and r2 table, filling the
+    mean block of its own statistic."""
+    d = report.mean_lln.shape[1] - 1
 
     def fmt(v) -> str:
         return f"{v:.17g}"
 
-    cols = ["i", "eps"]
-    cols += [f"e{j}_lln" for j in range(1, d + 1)] + ["norm_lln"]
-    cols += [f"e{j}_clt" for j in range(1, d + 1)] + ["norm_clt"]
-    cols += [f"se{j}_lln" for j in range(1, d + 1)] + ["se_norm_lln"]
-    cols += [f"se{j}_clt" for j in range(1, d + 1)] + ["se_norm_clt"]
-    out.write(",".join(cols) + "\n")
-    for row, i in enumerate(report.eps_exponents):
-        cells = [str(i), fmt(report.eps_list[row])]
-        cells += [fmt(v) for v in report.mean_lln[row]] + [fmt(report.mean_lln_norm[row])]
-        cells += [fmt(v) for v in report.mean_clt[row]] + [fmt(report.mean_clt_norm[row])]
-        cells += [fmt(v) for v in report.sem_lln[row]] + [fmt(report.sem_lln_norm[row])]
-        cells += [fmt(v) for v in report.sem_clt[row]] + [fmt(report.sem_clt_norm[row])]
-        out.write(",".join(cells) + "\n")
+    means = [f"e{j}" for j in range(1, d + 1)] + ["norm"]
+    sems = [f"se{j}" for j in range(1, d + 1)] + ["se_norm"]
+    out.write(",".join(["i", "eps"] + [f"{c}_{stat}" for cols in (means, sems)
+                                       for stat in ("lln", "clt") for c in cols]) + "\n")
+    body = np.hstack((report.mean_lln, report.mean_clt, report.sem_lln, report.sem_clt))
+    for i, eps, row in zip(report.eps_exponents, report.eps_list, body):
+        out.write(",".join([str(i), fmt(eps)] + [fmt(v) for v in row]) + "\n")
 
-    blank_tail = [""] * (2 * (d + 1))
-
-    def footer(label, per_coord, norm_val, position):
-        cells = [label, ""]
-        lln_block = [""] * (d + 1)
-        clt_block = [""] * (d + 1)
-        block = [fmt(v) for v in per_coord] + [fmt(norm_val)]
-        if position == "lln":
-            lln_block = block
-        else:
-            clt_block = block
-        out.write(",".join(cells + lln_block + clt_block + blank_tail) + "\n")
-
-    footer("slope_lln", report.slope_lln, report.slope_lln_norm, "lln")
-    footer("slope_clt", report.slope_clt, report.slope_clt_norm, "clt")
-    footer("r2_lln", report.r2_lln, report.r2_lln_norm, "lln")
-    footer("r2_clt", report.r2_clt, report.r2_clt_norm, "clt")
+    blank = [""] * (d + 1)
+    for label in ("slope_lln", "slope_clt", "r2_lln", "r2_clt"):
+        at = int(label.endswith("clt"))
+        cells = blank * at + [fmt(v) for v in getattr(report, label)] + blank * (3 - at)
+        out.write(",".join([label, ""] + cells) + "\n")

@@ -169,9 +169,9 @@ def cmd_convergence(args) -> int:
         model, grid, args.x0, exps, args.paths, args.seed)
     _emit(args, t0, params, lambda f: analysis.write_report_csv(report, f))
     print("slope_lln per coordinate:",
-          " ".join(f"{s:.4f}" for s in report.slope_lln))
+          " ".join(f"{s:.4f}" for s in report.slope_lln[:-1]))
     print("slope_clt per coordinate:",
-          " ".join(f"{s:.4f}" for s in report.slope_clt))
+          " ".join(f"{s:.4f}" for s in report.slope_clt[:-1]))
     return 0
 
 

@@ -53,21 +53,25 @@ class SampleGrid:
 
 def build_grid(T: float, m: int, alpha: float) -> SampleGrid:
     """Grid on [0, T], dt = 2^-m, with impulse nodes at t_k = k - 1 + alpha <= T
-    for k >= 1 and alpha in (0, 1]; rejects a misaligned alpha or T."""
+    for k >= 1 and alpha in (0, 1]; rejects a misaligned alpha or T, a
+    non-finite T, and an m at which alpha*2^m or T*2^m is not a finite float."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if T <= 0:
-        raise ValueError(f"horizon T must be positive, got {T}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be positive and finite, got {T}")
     if m < 0:
         raise ValueError(f"dt exponent m must be >= 0, got {m}")
+    try:
+        a_scaled, t_scaled = math.ldexp(alpha, m), math.ldexp(T, m)
+    except OverflowError:
+        raise ValueError(f"dt exponent m={m} is too large: alpha*2^m or T*2^m "
+                         "is not a finite float") from None
     scale = 2**m
-    a_scaled = alpha * scale
     if a_scaled != round(a_scaled):
         raise ValueError(
             f"impulse offset alpha={alpha} is not aligned with "
             f"dt=2^-{m}: alpha*2^m = {a_scaled} is not an integer"
         )
-    t_scaled = T * scale
     if t_scaled != round(t_scaled):
         raise ValueError(f"T={T} is not a multiple of dt=2^-{m}")
     n_steps = int(round(t_scaled))

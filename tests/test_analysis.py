@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import re
 import warnings
@@ -123,6 +124,10 @@ class TestFitLoglogSlope:
             fit_loglog_slope([1.0, 2.0], [1.0, -1.0])
         with pytest.raises(ValueError, match="distinct"):
             fit_loglog_slope([-3.0, -3.0, -3.0], [0.1, 0.2, 0.3])
+        for xs, ys in (([1.0, 2.0], [1.0, np.nan]), ([1.0, np.nan], [1.0, 2.0]),
+                       ([1.0, 2.0], [1.0, np.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                fit_loglog_slope(xs, ys)
 
 
 class TestConvergenceStudy:
@@ -206,6 +211,13 @@ def three_state_model():
 
     return Model(3, 2, drift=drift, diffusion=diffusion, reset=reset,
                  name="three_state")
+
+
+def one_state_model():
+    """1 state, 1 noise, state-dependent sigma; finite-difference Jacobians."""
+    return Model(1, 1, drift=lambda x: -np.sin(x),
+                 diffusion=lambda x: (1.0 + 0.5 * np.cos(x))[..., None],
+                 reset=lambda x: x + 0.3 * np.sin(x), name="one_state")
 
 
 def unbatched_drift_model():
@@ -299,8 +311,8 @@ class TestStudyMatchesPerPath:
                 n2[0, e, j] = sup_sq_norm(noisy, det)
                 n2[1, e, j] = sup_sq_norm(noisy, det, fluct, eps)
         norms = np.sqrt(n2)
-        for norm, mean, sem in ((norms[0], rep.mean_lln_norm, rep.sem_lln_norm),
-                                (norms[1], rep.mean_clt_norm, rep.sem_clt_norm)):
+        for norm, mean, sem in ((norms[0], rep.mean_lln[:, -1], rep.sem_lln[:, -1]),
+                                (norms[1], rep.mean_clt[:, -1], rep.sem_clt[:, -1])):
             assert norm.mean(axis=1).tobytes() == mean.tobytes()
             se = norm.std(axis=1, ddof=1) / np.sqrt(n_paths)
             assert se.tobytes() == sem.tobytes()
@@ -435,21 +447,62 @@ class TestStudyOverflow:
 
 
 class TestReportCsv:
+    LAYOUTS = [
+        (one_state_model(),
+         "i,eps,e1_lln,norm_lln,e1_clt,norm_clt,se1_lln,se_norm_lln,se1_clt,se_norm_clt"),
+        (pendulum_model(),
+         "i,eps,e1_lln,e2_lln,norm_lln,e1_clt,e2_clt,norm_clt,"
+         "se1_lln,se2_lln,se_norm_lln,se1_clt,se2_clt,se_norm_clt"),
+    ]
+
     def test_layout(self):
-        m = pendulum_model()
+        for model, header in self.LAYOUTS:
+            self.check_layout(model, header)
+
+    def check_layout(self, model, header):
         grid = build_grid(2.0, 5, 1.0)
-        rep = run_convergence_study(m, grid, np.array([0.5, 0.5]),
+        rep = run_convergence_study(model, grid, np.full(model.d, 0.5),
                                     [1, 2, 3], 4, 1)
+        k = model.d + 1  # columns per table: e1..ed, norm
+        tables = (rep.mean_lln, rep.mean_clt, rep.sem_lln, rep.sem_clt)
+        assert all(t.shape == (3, k) for t in tables)
+        assert all(getattr(rep, f).shape == (k,)
+                   for f in ("slope_lln", "slope_clt", "r2_lln", "r2_clt"))
         buf = io.StringIO()
         write_report_csv(rep, buf)
-        lines = buf.getvalue().splitlines()
-        header = lines[0].split(",")
-        assert header[:8] == [
-            "i", "eps", "e1_lln", "e2_lln", "norm_lln",
-            "e1_clt", "e2_clt", "norm_clt",
-        ]
-        assert len(lines) == 1 + 3 + 4  # header, data rows, footer rows
-        footers = [ln.split(",")[0] for ln in lines[4:]]
-        assert footers == ["slope_lln", "slope_clt", "r2_lln", "r2_clt"]
-        slope_row = lines[4].split(",")
-        assert float(slope_row[2]) == pytest.approx(rep.slope_lln[0])
+        rows = [ln.split(",") for ln in buf.getvalue().splitlines()]
+        assert ",".join(rows[0]) == header
+        assert len(rows) == 1 + 3 + 4  # header, data rows, footer rows
+
+        def fmt(v):
+            return "%.17g" % v
+
+        for e, row in enumerate(rows[1:4]):
+            assert row[:2] == [str(rep.eps_exponents[e]), fmt(rep.eps_list[e])]
+            assert row[2:] == [fmt(v) for t in tables for v in t[e]]
+        # each footer fills the mean block of its own statistic, nothing else
+        for row, (label, block) in zip(rows[4:], [("slope_lln", 0), ("slope_clt", 1),
+                                                  ("r2_lln", 0), ("r2_clt", 1)]):
+            cells = [""] * (4 * k)
+            cells[block * k:(block + 1) * k] = [fmt(v) for v in getattr(rep, label)]
+            assert row == [label, ""] + cells
+
+
+class TestReportBytes:
+    """sha256 of the report CSV of two small seeded studies, d = 2 and d = 1:
+    a change to any byte of a report fails here.  16 paths, because from 8
+    paths on numpy sums a contiguous row pairwise, so reducing the norm
+    column together with the coordinates would change its last bits."""
+
+    @pytest.mark.parametrize("model, alpha, exps, digest", [
+        (pendulum_model(), 1.0, [1, 2, 3, 4],
+         "7b8fb5ea950f44141ffd68dc874f6b96f3af12a496a9b9bd67f7f4ee88155f33"),
+        (one_state_model(), 0.5, [1, 2, 3],
+         "79080fafabf770ed8f2c18393eec48dda672912fd56ff68a8bdbee32c86b92c5"),
+    ], ids=["pendulum", "one-state"])
+    def test_digest(self, model, alpha, exps, digest):
+        rep = run_convergence_study(model, build_grid(4.0, 6, alpha),
+                                    np.full(model.d, 0.5), exps, 16, 7)
+        buf = io.StringIO()
+        write_report_csv(rep, buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

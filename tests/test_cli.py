@@ -246,8 +246,15 @@ class TestAffineKickModel:
     (["convergence", "--model", "affine_kick", "--x0", "0,0", "--paths", "2",
       "--eps-exps", "1..2", "--T", "1", "--dt-exp", "0"],
      "error: clt mean error of column e1 is 0 at eps=0.5"),
+    (["simulate", "--eps", "0.1", "--T", "inf"],
+     "error: horizon T must be positive and finite, got inf"),
+    (["simulate", "--eps", "0.1", "--T", "nan"],
+     "error: horizon T must be positive and finite, got nan"),
+    (["simulate", "--eps", "0.1", "--dt-exp", "2000"],
+     "error: dt exponent m=2000 is too large: alpha*2^m or T*2^m is not a finite float"),
 ], ids=["simulate", "convergence", "kickmap", "simulate-alpha-0", "convergence-alpha-1.5",
-        "convergence-zero-mean-error"])
+        "convergence-zero-mean-error", "simulate-T-inf", "simulate-T-nan",
+        "simulate-dt-exp-2000"])
 def test_failure_exits_1_without_output_or_manifest(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1

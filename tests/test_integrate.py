@@ -94,6 +94,13 @@ class TestBuildGrid:
             build_grid(0.0, 4, 1.0)
         with pytest.raises(ValueError):
             build_grid(1.1, 1, 1.0)
+        for T in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"positive and finite, got {T}"):
+                build_grid(T, 4, 1.0)
+        # 2^m overflows a float; 2^1000 does not, but T * 2^1000 does
+        for T, m in ((8.0, 2000), (2.0**30, 1000)):
+            with pytest.raises(ValueError, match=f"m={m} is too large"):
+                build_grid(T, m, 1.0)
 
     def test_impulse_nodes_exact(self):
         grid = build_grid(5.0, 6, 0.25)
