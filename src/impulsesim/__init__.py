@@ -18,6 +18,7 @@ from .integrate import (
     IntegrationOverflowError,
     SampleGrid,
     build_grid,
+    integrate_coupled,
     integrate_deterministic,
     integrate_fluctuation,
     integrate_sde,
@@ -29,7 +30,6 @@ from .analysis import (
     ConvergenceReport,
     fit_loglog_slope,
     run_convergence_study,
-    sup_error,
 )
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "affine_kick_model",
     "build_grid",
     "fit_loglog_slope",
+    "integrate_coupled",
     "integrate_deterministic",
     "integrate_fluctuation",
     "integrate_sde",
@@ -52,5 +53,4 @@ __all__ = [
     "regularized_kick",
     "run_convergence_study",
     "sample_brownian",
-    "sup_error",
 ]

@@ -20,7 +20,6 @@ import numpy as np
 
 from .dynamics import Model
 from .integrate import (
-    CadlagTrajectory,
     IntegrationOverflowError,
     SampleGrid,
     _brownian_blocks,
@@ -54,22 +53,6 @@ class ConvergenceReport:
     # per-path sups, path axis in path-index order: (n_eps, n_paths, d)
     lln_paths: np.ndarray
     clt_paths: np.ndarray
-
-
-def sup_error(
-    a: CadlagTrajectory,
-    b: CadlagTrajectory,
-    shift: CadlagTrajectory | None = None,
-    shift_scale: float = 1.0,
-) -> np.ndarray:
-    """Per-coordinate sup over grid nodes and left limits of
-    |a - b - shift_scale*shift|; all three must live on one grid."""
-    if b.grid != a.grid or (shift is not None and shift.grid != a.grid):
-        raise ValueError("trajectories live on different grids")
-    diff = np.concatenate((a.values, a.left)) - np.concatenate((b.values, b.left))
-    if shift is not None:
-        diff = diff - shift_scale * np.concatenate((shift.values, shift.left))
-    return np.max(np.abs(diff), axis=0)
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):

@@ -59,7 +59,6 @@ class Model:
     reset: Callable[[np.ndarray], np.ndarray]
     drift_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     reset_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = "custom"
     # set when sigma is state-independent; lets integrators skip re-evaluation
     diffusion_constant: Optional[np.ndarray] = None
 
@@ -118,7 +117,6 @@ def pendulum_model(alpha_pend: float = 1.0) -> Model:
         diffusion=diffusion,
         reset=reset,
         reset_jacobian=partial(jacobian, eye2, 0.1),
-        name="pendulum",
         diffusion_constant=eye2,
     )
 
@@ -140,6 +138,5 @@ def affine_kick_model(A: np.ndarray, c: np.ndarray) -> Model:
         diffusion=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (d, d)),
         reset=kick,
         reset_jacobian=lambda x: jac,
-        name="affine_kick",
         diffusion_constant=eye,
     )

@@ -3,11 +3,13 @@
 build_grid lays out the impulse schedule t_k = k - 1 + alpha as grid nodes;
 no other code writes it down.  One batched stepper advances the
 deterministic flow, the noisy flow and the fluctuation process on that
-grid, with the noise of a Brownian block formed at once; the per-path
-integrators and the Monte Carlo study both run it.  integrate_coupled
-steps X and Z of one path together after the deterministic pass, as the
-study does; integrate_sde and integrate_fluctuation run X or Z alone,
-with the same bits.  write_trajectory_csv writes the triple as one table.
+grid in two passes: a deterministic pass steps x alone, and a coupled
+pass steps X and Z together on one set of Brownian increments, with the
+noise of a Brownian block formed at once.  The per-path integrators and
+the Monte Carlo study both run it.  integrate_coupled gives one path's
+triple (x, X, Z), a deterministic pass and then a coupled pass, as the
+study does; integrate_sde and integrate_fluctuation are its X and its Z.
+write_trajectory_csv writes the triple as one table.
 
 At an impulse node the Euler step into the node produces the left
 limit, the reset applies instantaneously, and the step out of the node
@@ -163,42 +165,37 @@ def _brownian_blocks(grid: SampleGrid, r: int, seeds):
 
 
 def _step(model, grid, visit, X, eps, increments, along):
-    """The one Euler / Euler-Maruyama / fluctuation scheme, over a batch.
+    """The one Euler / Euler-Maruyama / fluctuation scheme, over a batch, in
+    one of two passes.
 
-    All states are component-major and updated in place.  X: (d, n_eps,
-    n_paths) states of the noisy flow at scales eps (n_eps,), or of the
-    noise-free flow when eps is None; None leaves X out.  increments:
-    blocks (steps, r, n_paths), none longer than the first, of Brownian
-    increments, n_steps in all, shared by X and Z; the noise sigma(x_n) dW_n
-    of Z, and of X when sigma is constant, is formed a block at a time.
-    along: _prepare_along_path of the deterministic flow, or None to leave
-    Z (d, n_paths), started at 0, out; without X the batch is one path.
+    All states are component-major and updated in place; X: (d, n_eps,
+    n_paths).  The deterministic pass, without increments, steps X alone,
+    noise-free.  The coupled pass is given increments and along together:
+    increments are blocks (steps, r, n_paths), none longer than the first,
+    of Brownian increments, n_steps in all, and along is
+    _prepare_along_path of the deterministic flow.  It steps X, noisy at
+    scales eps (n_eps,) or noise-free when eps is None, and Z (d, n_paths),
+    started at 0, on the same increments; the noise sigma(x_n) dW_n of Z,
+    and of X when sigma is constant, is formed a block at a time.
     visit(n, i, X, Z) sees each node n from 0 (i None) and each left limit
-    (at node n = grid.impulse_nodes[i], before the reset); X and Z are the
-    same arrays at every visit, and a visitor that keeps values must copy
-    them.  The model's callables see (..., d) views.
-    A value that leaves the finite floats raises no warning: the callers
-    check the recorded values.
+    (at node n = grid.impulse_nodes[i], before the reset); Z is None in the
+    deterministic pass.  X and Z are the same arrays at every visit, and a
+    visitor that keeps values must copy them.  The model's callables see
+    (..., d) views.  A value that leaves the finite floats raises no
+    warning: the callers check the recorded values.
     """
     d, dt = model.d, grid.dt
-    n_paths = 1 if X is None else X.shape[-1]
     position = {node: i for i, node in enumerate(grid.impulse_nodes)}
     sigma = model.diffusion_constant
-    sig_x = Z = None
-    if sigma is not None:
-        sig_x = np.broadcast_to(sigma, (grid.n_steps, d, model.r))
-    if along is not None:
-        db, sig_x, dh = along
-        db = db[..., None]
-        dh = dh[..., None]
-        Z = np.zeros((d, n_paths))
+    Xv = X.transpose(1, 2, 0)
+    Xt, dx = np.empty_like(X), np.empty_like(X)
+    Z = None
+    if increments is not None:
+        db, sig, dh = along
+        db, dh = db[..., None], dh[..., None]
+        sig = sig.transpose(1, 2, 0)[..., None]  # (d, r, n_steps, 1)
+        Z = np.zeros((d, X.shape[-1]))
         Zt, tmp = np.empty_like(Z), np.empty_like(Z)
-    if sig_x is not None:
-        sig_x = sig_x.transpose(1, 2, 0)[..., None]  # (d, r, n_steps, 1)
-    if X is not None:
-        Xv = X.transpose(1, 2, 0)
-        Xt = np.empty_like(X)
-        dx = np.empty_like(X) if sigma is None else None
     if eps is not None:
         eps = np.broadcast_to(eps[:, None], X.shape).copy()  # unit strides multiply faster
 
@@ -207,13 +204,12 @@ def _step(model, grid, visit, X, eps, increments, along):
         column sum, with the products and order of a per-step _matvec."""
         lo = 0
         for block in increments:
-            hi, noise = lo + len(block), itertools.repeat(None)
-            if sig_x is not None:
-                if lo == 0:
-                    buf, buf_tmp = np.empty((2, len(block), d, n_paths))
-                noise, t = buf[:hi - lo], buf_tmp[:hi - lo]
-                _matvec(sig_x[:, :, lo:hi], block.transpose(1, 0, 2),
-                        noise.transpose(1, 0, 2), t.transpose(1, 0, 2))
+            hi = lo + len(block)
+            if lo == 0:
+                buf, buf_tmp = np.empty((2, len(block), d, X.shape[-1]))
+            noise, t = buf[:hi - lo], buf_tmp[:hi - lo]
+            _matvec(sig[:, :, lo:hi], block.transpose(1, 0, 2),
+                    noise.transpose(1, 0, 2), t.transpose(1, 0, 2))
             yield from zip(block, noise)
             lo = hi
 
@@ -222,18 +218,17 @@ def _step(model, grid, visit, X, eps, increments, along):
     with np.errstate(over="ignore", invalid="ignore"):
         visit(0, None, X, Z)
         for n, (dW, noise) in enumerate(steps):
-            if X is not None:
-                # left-endpoint evaluation: drift and diffusion at the pre-step state
-                b = _component_major(model.drift(Xv), Xv.shape, (2, 0, 1))
-                if eps is not None and sigma is None:
-                    s = _component_major(model.diffusion(Xv), Xv.shape + (model.r,),
-                                         (2, 3, 0, 1))
-                    _matvec(s, dW, dx, Xt)
-                np.multiply(b, dt, out=Xt)
+            # left-endpoint evaluation: drift and diffusion at the pre-step state
+            b = _component_major(model.drift(Xv), Xv.shape, (2, 0, 1))
+            if eps is not None and sigma is None:
+                s = _component_major(model.diffusion(Xv), Xv.shape + (model.r,),
+                                     (2, 3, 0, 1))
+                _matvec(s, dW, dx, Xt)
+            np.multiply(b, dt, out=Xt)
+            np.add(X, Xt, out=X)
+            if eps is not None:
+                np.multiply(eps, dx if sigma is None else noise[:, None], out=Xt)
                 np.add(X, Xt, out=X)
-                if eps is not None:
-                    np.multiply(eps, dx if sigma is None else noise[:, None], out=Xt)
-                    np.add(X, Xt, out=X)
             if Z is not None:
                 np.multiply(_matvec(db[n], Z, Zt, tmp), dt, out=Zt)
                 np.add(Z, Zt, out=Z)
@@ -241,44 +236,37 @@ def _step(model, grid, visit, X, eps, increments, along):
             i = position.get(n + 1)
             if i is not None:
                 visit(n + 1, i, X, Z)
-                if X is not None:
-                    X[...] = _component_major(model.reset(Xv), Xv.shape, (2, 0, 1))
+                X[...] = _component_major(model.reset(Xv), Xv.shape, (2, 0, 1))
                 if Z is not None:
                     Z[...] = _matvec(dh[i], Z, Zt, tmp)
             visit(n + 1, None, X, Z)
 
 
-def _record(model, grid, picks, X=None, eps=None, increments=None,
+def _record(model, grid, x0, eps=None, increments=None,
             along=None) -> list[CadlagTrajectory]:
-    """Step a batch of one and record each pick(X, Z) as a cadlag
-    trajectory; a non-finite recorded value raises, naming its first step.
-    The picks are views, taken once, at node 0."""
-    values = np.empty((len(picks), grid.n_steps + 1, model.d))
-    left = np.empty((len(picks), len(grid.impulse_nodes), model.d))
-    views = []
+    """Run one path from x0 through _step and record X, and Z whenever there
+    is noise, as cadlag trajectories; eps is a float, or None for a
+    noise-free X.  A non-finite recorded value raises, naming its first step."""
+    X = x0.reshape(-1, 1, 1).copy()
+    x = X[:, 0, 0]
+    n_traj = 1 if increments is None else 2
+    values = np.empty((n_traj, grid.n_steps + 1, model.d))
+    left = np.empty((n_traj, len(grid.impulse_nodes), model.d))
 
     def visit(n, i, X, Z):
-        if not views:
-            views.extend(pick(X, Z) for pick in picks)
         into = values[:, n] if i is None else left[:, i]
-        for k, view in enumerate(views):
-            into[k] = view
+        into[0] = x
+        if Z is not None:
+            into[1] = Z[:, 0]
 
-    _step(model, grid, visit, X, eps, increments, along)
+    _step(model, grid, visit, X, None if eps is None else np.array([eps]),
+          increments, along)
     bad = list(np.flatnonzero(~np.isfinite(values).all(axis=(0, 2))))
     bad += [grid.impulse_nodes[i]
             for i in np.flatnonzero(~np.isfinite(left).all(axis=(0, 2)))]
     if bad:
         raise IntegrationOverflowError(f"trajectory became non-finite at step {min(bad)}")
     return [CadlagTrajectory(grid=grid, values=v, left=lv) for v, lv in zip(values, left)]
-
-
-def _noisy(X, Z):
-    return X[:, 0, 0]
-
-
-def _fluct(X, Z):
-    return Z[:, 0]
 
 
 def _path_blocks(path: BrownianPath):
@@ -297,18 +285,21 @@ def _check_path(model: Model, grid: SampleGrid, path: BrownianPath):
         )
 
 
-def integrate_deterministic(
-    model: Model, grid: SampleGrid, x0: np.ndarray
-) -> CadlagTrajectory:
-    """Explicit Euler flow of the impulsive ODE on the grid."""
-    return integrate_sde(model, grid, x0, 0.0, None)
-
-
 def _check_x0(model: Model, x0) -> np.ndarray:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.d,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({model.d},)")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     return x0
+
+
+def integrate_deterministic(
+    model: Model, grid: SampleGrid, x0: np.ndarray
+) -> CadlagTrajectory:
+    """Explicit Euler flow of the impulsive ODE on the grid."""
+    [det] = _record(model, grid, _check_x0(model, x0))
+    return det
 
 
 def integrate_sde(
@@ -318,18 +309,13 @@ def integrate_sde(
     epsilon: float,
     path: Optional[BrownianPath],
 ) -> CadlagTrajectory:
-    """Euler-Maruyama flow of the impulsive SDE; epsilon=0 degenerates bitwise
-    to the deterministic integrator."""
-    x0 = _check_x0(model, x0)
-    eps = increments = None
-    if epsilon != 0.0:
-        if path is None:
-            raise ValueError("a BrownianPath is required when epsilon > 0")
-        _check_path(model, grid, path)
-        eps, increments = np.array([epsilon]), _path_blocks(path)
-    [noisy] = _record(model, grid, [_noisy], X=x0.reshape(-1, 1, 1).copy(),
-                      eps=eps, increments=increments)
-    return noisy
+    """Euler-Maruyama flow of the impulsive SDE, X of integrate_coupled;
+    epsilon=0 is the deterministic integrator, and path may then be None."""
+    if epsilon == 0.0:
+        return integrate_deterministic(model, grid, x0)
+    if path is None:
+        raise ValueError("a BrownianPath is required when epsilon > 0")
+    return integrate_coupled(model, grid, x0, epsilon, path)[1]
 
 
 def integrate_fluctuation(
@@ -338,7 +324,8 @@ def integrate_fluctuation(
     det: CadlagTrajectory,
     path: BrownianPath,
 ) -> CadlagTrajectory:
-    """Linearized fluctuation process along the deterministic trajectory.
+    """Linearized fluctuation process along the deterministic trajectory,
+    Z of integrate_coupled.
 
     Between impulses: Z' = Db(x(t)) Z + sigma(x(t)) dW, started at Z=0;
     at impulse k the left limit is reset by Dh evaluated at the
@@ -347,10 +334,8 @@ def integrate_fluctuation(
     if det.grid != grid:
         raise ValueError("deterministic trajectory was produced on a different grid")
     _check_path(model, grid, path)
-    [fluct] = _record(model, grid, [_fluct],
-                      increments=_path_blocks(path),
-                      along=_prepare_along_path(model, grid, det))
-    return fluct
+    return _record(model, grid, det.values[0], None, _path_blocks(path),
+                   _prepare_along_path(model, grid, det))[1]
 
 
 def integrate_coupled(
@@ -361,18 +346,14 @@ def integrate_coupled(
     path: BrownianPath,
 ) -> tuple[CadlagTrajectory, CadlagTrajectory, CadlagTrajectory]:
     """The coupled triple (x, X, Z) on one Brownian path: the deterministic
-    pass, then X and Z advanced together in one pass of the stepper.  Each
-    is bitwise the trajectory of integrate_deterministic, integrate_sde and
-    integrate_fluctuation; epsilon=0 gives X = x."""
+    pass, then X and Z advanced together in the coupled pass of the
+    stepper; epsilon=0 gives X = x bitwise."""
     x0 = _check_x0(model, x0)
     _check_path(model, grid, path)
     det = integrate_deterministic(model, grid, x0)
     # at epsilon 0, X runs noise-free: a 0.0 * noise term would turn -0.0 into +0.0
-    eps = None if epsilon == 0.0 else np.array([epsilon])
-    noisy, fluct = _record(model, grid, [_noisy, _fluct],
-                           X=x0.reshape(-1, 1, 1).copy(), eps=eps,
-                           increments=_path_blocks(path),
-                           along=_prepare_along_path(model, grid, det))
+    noisy, fluct = _record(model, grid, x0, None if epsilon == 0.0 else epsilon,
+                           _path_blocks(path), _prepare_along_path(model, grid, det))
     return det, noisy, fluct
 
 

@@ -97,6 +97,9 @@ def kick_limit_check(
     deltas = list(deltas)
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
+    for delta in deltas:
+        if not (math.isfinite(delta) and math.isfinite(1 / delta)):
+            raise ValueError(f"delta must be finite with a finite 1/delta, got {delta}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
     target = np.atleast_1d(np.asarray(closed_form(np.atleast_1d(r)), dtype=float))

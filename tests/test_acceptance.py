@@ -17,8 +17,8 @@ from impulsesim.cli import main
 from impulsesim.dynamics import affine_kick_model, pendulum_model
 from impulsesim.integrate import (
     build_grid,
+    integrate_coupled,
     integrate_deterministic,
-    integrate_fluctuation,
     integrate_sde,
     path_seed,
     sample_brownian,
@@ -76,12 +76,10 @@ def test_criterion_3_exact_coupling_oracle():
     M = np.array([[1.0, 0.0], [0.1, 1.0]])
     model = linear_model(A, M)
     grid = build_grid(8.0, 12, 1.0)
-    det = integrate_deterministic(model, grid, X0)
     worst = 0.0
     for eps, seed in ((2**-2, 11), (2**-6, 5)):
         path = sample_brownian(grid, 2, path_seed(seed, 0))
-        X = integrate_sde(model, grid, X0, eps, path)
-        Z = integrate_fluctuation(model, grid, det, path)
+        det, X, Z = integrate_coupled(model, grid, X0, eps, path)
         diff = X.values - det.values - eps * Z.values
         worst = max(worst, float(np.max(np.linalg.norm(diff, axis=1))))
     check(3, worst <= 1e-9,
@@ -203,12 +201,10 @@ def test_criterion_9_chunk_determinism(tmp_path, monkeypatch):
 def test_criterion_10_pathwise_epsilon_squared():
     model = pendulum_model()
     grid = build_grid(8.0, 12, 1.0)
-    det = integrate_deterministic(model, grid, X0)
     path = sample_brownian(grid, 2, path_seed(1234, 0))
-    Z = integrate_fluctuation(model, grid, det, path)
 
     def coupling_sup(eps):
-        X = integrate_sde(model, grid, X0, eps, path)
+        det, X, Z = integrate_coupled(model, grid, X0, eps, path)
         # grid nodes and left limits
         sup = np.max(np.linalg.norm(X.values - det.values - eps * Z.values, axis=1))
         sup = max(sup, np.max(np.linalg.norm(X.left - det.left - eps * Z.left, axis=1)))

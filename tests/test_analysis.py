@@ -13,7 +13,6 @@ from impulsesim import analysis, integrate
 from impulsesim.analysis import (
     fit_loglog_slope,
     run_convergence_study,
-    sup_error,
     write_report_csv,
 )
 from impulsesim.dynamics import Model, pendulum_model
@@ -30,6 +29,18 @@ from impulsesim.integrate import (
 )
 
 from test_integrate import constant_model, linear_model, state_dependent_pendulum
+
+
+def sup_error(a, b, shift=None, shift_scale=1.0):
+    """Per-coordinate sup over grid nodes and left limits of
+    |a - b - shift_scale*shift|, one path at a time: the per-path reference
+    of the study's sups.  All three must live on one grid."""
+    if b.grid != a.grid or (shift is not None and shift.grid != a.grid):
+        raise ValueError("trajectories live on different grids")
+    diff = np.concatenate((a.values, a.left)) - np.concatenate((b.values, b.left))
+    if shift is not None:
+        diff = diff - shift_scale * np.concatenate((shift.values, shift.left))
+    return np.max(np.abs(diff), axis=0)
 
 
 def normal_equation_fit(xs, ys):
@@ -209,15 +220,14 @@ def three_state_model():
         return np.stack((x[..., 0], x[..., 1] + 0.1 * np.sin(x[..., 0]),
                          0.9 * x[..., 2] + 0.05 * x[..., 1]), axis=-1)
 
-    return Model(3, 2, drift=drift, diffusion=diffusion, reset=reset,
-                 name="three_state")
+    return Model(3, 2, drift=drift, diffusion=diffusion, reset=reset)
 
 
 def one_state_model():
     """1 state, 1 noise, state-dependent sigma; finite-difference Jacobians."""
     return Model(1, 1, drift=lambda x: -np.sin(x),
                  diffusion=lambda x: (1.0 + 0.5 * np.cos(x))[..., None],
-                 reset=lambda x: x + 0.3 * np.sin(x), name="one_state")
+                 reset=lambda x: x + 0.3 * np.sin(x))
 
 
 def unbatched_drift_model():

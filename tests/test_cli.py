@@ -252,9 +252,18 @@ class TestAffineKickModel:
      "error: horizon T must be positive and finite, got nan"),
     (["simulate", "--eps", "0.1", "--dt-exp", "2000"],
      "error: dt exponent m=2000 is too large: alpha*2^m or T*2^m is not a finite float"),
+    (["kickmap", "--A", "1", "--c", "1", "--r", "1", "--deltas", "1e-320"],
+     "error: delta must be finite with a finite 1/delta, got 1e-320"),
+    (["kickmap", "--A", "1", "--c", "1", "--r", "1", "--deltas", "nan"],
+     "error: delta must be finite with a finite 1/delta, got nan"),
+    (["kickmap", "--A", "1", "--c", "1", "--r", "1", "--deltas", "inf"],
+     "error: delta must be finite with a finite 1/delta, got inf"),
+    (["simulate", "--eps", "0.1", "--x0", "nan,0"],
+     "error: x0 must be finite, got [nan, 0.0]"),
 ], ids=["simulate", "convergence", "kickmap", "simulate-alpha-0", "convergence-alpha-1.5",
         "convergence-zero-mean-error", "simulate-T-inf", "simulate-T-nan",
-        "simulate-dt-exp-2000"])
+        "simulate-dt-exp-2000", "kickmap-delta-1e-320", "kickmap-delta-nan",
+        "kickmap-delta-inf", "simulate-x0-nan"])
 def test_failure_exits_1_without_output_or_manifest(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1

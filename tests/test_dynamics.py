@@ -95,7 +95,7 @@ class TestAffineKickModel:
     def test_kick_only_system(self):
         m = affine_kick_model(np.eye(3), np.ones(3))
         x = np.arange(12.0).reshape(4, 3)
-        assert (m.d, m.r, m.name) == (3, 3, "affine_kick")
+        assert (m.d, m.r) == (3, 3)
         assert np.array_equal(m.drift(x), np.zeros((4, 3)))
         assert np.array_equal(m.drift_jacobian(x[0]), np.zeros((3, 3)))
         assert np.array_equal(m.diffusion(x), np.broadcast_to(np.eye(3), (4, 3, 3)))

@@ -37,7 +37,6 @@ def linear_model(A, M, d=2):
         drift_jacobian=lambda x: A,
         reset_jacobian=lambda x: M,
         diffusion_constant=eye,
-        name="linear",
     )
 
 
@@ -69,7 +68,6 @@ def state_dependent_pendulum():
     return Model(
         2, 3, drift=pend.drift, diffusion=diffusion, reset=pend.reset,
         drift_jacobian=pend.drift_jacobian, reset_jacobian=pend.reset_jacobian,
-        name="pendulum_sigma_x",
     )
 
 
@@ -233,11 +231,9 @@ class TestFluctuation:
         m = linear_model(A, M)
         grid = build_grid(8.0, 8, 1.0)
         x0 = np.array([0.5, 0.5])
-        det = integrate_deterministic(m, grid, x0)
         path = sample_brownian(grid, 2, 5)
         eps = 0.125
-        X = integrate_sde(m, grid, x0, eps, path)
-        Z = integrate_fluctuation(m, grid, det, path)
+        det, X, Z = integrate_coupled(m, grid, x0, eps, path)
         diff = X.values - det.values - eps * Z.values
         assert np.max(np.abs(diff)) <= 1e-10
 
@@ -286,10 +282,8 @@ class TestExactLinearCoupling:
         model = linear_model(A, np.eye(2) + U)
         grid = build_grid(float(T), m, alpha)
         eps = 2.0**-eps_exp
-        det = integrate_deterministic(model, grid, x0)
         path = sample_brownian(grid, 2, seed)
-        X = integrate_sde(model, grid, x0, eps, path)
-        Z = integrate_fluctuation(model, grid, det, path)
+        det, X, Z = integrate_coupled(model, grid, x0, eps, path)
         assert len(X.left) == len(grid.impulse_nodes) >= T - 1
         dev = np.concatenate((X.values - det.values, X.left - det.left))
         res = dev - eps * np.concatenate((Z.values, Z.left))
@@ -304,12 +298,10 @@ class TestPathwiseCoupling:
         m = pendulum_model()
         grid = build_grid(8.0, 8, 1.0)
         x0 = np.array([0.5, 0.5])
-        det = integrate_deterministic(m, grid, x0)
         path = sample_brownian(grid, 2, path_seed(21, 0))
-        Z = integrate_fluctuation(m, grid, det, path)
 
         def coupling_sup(eps):
-            X = integrate_sde(m, grid, x0, eps, path)
+            det, X, Z = integrate_coupled(m, grid, x0, eps, path)
             return np.max(np.abs(X.values - det.values - eps * Z.values))
 
         ratio = coupling_sup(2**-4) / coupling_sup(2**-5)

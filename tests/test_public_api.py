@@ -1,0 +1,32 @@
+import impulsesim
+
+# the public surface: a name joins or leaves it only together with this list
+PUBLIC = [
+    "BrownianPath",
+    "CadlagTrajectory",
+    "ConvergenceReport",
+    "IntegrationOverflowError",
+    "Model",
+    "SampleGrid",
+    "affine_kick_map",
+    "affine_kick_model",
+    "build_grid",
+    "fit_loglog_slope",
+    "integrate_coupled",
+    "integrate_deterministic",
+    "integrate_fluctuation",
+    "integrate_sde",
+    "kick_limit_check",
+    "path_seed",
+    "pendulum_model",
+    "regularized_kick",
+    "run_convergence_study",
+    "sample_brownian",
+]
+
+
+def test_all_is_the_pinned_sorted_list_and_resolves():
+    assert PUBLIC == sorted(PUBLIC)
+    assert impulsesim.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(impulsesim, name, None) is not None, name
