@@ -20,8 +20,6 @@ from .integrate import (
     build_grid,
     integrate_coupled,
     integrate_deterministic,
-    integrate_fluctuation,
-    integrate_sde,
     path_seed,
     sample_brownian,
 )
@@ -45,8 +43,6 @@ __all__ = [
     "fit_loglog_slope",
     "integrate_coupled",
     "integrate_deterministic",
-    "integrate_fluctuation",
-    "integrate_sde",
     "kick_limit_check",
     "path_seed",
     "pendulum_model",

@@ -121,13 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", help="Monte Carlo slope study as CSV")
     _add_common(p_conv)
-    p_conv.add_argument("--paths", type=int, default=1000)
+    p_conv.add_argument("--paths", type=int, help="Monte Carlo paths (default 1000)")
     p_conv.add_argument("--threads", type=int, default=1,
                         help="ignored; the study runs on the calling thread")
     p_conv.add_argument("--eps-exps", default="1..10",
                         help="exponents i for eps=2^-i, as 'lo..hi' or a comma list")
     p_conv.add_argument("--preset", default=None, choices=["paper", "desk"],
-                        help="paper: 1000 paths at dt=2^-12; desk: 200 paths at 2^-10")
+                        help="paper: --paths 1000 --dt-exp 12; desk: --paths 200 --dt-exp 10")
+    p_conv.set_defaults(dt_exp=None)  # 12, or the preset's
 
     p_kick = sub.add_parser("kickmap", help="kick-map convergence error table as CSV")
     p_kick.add_argument("--A", required=True)
@@ -157,10 +158,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_convergence(args) -> int:
     t0 = time.time()
-    if args.preset == "paper":
-        args.paths, args.dt_exp = 1000, 12
-    elif args.preset == "desk":
-        args.paths, args.dt_exp = 200, 10
+    given = [o for o, v in (("--paths", args.paths), ("--dt-exp", args.dt_exp)) if v is not None]
+    if args.preset and given:
+        raise ValueError(f"--preset {args.preset} sets --paths and --dt-exp; "
+                         f"{' and '.join(given)} cannot be given with it")
+    paths, dt_exp = {"paper": (1000, 12), "desk": (200, 10)}.get(args.preset, (1000, 12))
+    args.paths = paths if args.paths is None else args.paths
+    args.dt_exp = dt_exp if args.dt_exp is None else args.dt_exp
     exps = _parse_eps_exps(args.eps_exps)
     model, params = _resolve_model(args, eps_exponents=exps, paths=args.paths,
                                    preset=args.preset)
@@ -182,6 +186,8 @@ def cmd_kickmap(args) -> int:
     r = _parse_vector(args.r)
     deltas = [float(v) for v in args.deltas.split(",")]
     closed, _ = kickmap.affine_kick_map(A, c)
+    if r.shape != c.shape:
+        raise ValueError(f"r has shape {r.shape}, expected {c.shape}")
     rows = kickmap.kick_limit_check(
         lambda x: np.asarray(x, float) @ A.T + c, closed, r, deltas)
 

@@ -4,12 +4,12 @@ build_grid lays out the impulse schedule t_k = k - 1 + alpha as grid nodes;
 no other code writes it down.  One batched stepper advances the
 deterministic flow, the noisy flow and the fluctuation process on that
 grid in two passes: a deterministic pass steps x alone, and a coupled
-pass steps X and Z together on one set of Brownian increments, with the
-noise of a Brownian block formed at once.  The per-path integrators and
-the Monte Carlo study both run it.  integrate_coupled gives one path's
-triple (x, X, Z), a deterministic pass and then a coupled pass, as the
-study does; integrate_sde and integrate_fluctuation are its X and its Z.
-write_trajectory_csv writes the triple as one table.
+pass steps X, at one or more noise scales, and Z together on one set of
+Brownian increments, with the noise of a Brownian block formed at once.
+The per-path entry point and the Monte Carlo study both run it:
+integrate_coupled gives one path's triple (x, X, Z), a deterministic pass
+and then a coupled pass, as the study does.  write_trajectory_csv writes
+the triple as one table.
 
 At an impulse node the Euler step into the node produces the left
 limit, the reset applies instantaneously, and the step out of the node
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO
 
 import numpy as np
 
@@ -169,14 +169,14 @@ def _step(model, grid, visit, X, eps, increments, along):
     one of two passes.
 
     All states are component-major and updated in place; X: (d, n_eps,
-    n_paths).  The deterministic pass, without increments, steps X alone,
-    noise-free.  The coupled pass is given increments and along together:
-    increments are blocks (steps, r, n_paths), none longer than the first,
-    of Brownian increments, n_steps in all, and along is
-    _prepare_along_path of the deterministic flow.  It steps X, noisy at
-    scales eps (n_eps,) or noise-free when eps is None, and Z (d, n_paths),
-    started at 0, on the same increments; the noise sigma(x_n) dW_n of Z,
-    and of X when sigma is constant, is formed a block at a time.
+    n_paths).  The deterministic pass, with eps, increments and along all
+    None, steps X alone, noise-free.  The coupled pass is given all three:
+    eps (n_eps,) noise scales, increments as blocks (steps, r, n_paths),
+    none longer than the first, of Brownian increments, n_steps in all,
+    and along as _prepare_along_path of the deterministic flow.  It steps
+    X, noisy at scales eps, and Z (d, n_paths), started at 0, on the same
+    increments; the noise sigma(x_n) dW_n of Z, and of X when sigma is
+    constant, is formed a block at a time.
     visit(n, i, X, Z) sees each node n from 0 (i None) and each left limit
     (at node n = grid.impulse_nodes[i], before the reset); Z is None in the
     deterministic pass.  X and Z are the same arrays at every visit, and a
@@ -188,16 +188,16 @@ def _step(model, grid, visit, X, eps, increments, along):
     position = {node: i for i, node in enumerate(grid.impulse_nodes)}
     sigma = model.diffusion_constant
     Xv = X.transpose(1, 2, 0)
-    Xt, dx = np.empty_like(X), np.empty_like(X)
+    Xt = np.empty_like(X)
     Z = None
     if increments is not None:
         db, sig, dh = along
         db, dh = db[..., None], dh[..., None]
         sig = sig.transpose(1, 2, 0)[..., None]  # (d, r, n_steps, 1)
+        eps = np.broadcast_to(eps[:, None], X.shape).copy()  # unit strides multiply faster
+        dx = np.empty_like(X)
         Z = np.zeros((d, X.shape[-1]))
         Zt, tmp = np.empty_like(Z), np.empty_like(Z)
-    if eps is not None:
-        eps = np.broadcast_to(eps[:, None], X.shape).copy()  # unit strides multiply faster
 
     def noisy_steps():
         """(dW, sigma(x_n) dW_n) per step; the noise of a whole block is one
@@ -213,23 +213,22 @@ def _step(model, grid, visit, X, eps, increments, along):
             yield from zip(block, noise)
             lo = hi
 
-    steps = (itertools.repeat((None, None), grid.n_steps) if increments is None
+    steps = (itertools.repeat((None, None), grid.n_steps) if Z is None
              else noisy_steps())
     with np.errstate(over="ignore", invalid="ignore"):
         visit(0, None, X, Z)
         for n, (dW, noise) in enumerate(steps):
             # left-endpoint evaluation: drift and diffusion at the pre-step state
             b = _component_major(model.drift(Xv), Xv.shape, (2, 0, 1))
-            if eps is not None and sigma is None:
+            if Z is not None and sigma is None:
                 s = _component_major(model.diffusion(Xv), Xv.shape + (model.r,),
                                      (2, 3, 0, 1))
                 _matvec(s, dW, dx, Xt)
             np.multiply(b, dt, out=Xt)
             np.add(X, Xt, out=X)
-            if eps is not None:
+            if Z is not None:
                 np.multiply(eps, dx if sigma is None else noise[:, None], out=Xt)
                 np.add(X, Xt, out=X)
-            if Z is not None:
                 np.multiply(_matvec(db[n], Z, Zt, tmp), dt, out=Zt)
                 np.add(Z, Zt, out=Z)
                 np.add(Z, noise, out=Z)
@@ -242,14 +241,13 @@ def _step(model, grid, visit, X, eps, increments, along):
             visit(n + 1, None, X, Z)
 
 
-def _record(model, grid, x0, eps=None, increments=None,
-            along=None) -> list[CadlagTrajectory]:
-    """Run one path from x0 through _step and record X, and Z whenever there
-    is noise, as cadlag trajectories; eps is a float, or None for a
-    noise-free X.  A non-finite recorded value raises, naming its first step."""
+def _record(model, grid, x0, eps=None, increments=None, along=None) -> list[CadlagTrajectory]:
+    """Run one path from x0 through _step and record X, and in the coupled
+    pass (eps a float, given with increments and along) Z too, as cadlag
+    trajectories.  A non-finite recorded value raises, naming its first step."""
     X = x0.reshape(-1, 1, 1).copy()
     x = X[:, 0, 0]
-    n_traj = 1 if increments is None else 2
+    n_traj = 1 if eps is None else 2
     values = np.empty((n_traj, grid.n_steps + 1, model.d))
     left = np.empty((n_traj, len(grid.impulse_nodes), model.d))
 
@@ -279,10 +277,8 @@ def _check_path(model: Model, grid: SampleGrid, path: BrownianPath):
     if path.dt != grid.dt:
         raise ValueError(f"path.dt={path.dt} does not match grid dt={grid.dt}")
     if path.increments.shape != (grid.n_steps, model.r):
-        raise ValueError(
-            f"increments shape {path.increments.shape} does not match "
-            f"(n_steps, r) = ({grid.n_steps}, {model.r})"
-        )
+        raise ValueError(f"increments shape {path.increments.shape} does not match "
+                         f"(n_steps, r) = ({grid.n_steps}, {model.r})")
 
 
 def _check_x0(model: Model, x0) -> np.ndarray:
@@ -294,48 +290,10 @@ def _check_x0(model: Model, x0) -> np.ndarray:
     return x0
 
 
-def integrate_deterministic(
-    model: Model, grid: SampleGrid, x0: np.ndarray
-) -> CadlagTrajectory:
+def integrate_deterministic(model: Model, grid: SampleGrid, x0: np.ndarray) -> CadlagTrajectory:
     """Explicit Euler flow of the impulsive ODE on the grid."""
     [det] = _record(model, grid, _check_x0(model, x0))
     return det
-
-
-def integrate_sde(
-    model: Model,
-    grid: SampleGrid,
-    x0: np.ndarray,
-    epsilon: float,
-    path: Optional[BrownianPath],
-) -> CadlagTrajectory:
-    """Euler-Maruyama flow of the impulsive SDE, X of integrate_coupled;
-    epsilon=0 is the deterministic integrator, and path may then be None."""
-    if epsilon == 0.0:
-        return integrate_deterministic(model, grid, x0)
-    if path is None:
-        raise ValueError("a BrownianPath is required when epsilon > 0")
-    return integrate_coupled(model, grid, x0, epsilon, path)[1]
-
-
-def integrate_fluctuation(
-    model: Model,
-    grid: SampleGrid,
-    det: CadlagTrajectory,
-    path: BrownianPath,
-) -> CadlagTrajectory:
-    """Linearized fluctuation process along the deterministic trajectory,
-    Z of integrate_coupled.
-
-    Between impulses: Z' = Db(x(t)) Z + sigma(x(t)) dW, started at Z=0;
-    at impulse k the left limit is reset by Dh evaluated at the
-    deterministic left limit.  Uses the same increments as the noisy flow.
-    """
-    if det.grid != grid:
-        raise ValueError("deterministic trajectory was produced on a different grid")
-    _check_path(model, grid, path)
-    return _record(model, grid, det.values[0], None, _path_blocks(path),
-                   _prepare_along_path(model, grid, det))[1]
 
 
 def integrate_coupled(
@@ -345,16 +303,30 @@ def integrate_coupled(
     epsilon: float,
     path: BrownianPath,
 ) -> tuple[CadlagTrajectory, CadlagTrajectory, CadlagTrajectory]:
-    """The coupled triple (x, X, Z) on one Brownian path: the deterministic
-    pass, then X and Z advanced together in the coupled pass of the
-    stepper; epsilon=0 gives X = x bitwise."""
+    """The coupled triple (x, X, Z) on one Brownian path, the per-path entry
+    point.  x is the Euler flow of the impulsive ODE, X the Euler-Maruyama
+    flow of the SDE at noise scale epsilon, and Z the fluctuation process:
+    dZ = Db(x) Z dt + sigma(x) dW from Z = 0, its left limit at an impulse
+    mapped by Dh at the deterministic left limit.  X and Z share the path's
+    increments and advance together in the coupled pass of the stepper,
+    after the deterministic pass; epsilon=0 gives X = x bitwise."""
     x0 = _check_x0(model, x0)
     _check_path(model, grid, path)
     det = integrate_deterministic(model, grid, x0)
-    # at epsilon 0, X runs noise-free: a 0.0 * noise term would turn -0.0 into +0.0
-    noisy, fluct = _record(model, grid, x0, None if epsilon == 0.0 else epsilon,
-                           _path_blocks(path), _prepare_along_path(model, grid, det))
-    return det, noisy, fluct
+    noisy, fluct = _record(model, grid, x0, epsilon, _path_blocks(path),
+                           _prepare_along_path(model, grid, det))
+    # at epsilon 0 the coupled X is x + 0.0 * noise, which turns -0.0 into +0.0
+    return det, det if epsilon == 0.0 else noisy, fluct
+
+
+# Views of integrate_coupled that only perfbench/spans.py reads, by name; they
+# go with that file's next change (ROADMAP.md, item 1).
+def integrate_sde(model, grid, x0, epsilon, path):
+    return integrate_coupled(model, grid, x0, epsilon, path)[1]
+
+
+def integrate_fluctuation(model, grid, det, path):
+    return integrate_coupled(model, grid, det.values[0], 0.0, path)[2]
 
 
 _WRITE_ROWS = 4096  # rows turned into Python floats at once; bounds the writer's memory

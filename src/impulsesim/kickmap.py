@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 _CHECK_EVERY = 1024  # regularized-kick substeps between finiteness checks
+_MAX_SUBSTEP_EXP = 24  # kick_limit_check runs at most 2^24 substeps per delta
 
 
 def regularized_kick(
@@ -92,21 +93,22 @@ def kick_limit_check(
 
     For each delta the flow is integrated with 1/delta substeps, rounded up
     to a power of two so the Euler step is an exact binary fraction; returns
-    rows (delta, substeps, error).
+    rows (delta, substeps, error).  A delta that needs more than
+    2^_MAX_SUBSTEP_EXP substeps is rejected before any row runs.
     """
     deltas = list(deltas)
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
+    exps = []
     for delta in deltas:
         if not (math.isfinite(delta) and math.isfinite(1 / delta)):
             raise ValueError(f"delta must be finite with a finite 1/delta, got {delta}")
+        exps.append(max(0, math.ceil(math.log2(1 / delta))))
+        if exps[-1] > _MAX_SUBSTEP_EXP:
+            raise ValueError(f"delta={delta} needs 2^{exps[-1]} substeps, above the "
+                             f"limit of 2^{_MAX_SUBSTEP_EXP}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
     target = np.atleast_1d(np.asarray(closed_form(np.atleast_1d(r)), dtype=float))
-    rows = []
-    for delta in deltas:
-        substeps = 1 << max(0, math.ceil(math.log2(1 / delta)))
-        z = regularized_kick(g, r, delta, substeps)
-        err = float(np.linalg.norm(z - target))
-        rows.append((delta, substeps, err))
-    return rows
+    return [(delta, 1 << k, float(np.linalg.norm(regularized_kick(g, r, delta, 1 << k) - target)))
+            for delta, k in zip(deltas, exps)]

@@ -19,7 +19,6 @@ from impulsesim.integrate import (
     build_grid,
     integrate_coupled,
     integrate_deterministic,
-    integrate_sde,
     path_seed,
     sample_brownian,
 )
@@ -89,7 +88,7 @@ def test_criterion_3_exact_coupling_oracle():
 def test_criterion_4_epsilon_degeneracy():
     rng = np.random.default_rng(77)
     ok = True
-    for _ in range(10):
+    for k in range(10):
         alpha = rng.choice([0.25, 0.5, 1.0])
         m_exp = int(rng.integers(3, 7))
         T = float(rng.integers(2, 5))
@@ -97,9 +96,10 @@ def test_criterion_4_epsilon_degeneracy():
         model = pendulum_model(alpha_pend=float(rng.uniform(0.5, 2.0)))
         grid = build_grid(T, m_exp, alpha)
         det = integrate_deterministic(model, grid, x0)
-        sde = integrate_sde(model, grid, x0, 0.0, None)
+        path = sample_brownian(grid, model.r, path_seed(77, k))
+        _, sde, _ = integrate_coupled(model, grid, x0, 0.0, path)
         ok = ok and det.values.tobytes() == sde.values.tobytes()
-    check(4, ok, "integrate_sde(eps=0) bitwise equals the deterministic "
+    check(4, ok, "integrate_coupled(eps=0) X bitwise equals the deterministic "
                  "integrator on 10 randomized configurations")
 
 

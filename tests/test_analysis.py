@@ -22,8 +22,6 @@ from impulsesim.integrate import (
     build_grid,
     integrate_coupled,
     integrate_deterministic,
-    integrate_fluctuation,
-    integrate_sde,
     path_seed,
     sample_brownian,
 )
@@ -290,9 +288,10 @@ def random_models(draw):
 
 
 class TestStudyMatchesPerPath:
-    """The study's per-path sups equal, bitwise, sup_error over the per-path
-    integrators fed the same increments (left limits included); so do its
-    norm means and standard errors, from squares summed in component order."""
+    """The study's per-path sups equal, bitwise, sup_error over the
+    integrate_coupled trajectories fed the same increments (left limits
+    included); so do its norm means and standard errors, from squares summed
+    in component order."""
 
     @pytest.mark.parametrize("model, alpha", [
         (pendulum_model(), 1.0),
@@ -307,13 +306,11 @@ class TestStudyMatchesPerPath:
         x0 = np.full(model.d, 0.5)
         exps, n_paths, seed = [1, 3, 5], 6, 11
         rep = run_convergence_study(model, grid, x0, exps, n_paths, seed)
-        det = integrate_deterministic(model, grid, x0)
         n2 = np.empty((2, len(exps), n_paths))
         for j in range(n_paths):
             path = sample_brownian(grid, model.r, path_seed(seed, j))
-            fluct = integrate_fluctuation(model, grid, det, path)
             for e, eps in enumerate(rep.eps_list):
-                noisy = integrate_sde(model, grid, x0, eps, path)
+                det, noisy, fluct = integrate_coupled(model, grid, x0, eps, path)
                 lln = sup_error(noisy, det)
                 clt = sup_error(noisy, det, shift=fluct, shift_scale=eps)
                 assert lln.tobytes() == rep.lln_paths[e, j].tobytes(), (e, j)
@@ -346,8 +343,9 @@ class TestStudyMatchesPerPath:
 
 
 class TestCoupledMatchesPasses:
-    """integrate_coupled, one pass for X and Z, gives bitwise the
-    trajectories of the three separate integrators."""
+    """integrate_coupled gives bitwise the deterministic flow of
+    integrate_deterministic and the same Z at every eps, 0 included; at
+    eps = 0 its X is x."""
 
     @pytest.mark.parametrize("model, eps", [
         (pendulum_model(), 2**-4),
@@ -362,19 +360,19 @@ class TestCoupledMatchesPasses:
         x0 = np.linspace(0.5, -0.25, model.d)
         path = sample_brownian(grid, model.r, path_seed(4, 2))
         det, noisy, fluct = integrate_coupled(model, grid, x0, eps, path)
-        ref_det = integrate_deterministic(model, grid, x0)
-        refs = (ref_det, integrate_sde(model, grid, x0, eps, path),
-                integrate_fluctuation(model, grid, ref_det, path))
-        for got, ref in zip((det, noisy, fluct), refs):
-            assert got.grid == grid
+        pairs = [(det, integrate_deterministic(model, grid, x0))]
+        # Z does not depend on eps, and at eps = 0 X is x
+        pairs += [(fluct, integrate_coupled(model, grid, x0, e, path)[2]) for e in (0.0, 0.5)]
+        if eps == 0.0:
+            pairs.append((noisy, det))
+        for got, ref in pairs:
+            assert got.grid == ref.grid == grid
             assert got.values.tobytes() == ref.values.tobytes()
             assert got.left.tobytes() == ref.left.tobytes()
-        if eps == 0.0:
-            assert noisy.values.tobytes() == det.values.tobytes()
 
     def test_negative_zero_kept_at_eps0(self):
-        # X = x bitwise at eps = 0, signed zeros included: the noise term
-        # is left out, not multiplied by 0.0
+        # X = x bitwise at eps = 0, signed zeros included: X is x itself, not
+        # x + 0.0 * noise, which would turn -0.0 into +0.0
         m = Model(1, 1, drift=lambda x: -np.asarray(x, float) ** 2,
                   diffusion=lambda x: np.ones(np.shape(x)[:-1] + (1, 1)),
                   reset=lambda x: np.asarray(x, float),
@@ -385,6 +383,7 @@ class TestCoupledMatchesPasses:
         det, noisy, _ = integrate_coupled(m, grid, np.array([-0.0]), 0.0, path)
         assert np.signbit(det.values).all()
         assert noisy.values.tobytes() == det.values.tobytes()
+        assert noisy.left.tobytes() == det.left.tobytes()
 
 
 class TestBatchingInvariance:
@@ -418,7 +417,7 @@ class TestBatchingInvariance:
 class TestStudyOverflow:
     def test_names_every_bad_eps_and_path(self):
         # x = 0 stays put; a noisy path explodes once it passes 1.  The study
-        # and the per-path integrator raise, and no RuntimeWarning leaks out.
+        # and integrate_coupled raise, and no RuntimeWarning leaks out.
         eye = np.eye(1)
         m = Model(
             1, 1,
@@ -439,7 +438,7 @@ class TestStudyOverflow:
                 path = sample_brownian(grid, 1, path_seed(seed, j))
                 for i in exps:
                     try:
-                        integrate_sde(m, grid, x0, 2.0**-i, path)
+                        integrate_coupled(m, grid, x0, 2.0**-i, path)
                     except IntegrationOverflowError:
                         expected.add((2.0**-i, j))
             # more than one eps and more than one path blow up, not all of them

@@ -1,7 +1,9 @@
 import json
 import os
 import platform
+import re
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
-from impulsesim.cli import main
+from impulsesim.cli import build_parser, main
 
 
 def run_cli(argv, capsys=None):
@@ -260,15 +262,44 @@ class TestAffineKickModel:
      "error: delta must be finite with a finite 1/delta, got inf"),
     (["simulate", "--eps", "0.1", "--x0", "nan,0"],
      "error: x0 must be finite, got [nan, 0.0]"),
+    # 2^997 substeps would never end; the limit rejects it before any row runs
+    (["kickmap", "--A", "1", "--c", "1", "--r", "1", "--deltas", "0.5,1e-300"],
+     "error: delta=1e-300 needs 2^997 substeps, above the limit of 2^24"),
+    (["convergence", "--preset", "desk", "--paths", "3", "--dt-exp", "4",
+      "--eps-exps", "1..2", "--T", "1"],
+     "error: --preset desk sets --paths and --dt-exp; --paths and --dt-exp cannot "
+     "be given with it"),
+    (["convergence", "--preset", "paper", "--dt-exp", "4", "--eps-exps", "1..2", "--T", "1"],
+     "error: --preset paper sets --paths and --dt-exp; --dt-exp cannot be given with it"),
+    (["kickmap", "--A", "1,0,0,1", "--c", "1,1", "--r", "1,2,3"],
+     "error: r has shape (3,), expected (2,)"),
 ], ids=["simulate", "convergence", "kickmap", "simulate-alpha-0", "convergence-alpha-1.5",
         "convergence-zero-mean-error", "simulate-T-inf", "simulate-T-nan",
         "simulate-dt-exp-2000", "kickmap-delta-1e-320", "kickmap-delta-nan",
-        "kickmap-delta-inf", "simulate-x0-nan"])
+        "kickmap-delta-inf", "simulate-x0-nan", "kickmap-delta-1e-300",
+        "convergence-preset-and-paths", "convergence-preset-and-dt-exp",
+        "kickmap-r-dimension"])
 def test_failure_exits_1_without_output_or_manifest(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_commands_parse():
+    """Every `impulsesim ...` command in README.md's code blocks parses, so a
+    renamed or removed option fails here and not in a reader's shell."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [shlex.split(line, comments=True)
+                for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("impulsesim ")]
+    assert len(commands) >= 3
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(argv)}")
 
 
 class TestPresets:

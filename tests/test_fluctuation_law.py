@@ -9,7 +9,9 @@ Numerical Solution of Stochastic Differential Equations, 1992):
     at an impulse: S <- Dh S Dh^T
 
 The sample covariance of Z over many paths must match S at every left limit
-and at the horizon, within a bound in standard errors.  A transposed or
+and at the horizon, within a bound in standard errors.  The paths are drawn
+in one coupled pass of the stepper, as the study draws them; a few of them
+are checked bitwise against integrate_coupled.  A transposed or
 wrongly scaled noise term would pass the pathwise checks if it hit X and Z
 alike, but not this one.
 """
@@ -19,9 +21,12 @@ import pytest
 
 from impulsesim.dynamics import pendulum_model
 from impulsesim.integrate import (
+    _brownian_blocks,
+    _prepare_along_path,
+    _step,
     build_grid,
+    integrate_coupled,
     integrate_deterministic,
-    integrate_fluctuation,
     path_seed,
     sample_brownian,
 )
@@ -53,6 +58,24 @@ def exact_covariances(model, grid, det):
     return left, S
 
 
+def fluctuation_samples(model, grid, det, seeds):
+    """Z of one path per seed, drawn in one coupled pass: (n_left, N, d) at
+    the left limits and (N, d) at the horizon T."""
+    X = np.broadcast_to(X0[:, None, None], (model.d, 1, len(seeds))).copy()
+    left = np.empty((len(grid.impulse_nodes), len(seeds), model.d))
+    final = np.empty((len(seeds), model.d))
+
+    def visit(n, i, X, Z):
+        if i is not None:
+            left[i] = Z.T
+        elif n == grid.n_steps:
+            final[...] = Z.T
+
+    _step(model, grid, visit, X, np.array([0.0]), _brownian_blocks(grid, model.r, seeds),
+          _prepare_along_path(model, grid, det))
+    return left, final
+
+
 def worst_deviation(samples, S):
     """Largest |S_hat_jk - S_jk| in standard errors, S_hat the mean-zero
     sample covariance of samples (N, d); var(S_hat_jk) = (S_jj S_kk + S_jk^2)/N."""
@@ -69,12 +92,15 @@ def test_fluctuation_covariance_matches_exact_recursion(build_model):
     grid = build_grid(2.0, 5, 0.5)  # impulses at 0.5 and 1.5
     det = integrate_deterministic(model, grid, X0)
     left, final = exact_covariances(model, grid, det)
-    paths = [integrate_fluctuation(model, grid, det,
-                                   sample_brownian(grid, model.r, path_seed(3, j)))
-             for j in range(N_PATHS)]
-    checks = [(f"left limit {i}", np.array([z.left[i] for z in paths]), S)
-              for i, S in enumerate(left)]
-    checks.append(("T", np.array([z.values[-1] for z in paths]), final))
+    seeds = [path_seed(3, j) for j in range(N_PATHS)]
+    z_left, z_final = fluctuation_samples(model, grid, det, seeds)
+    for j in (0, 1, N_PATHS - 1):
+        _, _, z = integrate_coupled(model, grid, X0, 0.25,
+                                    sample_brownian(grid, model.r, seeds[j]))
+        assert z_left[:, j].tobytes() == z.left.tobytes(), j
+        assert z_final[j].tobytes() == z.values[-1].tobytes(), j
+    checks = [(f"left limit {i}", z_left[i], S) for i, S in enumerate(left)]
+    checks.append(("T", z_final, final))
     assert len(checks) == 3
     for where, samples, S in checks:
         dev = worst_deviation(samples, S)

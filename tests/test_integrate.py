@@ -16,8 +16,6 @@ from impulsesim.integrate import (
     build_grid,
     integrate_coupled,
     integrate_deterministic,
-    integrate_fluctuation,
-    integrate_sde,
     path_seed,
     sample_brownian,
     write_trajectory_csv,
@@ -178,12 +176,14 @@ class TestDeterministic:
 
 
 class TestSde:
+    """X, the noisy flow of integrate_coupled."""
+
     def test_zero_noise_bitwise_degenerate(self):
         m = pendulum_model()
         grid = build_grid(4.0, 5, 0.5)
         x0 = np.array([0.5, 0.5])
         det = integrate_deterministic(m, grid, x0)
-        sde = integrate_sde(m, grid, x0, 0.0, None)
+        _, sde, _ = integrate_coupled(m, grid, x0, 0.0, sample_brownian(grid, 2, 0))
         assert det.values.tobytes() == sde.values.tobytes()
 
     def test_reduces_to_scaled_random_walk(self):
@@ -191,7 +191,7 @@ class TestSde:
         grid = build_grid(2.0, 4, 1.0)
         path = sample_brownian(grid, 1, 3)
         eps = 0.25
-        traj = integrate_sde(m, grid, np.array([1.0]), eps, path)
+        _, traj, _ = integrate_coupled(m, grid, np.array([1.0]), eps, path)
         walk = 1.0 + eps * np.concatenate(([0.0], np.cumsum(path.increments[:, 0])))
         # impulse resets are the identity here, so the walk is undisturbed
         assert np.allclose(traj.values[:, 0], walk, atol=1e-14)
@@ -203,24 +203,29 @@ class TestSde:
         runs = []
         for _ in range(2):
             path = sample_brownian(grid, 2, path_seed(99, 0))
-            runs.append(integrate_sde(m, grid, x0, 2**-4, path))
+            runs.append(integrate_coupled(m, grid, x0, 2**-4, path)[1])
         assert runs[0].values.tobytes() == runs[1].values.tobytes()
 
     def test_dimension_mismatch_rejected(self):
         m = pendulum_model()
         grid = build_grid(1.0, 3, 1.0)
         bad = BrownianPath(np.zeros((grid.n_steps, 1)), grid.dt)
-        with pytest.raises(ValueError):
-            integrate_sde(m, grid, np.array([0.5, 0.5]), 0.1, bad)
+        with pytest.raises(ValueError, match="increments shape"):
+            integrate_coupled(m, grid, np.array([0.5, 0.5]), 0.1, bad)
+        # a path drawn on another grid
+        finer = sample_brownian(build_grid(1.0, 4, 1.0), 2, 0)
+        with pytest.raises(ValueError, match="does not match grid dt"):
+            integrate_coupled(m, grid, np.array([0.5, 0.5]), 0.1, finer)
 
 
 class TestFluctuation:
+    """Z, the fluctuation process of integrate_coupled."""
+
     def test_zero_path_gives_zero(self):
         m = pendulum_model()
         grid = build_grid(4.0, 4, 1.0)
-        det = integrate_deterministic(m, grid, np.array([0.5, 0.5]))
         path = BrownianPath(np.zeros((grid.n_steps, 2)), grid.dt)
-        fl = integrate_fluctuation(m, grid, det, path)
+        _, _, fl = integrate_coupled(m, grid, np.array([0.5, 0.5]), 0.25, path)
         assert np.all(fl.values == 0.0)
 
     def test_linear_model_exact_coupling(self):
@@ -240,9 +245,8 @@ class TestFluctuation:
     def test_pendulum_fluctuation_jump_structure(self):
         m = pendulum_model()
         grid = build_grid(8.0, 6, 1.0)
-        det = integrate_deterministic(m, grid, np.array([0.5, 0.5]))
         path = sample_brownian(grid, 2, 8)
-        fl = integrate_fluctuation(m, grid, det, path)
+        _, _, fl = integrate_coupled(m, grid, np.array([0.5, 0.5]), 0.25, path)
         jumped = False
         for idx, pre in zip(grid.impulse_nodes, fl.left):
             post = fl.values[idx]
@@ -250,20 +254,6 @@ class TestFluctuation:
             assert post[0] == pre[0]
             jumped = jumped or post[1] != pre[1]
         assert jumped
-
-    def test_grid_mismatch_rejected(self):
-        m = pendulum_model()
-        grid = build_grid(2.0, 4, 1.0)
-        other = build_grid(2.0, 5, 1.0)
-        det = integrate_deterministic(m, other, np.array([0.5, 0.5]))
-        path = sample_brownian(grid, 2, 0)
-        with pytest.raises(ValueError):
-            integrate_fluctuation(m, grid, det, path)
-        # same T and m, impulses at other nodes
-        shifted = build_grid(2.0, 4, 0.5)
-        det = integrate_deterministic(m, shifted, np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="different grid"):
-            integrate_fluctuation(m, grid, det, path)
 
 
 class TestExactLinearCoupling:
@@ -313,11 +303,9 @@ class TestTrajectoryCsv:
         m = pendulum_model()
         grid = build_grid(3.0, 4, 1.0)
         x0 = np.array([0.5, 0.5])
-        det = integrate_deterministic(m, grid, x0)
         path = sample_brownian(grid, 2, 1)
         eps = 2**-4
-        X = integrate_sde(m, grid, x0, eps, path)
-        Z = integrate_fluctuation(m, grid, det, path)
+        det, X, Z = integrate_coupled(m, grid, x0, eps, path)
         buf = io.StringIO()
         n_rows = write_trajectory_csv(buf, det, X, Z, eps)
         lines = buf.getvalue().splitlines()
@@ -333,10 +321,8 @@ class TestTrajectoryCsv:
         m = pendulum_model()
         grid = build_grid(2.0, 3, 1.0)
         x0 = np.array([0.5, 0.5])
-        det = integrate_deterministic(m, grid, x0)
         path = sample_brownian(grid, 2, 1)
-        X = integrate_sde(m, grid, x0, 0.25, path)
-        Z = integrate_fluctuation(m, grid, det, path)
+        det, X, Z = integrate_coupled(m, grid, x0, 0.25, path)
         buf = io.StringIO()
         write_trajectory_csv(buf, det, X, Z, 0.25)
         rows = [ln.split(",") for ln in buf.getvalue().splitlines()[1:]]
@@ -419,7 +405,7 @@ class TestTrajectoryCsvBytes:
 
 
 class TestBlockInvariance:
-    """The per-path integrators feed a path's increments in _BLOCK_STEPS-step
+    """integrate_coupled feeds a path's increments in _BLOCK_STEPS-step
     blocks, and the stepper forms the noise of a block at once; no block
     length changes a byte of the coupled trajectory."""
 
@@ -455,11 +441,17 @@ class TestCoupledOverflow:
         grid = build_grid(2.0, 4, 1.0)
         path = sample_brownian(grid, 1, 3)
         x0 = np.zeros(1)
-        with pytest.raises(IntegrationOverflowError) as ref:
-            integrate_sde(m, grid, x0, 0.5, path)
-        assert "step 0" not in str(ref.value)
+        # the reference: the scalar Euler-Maruyama recursion of X, stepped by
+        # hand (the resets are the identity); x and Z stay finite
+        X, first = 0.0, None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, dW in enumerate(path.increments[:, 0]):
+                X = X + m.drift(np.array([X]))[0] * grid.dt + 0.5 * dW
+                if first is None and not np.isfinite(X):
+                    first = n + 1
+        assert first is not None and first > 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationOverflowError) as got:
                 integrate_coupled(m, grid, x0, 0.5, path)
-        assert str(got.value) == str(ref.value)
+        assert str(got.value) == f"trajectory became non-finite at step {first}"

@@ -14,8 +14,6 @@ PUBLIC = [
     "fit_loglog_slope",
     "integrate_coupled",
     "integrate_deterministic",
-    "integrate_fluctuation",
-    "integrate_sde",
     "kick_limit_check",
     "path_seed",
     "pendulum_model",
