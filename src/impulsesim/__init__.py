@@ -20,7 +20,6 @@ from .integrate import (
     build_grid,
     integrate_coupled,
     integrate_deterministic,
-    path_seed,
     sample_brownian,
 )
 from .kickmap import affine_kick_map, kick_limit_check, regularized_kick
@@ -44,7 +43,6 @@ __all__ = [
     "integrate_coupled",
     "integrate_deterministic",
     "kick_limit_check",
-    "path_seed",
     "pendulum_model",
     "regularized_kick",
     "run_convergence_study",

@@ -26,7 +26,6 @@ from .integrate import (
     _prepare_along_path,
     _step,
     integrate_deterministic,
-    path_seed,
 )
 
 # paths per chunk: a chunk holds O(paths x Brownian block) memory, so this
@@ -40,7 +39,6 @@ class ConvergenceReport:
 
     eps_exponents: tuple[int, ...]
     eps_list: np.ndarray
-    n_paths: int
     # tables over the columns e1..ed, norm (column d is the Euclidean norm)
     mean_lln: np.ndarray  # (n_eps, d + 1)
     mean_clt: np.ndarray
@@ -89,9 +87,10 @@ def run_convergence_study(
 ) -> ConvergenceReport:
     """Estimate mean sup-norm errors per eps = 2^-i and fit log2-log2 slopes.
 
-    Each path's seed derives from (base_seed, path index); the deterministic
-    trajectory is shared across all paths and noise scales.  A path whose
-    sup is not finite raises, naming every such (eps, path index).
+    Path j draws the increments of sample_brownian(grid, model.r, base_seed,
+    j), so integrate_coupled replays it.  The deterministic trajectory is
+    shared across all paths and noise scales.  A path whose sup is not
+    finite raises, naming every such (eps, path index).
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
@@ -132,7 +131,7 @@ def run_convergence_study(
 
         X = np.empty(shape)
         X[...] = det.values[0][:, None, None]
-        blocks = _brownian_blocks(grid, model.r, [path_seed(base_seed, j) for j in idx_range])
+        blocks = _brownian_blocks(grid, model.r, base_seed, idx_range)
         _step(model, grid, visit, X, eps, blocks, along)
         return sup, sup_n2
 
@@ -169,7 +168,7 @@ def run_convergence_study(
     mean_lln, sem_lln, slope_lln, r2_lln = tables("lln", lln, lln_n2)
     mean_clt, sem_clt, slope_clt, r2_clt = tables("clt", clt, clt_n2)
     return ConvergenceReport(
-        eps_exponents=eps_exponents, eps_list=eps, n_paths=n_paths,
+        eps_exponents=eps_exponents, eps_list=eps,
         mean_lln=mean_lln, mean_clt=mean_clt, sem_lln=sem_lln, sem_clt=sem_clt,
         slope_lln=slope_lln, slope_clt=slope_clt, r2_lln=r2_lln, r2_clt=r2_clt,
         lln_paths=lln, clt_paths=clt,

@@ -44,10 +44,12 @@ def _parse_matrix(s: str) -> np.ndarray:
 
 
 def _parse_eps_exps(s: str) -> list[int]:
-    if ".." in s:
-        lo, hi = s.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in s.split(",")]
+    lo, dots, hi = s.partition("..")
+    try:
+        return list(range(int(lo), int(hi) + 1)) if dots else [int(v) for v in s.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not 'lo..hi' or a comma-separated list of integers: {s!r}")
 
 
 def _resolve_model(args, **params) -> tuple[dynamics.Model, dict]:
@@ -59,8 +61,8 @@ def _resolve_model(args, **params) -> tuple[dynamics.Model, dict]:
     if args.model == "pendulum":
         return dynamics.pendulum_model(alpha_pend=args.alpha_pend), params
     d = len(args.x0)
-    A = _parse_matrix(args.A) if args.A else np.zeros((d, d))
-    c = _parse_vector(args.c) if args.c else np.zeros(A.shape[0])
+    A = np.zeros((d, d)) if args.A is None else args.A
+    c = np.zeros(A.shape[0]) if args.c is None else args.c
     params.update(A=A.tolist(), c=c.tolist())
     return dynamics.affine_kick_model(A, c), params
 
@@ -99,9 +101,9 @@ def _add_common(p: argparse.ArgumentParser):
                    help="initial state, comma-separated")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p.add_argument("--A", default=None,
+    p.add_argument("--A", type=_parse_matrix,
                    help="affine_kick: kick matrix, row-major comma-separated (default 0)")
-    p.add_argument("--c", default=None, help="affine_kick: kick offset vector (default 0)")
+    p.add_argument("--c", type=_parse_vector, help="affine_kick: kick offset vector (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,17 +126,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--paths", type=int, help="Monte Carlo paths (default 1000)")
     p_conv.add_argument("--threads", type=int, default=1,
                         help="ignored; the study runs on the calling thread")
-    p_conv.add_argument("--eps-exps", default="1..10",
+    p_conv.add_argument("--eps-exps", type=_parse_eps_exps, default="1..10",
                         help="exponents i for eps=2^-i, as 'lo..hi' or a comma list")
     p_conv.add_argument("--preset", default=None, choices=["paper", "desk"],
                         help="paper: --paths 1000 --dt-exp 12; desk: --paths 200 --dt-exp 10")
     p_conv.set_defaults(dt_exp=None)  # 12, or the preset's
 
     p_kick = sub.add_parser("kickmap", help="kick-map convergence error table as CSV")
-    p_kick.add_argument("--A", required=True)
-    p_kick.add_argument("--c", required=True)
-    p_kick.add_argument("--r", required=True, help="starting point, comma-separated")
-    p_kick.add_argument("--deltas", default="0.1,0.05,0.025,0.0125")
+    p_kick.add_argument("--A", type=_parse_matrix, required=True)
+    p_kick.add_argument("--c", type=_parse_vector, required=True)
+    p_kick.add_argument("--r", type=_parse_vector, required=True,
+                        help="starting point, comma-separated")
+    p_kick.add_argument("--deltas", type=_parse_vector, default="0.1,0.05,0.025,0.0125")
     p_kick.add_argument("--out", default=None)
     return parser
 
@@ -165,12 +168,11 @@ def cmd_convergence(args) -> int:
     paths, dt_exp = {"paper": (1000, 12), "desk": (200, 10)}.get(args.preset, (1000, 12))
     args.paths = paths if args.paths is None else args.paths
     args.dt_exp = dt_exp if args.dt_exp is None else args.dt_exp
-    exps = _parse_eps_exps(args.eps_exps)
-    model, params = _resolve_model(args, eps_exponents=exps, paths=args.paths,
+    model, params = _resolve_model(args, eps_exponents=args.eps_exps, paths=args.paths,
                                    preset=args.preset)
     grid = integrate.build_grid(args.T, args.dt_exp, args.alpha)
     report = analysis.run_convergence_study(
-        model, grid, args.x0, exps, args.paths, args.seed)
+        model, grid, args.x0, args.eps_exps, args.paths, args.seed)
     _emit(args, t0, params, lambda f: analysis.write_report_csv(report, f))
     print("slope_lln per coordinate:",
           " ".join(f"{s:.4f}" for s in report.slope_lln[:-1]))
@@ -181,10 +183,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_kickmap(args) -> int:
     t0 = time.time()
-    A = _parse_matrix(args.A)
-    c = _parse_vector(args.c)
-    r = _parse_vector(args.r)
-    deltas = [float(v) for v in args.deltas.split(",")]
+    A, c, r, deltas = args.A, args.c, args.r, args.deltas.tolist()
     closed, _ = kickmap.affine_kick_map(A, c)
     if r.shape != c.shape:
         raise ValueError(f"r has shape {r.shape}, expected {c.shape}")
@@ -217,8 +216,7 @@ def main(argv=None) -> int:
         # stdout's reader left: send the rest to devnull (Python docs, "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, argparse.ArgumentTypeError, FloatingPointError,
-            integrate.IntegrationOverflowError) as exc:
+    except (ValueError, FloatingPointError, integrate.IntegrationOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -76,8 +76,8 @@ def pendulum_model(alpha_pend: float = 1.0) -> Model:
     Drift b(x) = (x2, -alpha_pend*sin x1), diffusion = 2x2 identity,
     reset h(x) = (x1, x2 + 0.1 sin x1).
     """
-    if alpha_pend <= 0:
-        raise ValueError("alpha_pend must be positive")
+    if not 0.0 < alpha_pend < np.inf:
+        raise ValueError(f"alpha_pend must be positive and finite, got {alpha_pend}")
 
     # np.empty_like keeps the input's memory layout: the batched stepper's
     # component planes stay contiguous

@@ -89,17 +89,17 @@ class BrownianPath:
     dt: float
 
 
-def path_seed(base_seed: int, path_index: int) -> np.random.SeedSequence:
-    """Independent, scheduling-invariant seed for one Monte Carlo path."""
-    return np.random.SeedSequence(base_seed, spawn_key=(path_index,))
+def _rng(seed: int, path_index: int) -> np.random.Generator:
+    """The generator of path path_index at seed: the one seeding scheme."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(path_index,)))
 
 
-def sample_brownian(grid: SampleGrid, r: int, seed) -> BrownianPath:
-    """Draw Brownian increments on the grid; identical seed, identical bits."""
+def sample_brownian(grid: SampleGrid, r: int, seed: int, path_index: int = 0) -> BrownianPath:
+    """Draw the Brownian increments of path path_index at seed on the grid;
+    path j of a study at base_seed s is sample_brownian(grid, r, s, j)."""
     if r < 1:
         raise ValueError("noise dimension r must be >= 1")
-    rng = np.random.default_rng(seed)
-    increments = rng.normal(0.0, math.sqrt(grid.dt), size=(grid.n_steps, r))
+    increments = _rng(seed, path_index).normal(0.0, math.sqrt(grid.dt), (grid.n_steps, r))
     return BrownianPath(increments=increments, dt=grid.dt)
 
 
@@ -150,11 +150,11 @@ def _component_major(a, shape, axes):
     return a.transpose(axes)
 
 
-def _brownian_blocks(grid: SampleGrid, r: int, seeds):
-    """Brownian increments of one path per seed, drawn _BLOCK_STEPS steps at a
-    time into one reused (steps, r, n_paths) buffer; path p's draws are
-    bitwise those of sample_brownian(grid, r, seeds[p])."""
-    rngs = [np.random.default_rng(s) for s in seeds]
+def _brownian_blocks(grid: SampleGrid, r: int, seed: int, path_indices):
+    """Brownian increments of one path per index, drawn _BLOCK_STEPS steps at
+    a time into one reused (steps, r, n_paths) buffer; path p's draws are
+    bitwise those of sample_brownian(grid, r, seed, path_indices[p])."""
+    rngs = [_rng(seed, j) for j in path_indices]
     sd = math.sqrt(grid.dt)
     buf = np.empty((min(_BLOCK_STEPS, grid.n_steps), r, len(rngs)))
     for lo in range(0, grid.n_steps, _BLOCK_STEPS):

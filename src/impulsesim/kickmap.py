@@ -69,6 +69,9 @@ def affine_kick_map(A: np.ndarray, c: np.ndarray):
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if c.shape != (A.shape[0],):
         raise ValueError(f"c has shape {c.shape}, expected ({A.shape[0]},)")
+    for name, v in (("A", A), ("c", c)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {v.tolist()}")
     from scipy.linalg import expm  # loaded here: no other layer needs scipy.linalg
 
     d = A.shape[0]
@@ -96,6 +99,8 @@ def kick_limit_check(
     rows (delta, substeps, error).  A delta that needs more than
     2^_MAX_SUBSTEP_EXP substeps is rejected before any row runs.
     """
+    if not np.isfinite(r).all():
+        raise ValueError(f"r must be finite, got {np.ravel(r).tolist()}")
     deltas = list(deltas)
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")

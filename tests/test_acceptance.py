@@ -19,7 +19,6 @@ from impulsesim.integrate import (
     build_grid,
     integrate_coupled,
     integrate_deterministic,
-    path_seed,
     sample_brownian,
 )
 from impulsesim.kickmap import affine_kick_map, regularized_kick
@@ -77,7 +76,7 @@ def test_criterion_3_exact_coupling_oracle():
     grid = build_grid(8.0, 12, 1.0)
     worst = 0.0
     for eps, seed in ((2**-2, 11), (2**-6, 5)):
-        path = sample_brownian(grid, 2, path_seed(seed, 0))
+        path = sample_brownian(grid, 2, seed)
         det, X, Z = integrate_coupled(model, grid, X0, eps, path)
         diff = X.values - det.values - eps * Z.values
         worst = max(worst, float(np.max(np.linalg.norm(diff, axis=1))))
@@ -96,7 +95,7 @@ def test_criterion_4_epsilon_degeneracy():
         model = pendulum_model(alpha_pend=float(rng.uniform(0.5, 2.0)))
         grid = build_grid(T, m_exp, alpha)
         det = integrate_deterministic(model, grid, x0)
-        path = sample_brownian(grid, model.r, path_seed(77, k))
+        path = sample_brownian(grid, model.r, 77, k)
         _, sde, _ = integrate_coupled(model, grid, x0, 0.0, path)
         ok = ok and det.values.tobytes() == sde.values.tobytes()
     check(4, ok, "integrate_coupled(eps=0) X bitwise equals the deterministic "
@@ -201,7 +200,7 @@ def test_criterion_9_chunk_determinism(tmp_path, monkeypatch):
 def test_criterion_10_pathwise_epsilon_squared():
     model = pendulum_model()
     grid = build_grid(8.0, 12, 1.0)
-    path = sample_brownian(grid, 2, path_seed(1234, 0))
+    path = sample_brownian(grid, 2, 1234)
 
     def coupling_sup(eps):
         det, X, Z = integrate_coupled(model, grid, X0, eps, path)

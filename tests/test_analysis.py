@@ -22,7 +22,6 @@ from impulsesim.integrate import (
     build_grid,
     integrate_coupled,
     integrate_deterministic,
-    path_seed,
     sample_brownian,
 )
 
@@ -308,7 +307,7 @@ class TestStudyMatchesPerPath:
         rep = run_convergence_study(model, grid, x0, exps, n_paths, seed)
         n2 = np.empty((2, len(exps), n_paths))
         for j in range(n_paths):
-            path = sample_brownian(grid, model.r, path_seed(seed, j))
+            path = sample_brownian(grid, model.r, seed, j)
             for e, eps in enumerate(rep.eps_list):
                 det, noisy, fluct = integrate_coupled(model, grid, x0, eps, path)
                 lln = sup_error(noisy, det)
@@ -333,7 +332,7 @@ class TestStudyMatchesPerPath:
         n_paths = 3
         rep = run_convergence_study(model, grid, x0, [1, 3], n_paths, seed)
         for j in range(n_paths):
-            path = sample_brownian(grid, model.r, path_seed(seed, j))
+            path = sample_brownian(grid, model.r, seed, j)
             for e, eps in enumerate(rep.eps_list):
                 det, noisy, fluct = integrate_coupled(model, grid, x0, eps, path)
                 lln = sup_error(noisy, det)
@@ -358,7 +357,7 @@ class TestCoupledMatchesPasses:
     def test_bitwise_equal(self, model, eps):
         grid = build_grid(4.0, 7, 0.5)
         x0 = np.linspace(0.5, -0.25, model.d)
-        path = sample_brownian(grid, model.r, path_seed(4, 2))
+        path = sample_brownian(grid, model.r, 4, 2)
         det, noisy, fluct = integrate_coupled(model, grid, x0, eps, path)
         pairs = [(det, integrate_deterministic(model, grid, x0))]
         # Z does not depend on eps, and at eps = 0 X is x
@@ -399,18 +398,18 @@ class TestBatchingInvariance:
         seed = 5
         args = (model, grid, np.array([0.5, 0.5]), [1, 3], n_paths, seed)
         ref = run_convergence_study(*args)
-        seeds = [path_seed(seed, j) for j in range(n_paths)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_CHUNK_SIZE", chunk)
             mp.setattr(integrate, "_BLOCK_STEPS", block)
             rep = run_convergence_study(*args)
             draws = np.concatenate([b.copy() for b in
-                                    integrate._brownian_blocks(grid, model.r, seeds)])
+                                    integrate._brownian_blocks(grid, model.r, seed,
+                                                               range(n_paths))])
         for f in dataclasses.fields(ref):
             a, b = np.asarray(getattr(rep, f.name)), np.asarray(getattr(ref, f.name))
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
-        for j, s in enumerate(seeds):
-            expected = sample_brownian(grid, model.r, s).increments
+        for j in range(n_paths):
+            expected = sample_brownian(grid, model.r, seed, j).increments
             assert draws[:, :, j].tobytes() == expected.tobytes(), j
 
 
@@ -435,7 +434,7 @@ class TestStudyOverflow:
             warnings.simplefilter("error")
             expected = set()
             for j in range(n_paths):
-                path = sample_brownian(grid, 1, path_seed(seed, j))
+                path = sample_brownian(grid, 1, seed, j)
                 for i in exps:
                     try:
                         integrate_coupled(m, grid, x0, 2.0**-i, path)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
+from impulsesim import build_grid, pendulum_model, run_convergence_study
 from impulsesim.cli import build_parser, main
 
 
@@ -91,6 +92,26 @@ class TestSimulate:
         assert "eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_simulate_replays_study_path_0(seed, tmp_path):
+    """simulate --seed s draws path 0 of a study at seed s: the sups of its
+    CSV columns, over every row (left limits included), equal the study's
+    per-path sups of path 0 bit for bit at every eps."""
+    exps = [2, 4]
+    common = ["--T", "4", "--dt-exp", "6", "--x0", "0.5,0.5", "--seed", str(seed)]
+    rep = run_convergence_study(pendulum_model(), build_grid(4.0, 6, 1.0),
+                                np.array([0.5, 0.5]), exps, 2, seed)
+    for e, eps in enumerate(rep.eps_list):
+        out = tmp_path / f"traj{e}.csv"
+        assert main(["simulate", "--eps", repr(float(eps)), "--out", str(out)] + common) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(1, 7))
+        x, X, Z = table[:, 0:2], table[:, 2:4], table[:, 4:6]
+        lln = np.abs(X - x).max(axis=0)
+        clt = np.abs((X - x) - eps * Z).max(axis=0)
+        assert lln.tobytes() == rep.lln_paths[e, 0].tobytes(), eps
+        assert clt.tobytes() == rep.clt_paths[e, 0].tobytes(), eps
+
+
 class TestConvergence:
     def test_threads_flag_accepted_and_ignored(self, tmp_path):
         outs = []
@@ -133,6 +154,11 @@ class TestConvergence:
         assert rc == 1
         assert "distinct eps" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_malformed_eps_exps_rejected(self, tmp_path, capsys):
+        err = usage_error(["convergence", "--eps-exps", "1..a"], tmp_path, capsys)
+        assert ("argument --eps-exps: not 'lo..hi' or a comma-separated list of "
+                "integers: '1..a'") in err
 
     def test_eps_exp_comma_list(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -190,10 +216,24 @@ class TestKickmap:
         assert manifest["outputs"] == [str(out)]
         assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
 
-    def test_malformed_matrix_rejected(self, capsys):
-        rc = main(["kickmap", "--A", "1,2,3", "--c", "1", "--r", "1"])
-        assert rc != 0
-        assert "square" in capsys.readouterr().err
+    def test_malformed_matrix_rejected(self, tmp_path, capsys):
+        err = usage_error(["kickmap", "--A", "1,2,3", "--c", "1", "--r", "1"], tmp_path, capsys)
+        assert "argument --A" in err and "square" in err
+
+    def test_malformed_deltas_rejected(self, tmp_path, capsys):
+        err = usage_error(["kickmap", "--A", "1", "--c", "1", "--r", "1", "--deltas", "abc"],
+                          tmp_path, capsys)
+        assert "argument --deltas: not a comma-separated vector: 'abc'" in err
+
+
+def usage_error(argv, tmp_path, capsys) -> str:
+    """Run argv, which must fail in the parser: argparse's usage error, exit
+    2, with nothing written.  Returns stderr."""
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert info.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    return capsys.readouterr().err
 
 
 def _argv_from_manifest(manifest, out):
@@ -273,12 +313,23 @@ class TestAffineKickModel:
      "error: --preset paper sets --paths and --dt-exp; --dt-exp cannot be given with it"),
     (["kickmap", "--A", "1,0,0,1", "--c", "1,1", "--r", "1,2,3"],
      "error: r has shape (3,), expected (2,)"),
+    (["simulate", "--eps", "0.1", "--alpha-pend", "nan"],
+     "error: alpha_pend must be positive and finite, got nan"),
+    (["simulate", "--eps", "0.1", "--alpha-pend", "inf"],
+     "error: alpha_pend must be positive and finite, got inf"),
+    (["kickmap", "--A", "nan", "--c", "1", "--r", "1"],
+     "error: A must be finite, got [[nan]]"),
+    (["kickmap", "--A", "1", "--c", "inf", "--r", "1"],
+     "error: c must be finite, got [inf]"),
+    (["kickmap", "--A", "1", "--c", "1", "--r", "nan"],
+     "error: r must be finite, got [nan]"),
 ], ids=["simulate", "convergence", "kickmap", "simulate-alpha-0", "convergence-alpha-1.5",
         "convergence-zero-mean-error", "simulate-T-inf", "simulate-T-nan",
         "simulate-dt-exp-2000", "kickmap-delta-1e-320", "kickmap-delta-nan",
         "kickmap-delta-inf", "simulate-x0-nan", "kickmap-delta-1e-300",
         "convergence-preset-and-paths", "convergence-preset-and-dt-exp",
-        "kickmap-r-dimension"])
+        "kickmap-r-dimension", "simulate-alpha-pend-nan", "simulate-alpha-pend-inf",
+        "kickmap-A-nan", "kickmap-c-inf", "kickmap-r-nan"])
 def test_failure_exits_1_without_output_or_manifest(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1

@@ -27,7 +27,6 @@ from impulsesim.integrate import (
     build_grid,
     integrate_coupled,
     integrate_deterministic,
-    path_seed,
     sample_brownian,
 )
 
@@ -58,12 +57,12 @@ def exact_covariances(model, grid, det):
     return left, S
 
 
-def fluctuation_samples(model, grid, det, seeds):
-    """Z of one path per seed, drawn in one coupled pass: (n_left, N, d) at
-    the left limits and (N, d) at the horizon T."""
-    X = np.broadcast_to(X0[:, None, None], (model.d, 1, len(seeds))).copy()
-    left = np.empty((len(grid.impulse_nodes), len(seeds), model.d))
-    final = np.empty((len(seeds), model.d))
+def fluctuation_samples(model, grid, det, seed, n_paths):
+    """Z of paths 0..n_paths-1 at seed, drawn in one coupled pass: (n_left,
+    n_paths, d) at the left limits and (n_paths, d) at the horizon T."""
+    X = np.broadcast_to(X0[:, None, None], (model.d, 1, n_paths)).copy()
+    left = np.empty((len(grid.impulse_nodes), n_paths, model.d))
+    final = np.empty((n_paths, model.d))
 
     def visit(n, i, X, Z):
         if i is not None:
@@ -71,7 +70,8 @@ def fluctuation_samples(model, grid, det, seeds):
         elif n == grid.n_steps:
             final[...] = Z.T
 
-    _step(model, grid, visit, X, np.array([0.0]), _brownian_blocks(grid, model.r, seeds),
+    _step(model, grid, visit, X, np.array([0.0]),
+          _brownian_blocks(grid, model.r, seed, range(n_paths)),
           _prepare_along_path(model, grid, det))
     return left, final
 
@@ -92,11 +92,10 @@ def test_fluctuation_covariance_matches_exact_recursion(build_model):
     grid = build_grid(2.0, 5, 0.5)  # impulses at 0.5 and 1.5
     det = integrate_deterministic(model, grid, X0)
     left, final = exact_covariances(model, grid, det)
-    seeds = [path_seed(3, j) for j in range(N_PATHS)]
-    z_left, z_final = fluctuation_samples(model, grid, det, seeds)
+    z_left, z_final = fluctuation_samples(model, grid, det, 3, N_PATHS)
     for j in (0, 1, N_PATHS - 1):
         _, _, z = integrate_coupled(model, grid, X0, 0.25,
-                                    sample_brownian(grid, model.r, seeds[j]))
+                                    sample_brownian(grid, model.r, 3, j))
         assert z_left[:, j].tobytes() == z.left.tobytes(), j
         assert z_final[j].tobytes() == z.values[-1].tobytes(), j
     checks = [(f"left limit {i}", z_left[i], S) for i, S in enumerate(left)]

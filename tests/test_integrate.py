@@ -16,7 +16,6 @@ from impulsesim.integrate import (
     build_grid,
     integrate_coupled,
     integrate_deterministic,
-    path_seed,
     sample_brownian,
     write_trajectory_csv,
 )
@@ -111,12 +110,16 @@ class TestSampleBrownian:
         a = sample_brownian(grid, 2, 42)
         b = sample_brownian(grid, 2, 42)
         assert a.increments.tobytes() == b.increments.tobytes()
+        # the default path index is 0; another index or seed is another path
+        assert sample_brownian(grid, 2, 42, 0).increments.tobytes() == a.increments.tobytes()
+        for other in (sample_brownian(grid, 2, 42, 1), sample_brownian(grid, 2, 43)):
+            assert not np.array_equal(other.increments, a.increments)
 
     def test_terminal_variance(self):
         # Var(W_T) = T, estimated across 10^4 seeded paths
         grid = build_grid(2.0, 3, 1.0)
         totals = [
-            sample_brownian(grid, 1, path_seed(7, j)).increments.sum()
+            sample_brownian(grid, 1, 7, j).increments.sum()
             for j in range(10_000)
         ]
         assert abs(np.var(totals) - 2.0) / 2.0 < 0.05
@@ -202,7 +205,7 @@ class TestSde:
         x0 = np.array([0.5, 0.5])
         runs = []
         for _ in range(2):
-            path = sample_brownian(grid, 2, path_seed(99, 0))
+            path = sample_brownian(grid, 2, 99)
             runs.append(integrate_coupled(m, grid, x0, 2**-4, path)[1])
         assert runs[0].values.tobytes() == runs[1].values.tobytes()
 
@@ -288,7 +291,7 @@ class TestPathwiseCoupling:
         m = pendulum_model()
         grid = build_grid(8.0, 8, 1.0)
         x0 = np.array([0.5, 0.5])
-        path = sample_brownian(grid, 2, path_seed(21, 0))
+        path = sample_brownian(grid, 2, 21)
 
         def coupling_sup(eps):
             det, X, Z = integrate_coupled(m, grid, x0, eps, path)
@@ -415,7 +418,7 @@ class TestBlockInvariance:
     def test_csv_bytes(self, model, eps, monkeypatch):
         grid = build_grid(3.0, 4, 0.5)
         x0 = np.array([0.5, 0.5])
-        path = sample_brownian(grid, model.r, path_seed(6, 1))
+        path = sample_brownian(grid, model.r, 6, 1)
         ref = written_csv(*integrate_coupled(model, grid, x0, eps, path), eps)
         for block in (1, 3, 7, grid.n_steps):
             monkeypatch.setattr(integrate, "_BLOCK_STEPS", block)

@@ -15,7 +15,6 @@ PUBLIC = [
     "integrate_coupled",
     "integrate_deterministic",
     "kick_limit_check",
-    "path_seed",
     "pendulum_model",
     "regularized_kick",
     "run_convergence_study",
