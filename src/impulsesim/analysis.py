@@ -13,6 +13,7 @@ report is bit-identical for any chunk or block size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -97,6 +98,9 @@ def run_convergence_study(
     eps_exponents = tuple(int(i) for i in eps_exponents)
     if any(i <= 0 for i in eps_exponents):
         raise ValueError("eps exponents must be positive")
+    for i in eps_exponents:
+        if math.ldexp(1.0, -i) == 0.0:
+            raise ValueError(f"eps exponent {i} underflows: 2^-{i} is 0.0 as a float")
     if len(set(eps_exponents)) < 2:
         raise ValueError("need at least 2 distinct eps exponents to fit a slope")
     eps = np.array([2.0**-i for i in eps_exponents])

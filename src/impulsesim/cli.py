@@ -1,11 +1,11 @@
 """Command-line front end: simulate / convergence / kickmap subcommands.
 
-Every output file is accompanied by a JSON manifest with every resolved
-parameter of the run (the kick matrix and offset too, for
-`--model affine_kick`) and the Python, numpy and scipy versions, so any
-artifact can be reproduced bit-exactly.  All three subcommands compute
-first and then write through `_emit`, so a failed run leaves neither an
-output nor a manifest.
+Every output file is accompanied by a JSON manifest with the run's parsed
+options by name, after resolution (a preset's paths and dt exponent, the
+zero kick of `--model affine_kick`), and the Python, numpy and scipy
+versions, so any artifact can be reproduced bit-exactly.  Each subparser
+names its command as `run`.  All three compute first and then write
+through `_emit`, so a failed run leaves neither an output nor a manifest.
 """
 
 from __future__ import annotations
@@ -52,22 +52,18 @@ def _parse_eps_exps(s: str) -> list[int]:
             f"not 'lo..hi' or a comma-separated list of integers: {s!r}")
 
 
-def _resolve_model(args, **params) -> tuple[dynamics.Model, dict]:
-    """The model of a simulate or convergence run, and the run's manifest
-    parameters: the common options, the given params, and for
-    --model affine_kick the kick matrix A and offset c (zero where not given)."""
-    params.update(model=args.model, alpha=args.alpha, alpha_pend=args.alpha_pend,
-                  T=args.T, dt_exp=args.dt_exp, x0=args.x0.tolist(), seed=args.seed)
+def _resolve_model(args) -> dynamics.Model:
+    """The model of a simulate or convergence run; for --model affine_kick the
+    kick matrix A and offset c, zero where not given, are written back onto args."""
     if args.model == "pendulum":
-        return dynamics.pendulum_model(alpha_pend=args.alpha_pend), params
+        return dynamics.pendulum_model(alpha_pend=args.alpha_pend)
     d = len(args.x0)
-    A = np.zeros((d, d)) if args.A is None else args.A
-    c = np.zeros(A.shape[0]) if args.c is None else args.c
-    params.update(A=A.tolist(), c=c.tolist())
-    return dynamics.affine_kick_model(A, c), params
+    args.A = np.zeros((d, d)) if args.A is None else args.A
+    args.c = np.zeros(args.A.shape[0]) if args.c is None else args.c
+    return dynamics.affine_kick_model(args.A, args.c)
 
 
-def _emit(args, t0: float, params: dict, write) -> None:
+def _emit(args, t0: float, write) -> None:
     """Call write on the file named by --out, or on stdout when it is not set;
     a file output then gets its manifest, `<out>.manifest.json`."""
     if args.out is None:
@@ -77,7 +73,8 @@ def _emit(args, t0: float, params: dict, write) -> None:
         write(f)
     manifest = {
         "subcommand": args.subcommand,
-        "parameters": params,
+        "parameters": {k: v for k, v in vars(args).items()
+                       if k not in ("subcommand", "out", "run", "threads")},
         "outputs": [args.out],
         "tool_version": __version__,
         "versions": {"python": platform.python_version(),
@@ -85,7 +82,7 @@ def _emit(args, t0: float, params: dict, write) -> None:
         "duration_seconds": time.time() - t0,
     }
     with open(args.out + ".manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+        json.dump(manifest, f, indent=2, sort_keys=True, default=np.ndarray.tolist)
         f.write("\n")
 
 
@@ -120,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--eps", type=float, required=True, help="noise scale in (0,1)")
     p_sim.add_argument("--allow-degenerate", action="store_true",
                        help="permit eps=0 (noise-free check mode)")
+    p_sim.set_defaults(run=cmd_simulate)
 
     p_conv = sub.add_parser("convergence", help="Monte Carlo slope study as CSV")
     _add_common(p_conv)
@@ -130,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exponents i for eps=2^-i, as 'lo..hi' or a comma list")
     p_conv.add_argument("--preset", default=None, choices=["paper", "desk"],
                         help="paper: --paths 1000 --dt-exp 12; desk: --paths 200 --dt-exp 10")
-    p_conv.set_defaults(dt_exp=None)  # 12, or the preset's
+    p_conv.set_defaults(dt_exp=None, run=cmd_convergence)  # dt_exp: 12, or the preset's
 
     p_kick = sub.add_parser("kickmap", help="kick-map convergence error table as CSV")
     p_kick.add_argument("--A", type=_parse_matrix, required=True)
@@ -139,28 +137,26 @@ def build_parser() -> argparse.ArgumentParser:
                         help="starting point, comma-separated")
     p_kick.add_argument("--deltas", type=_parse_vector, default="0.1,0.05,0.025,0.0125")
     p_kick.add_argument("--out", default=None)
+    p_kick.set_defaults(run=cmd_kickmap)
     return parser
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.time()
+def cmd_simulate(args, t0: float) -> int:
     if args.eps == 0.0:
         if not args.allow_degenerate:
             raise ValueError("eps=0 requires --allow-degenerate")
     elif not 0.0 < args.eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {args.eps}")
-    model, params = _resolve_model(args, eps=args.eps,
-                                   allow_degenerate=args.allow_degenerate)
+    model = _resolve_model(args)
     grid = integrate.build_grid(args.T, args.dt_exp, args.alpha)
     path = integrate.sample_brownian(grid, model.r, args.seed)
     det, noisy, fluct = integrate.integrate_coupled(model, grid, args.x0, args.eps, path)
-    _emit(args, t0, params, lambda f: integrate.write_trajectory_csv(
+    _emit(args, t0, lambda f: integrate.write_trajectory_csv(
         f, det, noisy, fluct, args.eps))
     return 0
 
 
-def cmd_convergence(args) -> int:
-    t0 = time.time()
+def cmd_convergence(args, t0: float) -> int:
     given = [o for o, v in (("--paths", args.paths), ("--dt-exp", args.dt_exp)) if v is not None]
     if args.preset and given:
         raise ValueError(f"--preset {args.preset} sets --paths and --dt-exp; "
@@ -168,12 +164,11 @@ def cmd_convergence(args) -> int:
     paths, dt_exp = {"paper": (1000, 12), "desk": (200, 10)}.get(args.preset, (1000, 12))
     args.paths = paths if args.paths is None else args.paths
     args.dt_exp = dt_exp if args.dt_exp is None else args.dt_exp
-    model, params = _resolve_model(args, eps_exponents=args.eps_exps, paths=args.paths,
-                                   preset=args.preset)
+    model = _resolve_model(args)
     grid = integrate.build_grid(args.T, args.dt_exp, args.alpha)
     report = analysis.run_convergence_study(
         model, grid, args.x0, args.eps_exps, args.paths, args.seed)
-    _emit(args, t0, params, lambda f: analysis.write_report_csv(report, f))
+    _emit(args, t0, lambda f: analysis.write_report_csv(report, f))
     print("slope_lln per coordinate:",
           " ".join(f"{s:.4f}" for s in report.slope_lln[:-1]))
     print("slope_clt per coordinate:",
@@ -181,8 +176,7 @@ def cmd_convergence(args) -> int:
     return 0
 
 
-def cmd_kickmap(args) -> int:
-    t0 = time.time()
+def cmd_kickmap(args, t0: float) -> int:
     A, c, r, deltas = args.A, args.c, args.r, args.deltas.tolist()
     closed, _ = kickmap.affine_kick_map(A, c)
     if r.shape != c.shape:
@@ -195,28 +189,22 @@ def cmd_kickmap(args) -> int:
         for delta, substeps, err in rows:
             f.write(f"{delta:.17g},{substeps},{err:.17g}\n")
 
-    _emit(args, t0, {"A": A.tolist(), "c": c.tolist(), "r": r.tolist(),
-                     "deltas": deltas}, write)
+    _emit(args, t0, write)
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "convergence": cmd_convergence,
-        "kickmap": cmd_kickmap,
-    }
+    args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        rc = handlers[args.subcommand](args)
+        rc = args.run(args, t0)
         sys.stdout.flush()  # a reader that left shows up here, not at exit
         return rc
     except BrokenPipeError:
         # stdout's reader left: send the rest to devnull (Python docs, "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, FloatingPointError, integrate.IntegrationOverflowError) as exc:
+    except (ValueError, FloatingPointError, MemoryError, integrate.IntegrationOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

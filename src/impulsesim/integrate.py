@@ -42,8 +42,6 @@ class IntegrationOverflowError(RuntimeError):
 class SampleGrid:
     """Uniform dyadic grid on [0, T] with dt = 2^-m, impulse-aligned."""
 
-    T: float
-    m: int
     dt: float
     n_steps: int
     # grid index of t_k = k - 1 + alpha for every impulse t_k <= T, at position k - 1
@@ -78,7 +76,7 @@ def build_grid(T: float, m: int, alpha: float) -> SampleGrid:
         raise ValueError(f"T={T} is not a multiple of dt=2^-{m}")
     n_steps = int(round(t_scaled))
     nodes = tuple(range(int(round(a_scaled)), n_steps + 1, scale))
-    return SampleGrid(T=T, m=m, dt=1.0 / scale, n_steps=n_steps, impulse_nodes=nodes)
+    return SampleGrid(dt=1.0 / scale, n_steps=n_steps, impulse_nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -91,6 +89,9 @@ class BrownianPath:
 
 def _rng(seed: int, path_index: int) -> np.random.Generator:
     """The generator of path path_index at seed: the one seeding scheme."""
+    for name, v in (("seed", seed), ("path index", path_index)):
+        if v < 0:
+            raise ValueError(f"{name} must be >= 0, got {v}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(path_index,)))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
-from impulsesim import build_grid, pendulum_model, run_convergence_study
+from impulsesim import build_grid, integrate, pendulum_model, run_convergence_study
 from impulsesim.cli import build_parser, main
 
 
@@ -237,11 +237,12 @@ def usage_error(argv, tmp_path, capsys) -> str:
 
 
 def _argv_from_manifest(manifest, out):
-    """The CLI call a simulate or convergence manifest describes, built from
-    its parameters alone."""
+    """The CLI call a manifest describes, built from its parameters alone by
+    one rule: a null or false parameter is left out, a true one is a bare
+    flag, and any other is `--<key with _ as ->=<value>`, a list comma-joined."""
     argv = [manifest["subcommand"], f"--out={out}"]
     for key, value in manifest["parameters"].items():
-        option = "--eps-exps" if key == "eps_exponents" else "--" + key.replace("_", "-")
+        option = "--" + key.replace("_", "-")
         if value is None or value is False:
             continue
         if value is True:
@@ -253,23 +254,47 @@ def _argv_from_manifest(manifest, out):
     return argv
 
 
-class TestAffineKickModel:
-    AFFINE = ["--model", "affine_kick", "--A=0.5,0,0,0.5", "--c", "1,0"]
+AFFINE = ["--model", "affine_kick", "--A=0.5,0,0,0.5", "--c", "1,0"]
+SIMULATE = ["simulate", "--eps", "0.25", "--T", "2", "--dt-exp", "4", "--seed", "3"]
+CONVERGENCE = ["convergence", "--paths", "4", "--eps-exps", "1..3", "--T", "2",
+               "--dt-exp", "4", "--seed", "3"]
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--eps", "0.25", "--T", "2", "--dt-exp", "4", "--seed", "3"],
-        ["convergence", "--paths", "4", "--eps-exps", "1..3", "--T", "2",
-         "--dt-exp", "4", "--seed", "3"],
-    ], ids=["simulate", "convergence"])
-    def test_manifest_replays_the_run(self, argv, tmp_path):
-        out = tmp_path / "out.csv"
-        assert main(argv + self.AFFINE + ["--out", str(out)]) == 0
-        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
-        params = manifest["parameters"]
+
+@pytest.mark.parametrize("argv", [
+    SIMULATE, SIMULATE + AFFINE, CONVERGENCE, CONVERGENCE + AFFINE,
+    ["kickmap", "--A=-0.5,1,-1,-0.5", "--c", "1,0", "--r=0.5,-0.25", "--deltas", "0.5,0.25"],
+], ids=["simulate-pendulum", "simulate-affine", "convergence-pendulum",
+        "convergence-affine", "kickmap"])
+def test_manifest_replays_the_run(argv, tmp_path):
+    """A manifest's parameters are the parsed options by name, and the run
+    they describe writes the same bytes."""
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    params = manifest["parameters"]
+    parsed = vars(build_parser().parse_args(argv))
+    assert set(params) == set(parsed) - {"subcommand", "out", "run", "threads"}
+    if "--model" in argv:
         assert params["A"] == [[0.5, 0.0], [0.0, 0.5]] and params["c"] == [1.0, 0.0]
-        rerun = tmp_path / "rerun.csv"
-        assert main(_argv_from_manifest(manifest, rerun)) == 0
-        assert rerun.read_bytes() == out.read_bytes()
+    elif argv[0] != "kickmap":
+        assert params["A"] is None and params["c"] is None
+    rerun = tmp_path / "rerun.csv"
+    assert main(_argv_from_manifest(manifest, rerun)) == 0
+    assert rerun.read_bytes() == out.read_bytes()
+
+
+def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, capsys):
+    """A run numpy cannot allocate for prints one error line, not a traceback."""
+    message = ("Unable to allocate 4.00 PiB for an array with shape (281474976710656, 2) "
+               "and data type float64")
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(integrate, "sample_brownian", refuse)
+    assert main(SIMULATE + ["--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -323,13 +348,21 @@ class TestAffineKickModel:
      "error: c must be finite, got [inf]"),
     (["kickmap", "--A", "1", "--c", "1", "--r", "nan"],
      "error: r must be finite, got [nan]"),
+    (["simulate", "--eps", "0.1", "--T", "1", "--dt-exp", "2", "--seed", "-1"],
+     "error: seed must be >= 0, got -1"),
+    (["convergence", "--paths", "2", "--eps-exps", "1..2", "--T", "1", "--dt-exp", "2",
+      "--seed", "-1"],
+     "error: seed must be >= 0, got -1"),
+    (["convergence", "--paths", "2", "--eps-exps", "1,1100", "--T", "1", "--dt-exp", "2"],
+     "error: eps exponent 1100 underflows: 2^-1100 is 0.0 as a float"),
 ], ids=["simulate", "convergence", "kickmap", "simulate-alpha-0", "convergence-alpha-1.5",
         "convergence-zero-mean-error", "simulate-T-inf", "simulate-T-nan",
         "simulate-dt-exp-2000", "kickmap-delta-1e-320", "kickmap-delta-nan",
         "kickmap-delta-inf", "simulate-x0-nan", "kickmap-delta-1e-300",
         "convergence-preset-and-paths", "convergence-preset-and-dt-exp",
         "kickmap-r-dimension", "simulate-alpha-pend-nan", "simulate-alpha-pend-inf",
-        "kickmap-A-nan", "kickmap-c-inf", "kickmap-r-nan"])
+        "kickmap-A-nan", "kickmap-c-inf", "kickmap-r-nan", "simulate-seed-negative",
+        "convergence-seed-negative", "convergence-eps-exp-underflow"])
 def test_failure_exits_1_without_output_or_manifest(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1

@@ -125,7 +125,7 @@ class TestSampleBrownian:
         assert abs(np.var(totals) - 2.0) / 2.0 < 0.05
 
     def test_empty_grid(self):
-        grid = SampleGrid(T=0.0, m=0, dt=1.0, n_steps=0, impulse_nodes=())
+        grid = SampleGrid(dt=1.0, n_steps=0, impulse_nodes=())
         path = sample_brownian(grid, 3, 0)
         assert path.increments.shape == (0, 3)
 
@@ -133,6 +133,11 @@ class TestSampleBrownian:
         grid = build_grid(1.0, 2, 1.0)
         with pytest.raises(ValueError):
             sample_brownian(grid, 0, 1)
+
+    def test_negative_path_index_named(self):
+        grid = build_grid(1.0, 2, 1.0)
+        with pytest.raises(ValueError, match=r"^path index must be >= 0, got -1$"):
+            sample_brownian(grid, 2, 0, -1)
 
 
 class TestDeterministic:
@@ -380,7 +385,7 @@ class TestTrajectoryCsvBytes:
     @pytest.mark.parametrize("eps", [2**-4, 0.3, 0.0])
     def test_hand_built(self, d, eps):
         # impulses at the first node, at two adjacent nodes and at the last
-        grid = SampleGrid(T=1.25, m=3, dt=0.125, n_steps=10, impulse_nodes=(0, 4, 5, 10))
+        grid = SampleGrid(dt=0.125, n_steps=10, impulse_nodes=(0, 4, 5, 10))
         rng = np.random.default_rng(d)
         special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -1.7976931348623157e308,
                             1e16, 0.1, -2.5e-300])
