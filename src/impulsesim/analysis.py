@@ -34,24 +34,23 @@ from .integrate import (
 _CHUNK_SIZE = 250
 
 
+# axis 0 of every report table: sup|X - x| (lln) and sup|X - x - eps*Z| (clt)
+STATISTICS = ("lln", "clt")
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-eps mean sup-norm errors and fitted log2-log2 slopes."""
+    """Per-eps mean sup-norm errors and fitted log2-log2 slopes.  Axis 0 of
+    each table is the statistic, in STATISTICS order; the last axis of mean,
+    sem, slope and r2 is the columns e1..ed, norm (the Euclidean norm)."""
 
     eps_exponents: tuple[int, ...]
-    eps_list: np.ndarray
-    # tables over the columns e1..ed, norm (column d is the Euclidean norm)
-    mean_lln: np.ndarray  # (n_eps, d + 1)
-    mean_clt: np.ndarray
-    sem_lln: np.ndarray  # standard errors of the mean (diagnostic extension)
-    sem_clt: np.ndarray
-    slope_lln: np.ndarray  # (d + 1,)
-    slope_clt: np.ndarray
-    r2_lln: np.ndarray
-    r2_clt: np.ndarray
-    # per-path sups, path axis in path-index order: (n_eps, n_paths, d)
-    lln_paths: np.ndarray
-    clt_paths: np.ndarray
+    mean: np.ndarray  # (2, n_eps, d + 1)
+    sem: np.ndarray  # standard errors of the mean (diagnostic extension)
+    slope: np.ndarray  # (2, d + 1)
+    r2: np.ndarray
+    # per-path sups, path axis in path-index order: (2, n_eps, n_paths, d)
+    paths: np.ndarray
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
@@ -142,48 +141,37 @@ def run_convergence_study(
     results = [run_chunk(c) for c in chunks]
 
     # assemble in path-index order; all downstream reductions see one array,
-    # per-coordinate sups laid out (n_eps, n_paths, d)
+    # per-coordinate sups laid out (2, n_eps, n_paths, d)
     sup, sup_n2 = (np.concatenate(parts, axis=-1) for parts in zip(*results))
-    lln, clt = np.ascontiguousarray(np.moveaxis(sup, 1, -1))
-    lln_n2, clt_n2 = sup_n2
-    bad = ~(np.isfinite(lln_n2) & np.isfinite(clt_n2))  # NaN survives np.maximum
+    paths = np.ascontiguousarray(np.moveaxis(sup, 1, -1))
+    bad = ~np.isfinite(sup_n2).all(axis=0)  # NaN survives np.maximum
     if bad.any():
         raise IntegrationOverflowError("path overflow at " + "; ".join(
             f"eps={eps[e]}, path index {', '.join(map(str, np.flatnonzero(row)))}"
             for e, row in enumerate(bad) if row.any()))
 
+    # means and standard errors over paths, (2, n_eps, d + 1), column d the
+    # norm; the norm reduces on its own: a reduction over the stacked columns
+    # would sum it in another order and change its last bits
+    norm = np.sqrt(sup_n2)
+    mean = np.dstack((paths.mean(axis=2), norm.mean(axis=2)))
+    sem = np.dstack((paths.std(axis=2, ddof=1), norm.std(axis=2, ddof=1)))
+    for s, e, j in zip(*np.nonzero(mean <= 0)):
+        col = "norm" if j == model.d else f"e{j + 1}"
+        raise ValueError(f"{STATISTICS[s]} mean error of column {col} is 0 at "
+                         f"eps={eps[e]}: no log-log slope can be fitted")
     xs = -np.array(eps_exponents, dtype=float)
-
-    def tables(stat, per_coord, norm_sq):
-        """Mean and standard error over paths, (n_eps, d + 1), and each
-        column's log-log slope and r^2, (d + 1,); column d is the norm."""
-        # the norm reduces on its own: a reduction over the stacked columns
-        # would sum it in another order and change its last bits
-        norm = np.sqrt(norm_sq)
-        mean = np.column_stack((per_coord.mean(axis=1), norm.mean(axis=1)))
-        sem = np.column_stack((per_coord.std(axis=1, ddof=1), norm.std(axis=1, ddof=1)))
-        for e, j in zip(*np.nonzero(mean <= 0)):
-            col = "norm" if j == model.d else f"e{j + 1}"
-            raise ValueError(f"{stat} mean error of column {col} is 0 at eps={eps[e]}: "
-                             "no log-log slope can be fitted")
-        fits = np.array([fit_loglog_slope(xs, col) for col in mean.T])
-        return mean, sem / np.sqrt(n_paths), fits[:, 0], fits[:, 2]
-
-    mean_lln, sem_lln, slope_lln, r2_lln = tables("lln", lln, lln_n2)
-    mean_clt, sem_clt, slope_clt, r2_clt = tables("clt", clt, clt_n2)
-    return ConvergenceReport(
-        eps_exponents=eps_exponents, eps_list=eps,
-        mean_lln=mean_lln, mean_clt=mean_clt, sem_lln=sem_lln, sem_clt=sem_clt,
-        slope_lln=slope_lln, slope_clt=slope_clt, r2_lln=r2_lln, r2_clt=r2_clt,
-        lln_paths=lln, clt_paths=clt,
-    )
+    fits = np.array([[fit_loglog_slope(xs, col) for col in table.T] for table in mean])
+    return ConvergenceReport(eps_exponents=eps_exponents, mean=mean,
+                             sem=sem / np.sqrt(n_paths), slope=fits[..., 0],
+                             r2=fits[..., 2], paths=paths)
 
 
 def write_report_csv(report: ConvergenceReport, out: IO[str]) -> None:
     """Report CSV: per eps, i, eps and the rows of the mean and sem tables
     (lln, then clt); then one footer row per slope and r2 table, filling the
     mean block of its own statistic."""
-    d = report.mean_lln.shape[1] - 1
+    d = report.mean.shape[-1] - 1
 
     def fmt(v) -> str:
         return f"{v:.17g}"
@@ -191,13 +179,12 @@ def write_report_csv(report: ConvergenceReport, out: IO[str]) -> None:
     means = [f"e{j}" for j in range(1, d + 1)] + ["norm"]
     sems = [f"se{j}" for j in range(1, d + 1)] + ["se_norm"]
     out.write(",".join(["i", "eps"] + [f"{c}_{stat}" for cols in (means, sems)
-                                       for stat in ("lln", "clt") for c in cols]) + "\n")
-    body = np.hstack((report.mean_lln, report.mean_clt, report.sem_lln, report.sem_clt))
-    for i, eps, row in zip(report.eps_exponents, report.eps_list, body):
-        out.write(",".join([str(i), fmt(eps)] + [fmt(v) for v in row]) + "\n")
+                                       for stat in STATISTICS for c in cols]) + "\n")
+    for i, row in zip(report.eps_exponents, np.hstack((*report.mean, *report.sem))):
+        out.write(",".join([str(i), fmt(2.0**-i)] + [fmt(v) for v in row]) + "\n")
 
     blank = [""] * (d + 1)
-    for label in ("slope_lln", "slope_clt", "r2_lln", "r2_clt"):
-        at = int(label.endswith("clt"))
-        cells = blank * at + [fmt(v) for v in getattr(report, label)] + blank * (3 - at)
-        out.write(",".join([label, ""] + cells) + "\n")
+    for label in ("slope", "r2"):
+        for at, stat in enumerate(STATISTICS):
+            cells = blank * at + [fmt(v) for v in getattr(report, label)[at]] + blank * (3 - at)
+            out.write(",".join([f"{label}_{stat}", ""] + cells) + "\n")

@@ -56,6 +56,8 @@ def _resolve_model(args) -> dynamics.Model:
     """The model of a simulate or convergence run; for --model affine_kick the
     kick matrix A and offset c, zero where not given, are written back onto args."""
     if args.model == "pendulum":
+        if args.A is not None or args.c is not None:
+            raise ValueError("--A and --c apply only to --model affine_kick, not pendulum")
         return dynamics.pendulum_model(alpha_pend=args.alpha_pend)
     d = len(args.x0)
     args.A = np.zeros((d, d)) if args.A is None else args.A
@@ -65,25 +67,32 @@ def _resolve_model(args) -> dynamics.Model:
 
 def _emit(args, t0: float, write) -> None:
     """Call write on the file named by --out, or on stdout when it is not set;
-    a file output then gets its manifest, `<out>.manifest.json`."""
+    a file output then gets its manifest, `<out>.manifest.json`.  A failed
+    write removes the files this call created, never one that existed before."""
     if args.out is None:
         write(sys.stdout)
         return
-    with open(args.out, "w", newline="\n") as f:
-        write(f)
-    manifest = {
-        "subcommand": args.subcommand,
-        "parameters": {k: v for k, v in vars(args).items()
-                       if k not in ("subcommand", "out", "run", "threads")},
-        "outputs": [args.out],
-        "tool_version": __version__,
-        "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
-        "duration_seconds": time.time() - t0,
-    }
-    with open(args.out + ".manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True, default=np.ndarray.tolist)
-        f.write("\n")
+    created = [p for p in (args.out, args.out + ".manifest.json") if not os.path.lexists(p)]
+    try:
+        with open(args.out, "w", newline="\n") as f:
+            write(f)
+        manifest = {
+            "subcommand": args.subcommand,
+            "parameters": {k: v for k, v in vars(args).items()
+                           if k not in ("subcommand", "out", "run", "threads")},
+            "outputs": [args.out],
+            "tool_version": __version__,
+            "versions": {"python": platform.python_version(),
+                         "numpy": np.__version__, "scipy": scipy.__version__},
+            "duration_seconds": time.time() - t0,
+        }
+        with open(args.out + ".manifest.json", "w") as f:
+            json.dump(manifest, f, indent=2, sort_keys=True, default=np.ndarray.tolist)
+            f.write("\n")
+    except BaseException:
+        for p in filter(os.path.lexists, created):
+            os.remove(p)
+        raise
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -164,15 +173,14 @@ def cmd_convergence(args, t0: float) -> int:
     paths, dt_exp = {"paper": (1000, 12), "desk": (200, 10)}.get(args.preset, (1000, 12))
     args.paths = paths if args.paths is None else args.paths
     args.dt_exp = dt_exp if args.dt_exp is None else args.dt_exp
+    args.preset = None  # paths and dt_exp record its effect
     model = _resolve_model(args)
     grid = integrate.build_grid(args.T, args.dt_exp, args.alpha)
     report = analysis.run_convergence_study(
         model, grid, args.x0, args.eps_exps, args.paths, args.seed)
     _emit(args, t0, lambda f: analysis.write_report_csv(report, f))
-    print("slope_lln per coordinate:",
-          " ".join(f"{s:.4f}" for s in report.slope_lln[:-1]))
-    print("slope_clt per coordinate:",
-          " ".join(f"{s:.4f}" for s in report.slope_clt[:-1]))
+    for stat, slopes in zip(analysis.STATISTICS, report.slope):
+        print(f"slope_{stat} per coordinate:", " ".join(f"{s:.4f}" for s in slopes[:-1]))
     return 0
 
 
@@ -204,7 +212,8 @@ def main(argv=None) -> int:
         # stdout's reader left: send the rest to devnull (Python docs, "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, FloatingPointError, MemoryError, integrate.IntegrationOverflowError) as exc:
+    except (ValueError, FloatingPointError, MemoryError, OSError,
+            integrate.IntegrationOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -311,6 +311,8 @@ def integrate_coupled(
     mapped by Dh at the deterministic left limit.  X and Z share the path's
     increments and advance together in the coupled pass of the stepper,
     after the deterministic pass; epsilon=0 gives X = x bitwise."""
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     x0 = _check_x0(model, x0)
     _check_path(model, grid, path)
     det = integrate_deterministic(model, grid, x0)

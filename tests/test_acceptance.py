@@ -45,14 +45,14 @@ def paper_report():
 
 
 def test_criterion_1_lln_slope(paper_report):
-    slopes = paper_report.slope_lln
+    slopes = paper_report.slope[0]
     ok = bool(np.all((0.85 <= slopes) & (slopes <= 1.15)))
     check(1, ok, f"full-scale LLN slopes per coordinate {slopes.round(4)} "
                  "within [0.85, 1.15]")
 
 
 def test_criterion_2_clt_slope(paper_report):
-    slopes = paper_report.slope_clt
+    slopes = paper_report.slope[1]
     ok = bool(np.all((1.75 <= slopes) & (slopes <= 2.25)))
     check(2, ok, f"full-scale CLT slopes per coordinate {slopes.round(4)} "
                  "within [1.75, 2.25]")
@@ -64,7 +64,7 @@ def test_criterion_2_desk_preset():
     rep = run_convergence_study(
         model, grid, X0, range(1, 11), 200, base_seed=2024,
     )
-    slopes = rep.slope_clt
+    slopes = rep.slope[1]
     ok = bool(np.all((1.7 <= slopes) & (slopes <= 2.3)))
     check(2, ok, f"desk preset CLT slopes {slopes.round(4)} within [1.7, 2.3]")
 

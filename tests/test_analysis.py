@@ -148,7 +148,7 @@ class TestConvergenceStudy:
         m = linear_model(A, M)
         grid = build_grid(4.0, 6, 1.0)
         rep = run_convergence_study(m, grid, np.array([0.5, 0.5]), [1, 2, 3], 4, 17)
-        assert np.all(rep.mean_clt <= 1e-9)
+        assert np.all(rep.mean[1] <= 1e-9)
 
     def test_determinism_and_seed_sensitivity(self):
         m = pendulum_model()
@@ -157,9 +157,8 @@ class TestConvergenceStudy:
         a = run_convergence_study(m, grid, x0, [1, 2, 3], 2, 5)
         b = run_convergence_study(m, grid, x0, [1, 2, 3], 2, 5)
         c = run_convergence_study(m, grid, x0, [1, 2, 3], 2, 6)
-        assert a.mean_lln.tobytes() == b.mean_lln.tobytes()
-        assert a.mean_clt.tobytes() == b.mean_clt.tobytes()
-        assert not np.array_equal(a.mean_lln, c.mean_lln)
+        assert a.mean.tobytes() == b.mean.tobytes()
+        assert not np.array_equal(a.mean[0], c.mean[0])
 
     def test_error_monotone_in_eps(self):
         m = pendulum_model()
@@ -167,8 +166,7 @@ class TestConvergenceStudy:
             m, self.small_grid(), np.array([0.5, 0.5]),
             range(1, 11), 60, 3,
         )
-        assert np.all(rep.mean_lln[0] > rep.mean_lln[-1])
-        assert np.all(rep.mean_clt[0] > rep.mean_clt[-1])
+        assert np.all(rep.mean[:, 0] > rep.mean[:, -1])
 
     def test_correction_strictly_helps_per_path(self):
         # first-order correction beats the raw deviation for eps <= 2^-2
@@ -177,7 +175,7 @@ class TestConvergenceStudy:
             m, self.small_grid(), np.array([0.5, 0.5]),
             [2, 3, 4, 5, 6], 40, 29,
         )
-        assert np.all(rep.clt_paths < rep.lln_paths)
+        assert np.all(rep.paths[1] < rep.paths[0])
 
     def test_validation(self, monkeypatch):
         # every check runs before the deterministic pass
@@ -308,17 +306,15 @@ class TestStudyMatchesPerPath:
         n2 = np.empty((2, len(exps), n_paths))
         for j in range(n_paths):
             path = sample_brownian(grid, model.r, seed, j)
-            for e, eps in enumerate(rep.eps_list):
+            for e, eps in enumerate(2.0**-i for i in rep.eps_exponents):
                 det, noisy, fluct = integrate_coupled(model, grid, x0, eps, path)
                 lln = sup_error(noisy, det)
                 clt = sup_error(noisy, det, shift=fluct, shift_scale=eps)
-                assert lln.tobytes() == rep.lln_paths[e, j].tobytes(), (e, j)
-                assert clt.tobytes() == rep.clt_paths[e, j].tobytes(), (e, j)
+                assert lln.tobytes() == rep.paths[0, e, j].tobytes(), (e, j)
+                assert clt.tobytes() == rep.paths[1, e, j].tobytes(), (e, j)
                 n2[0, e, j] = sup_sq_norm(noisy, det)
                 n2[1, e, j] = sup_sq_norm(noisy, det, fluct, eps)
-        norms = np.sqrt(n2)
-        for norm, mean, sem in ((norms[0], rep.mean_lln[:, -1], rep.sem_lln[:, -1]),
-                                (norms[1], rep.mean_clt[:, -1], rep.sem_clt[:, -1])):
+        for norm, mean, sem in zip(np.sqrt(n2), rep.mean[..., -1], rep.sem[..., -1]):
             assert norm.mean(axis=1).tobytes() == mean.tobytes()
             se = norm.std(axis=1, ddof=1) / np.sqrt(n_paths)
             assert se.tobytes() == sem.tobytes()
@@ -333,12 +329,12 @@ class TestStudyMatchesPerPath:
         rep = run_convergence_study(model, grid, x0, [1, 3], n_paths, seed)
         for j in range(n_paths):
             path = sample_brownian(grid, model.r, seed, j)
-            for e, eps in enumerate(rep.eps_list):
+            for e, eps in enumerate(2.0**-i for i in rep.eps_exponents):
                 det, noisy, fluct = integrate_coupled(model, grid, x0, eps, path)
                 lln = sup_error(noisy, det)
                 clt = sup_error(noisy, det, shift=fluct, shift_scale=eps)
-                assert lln.tobytes() == rep.lln_paths[e, j].tobytes(), (e, j)
-                assert clt.tobytes() == rep.clt_paths[e, j].tobytes(), (e, j)
+                assert lln.tobytes() == rep.paths[0, e, j].tobytes(), (e, j)
+                assert clt.tobytes() == rep.paths[1, e, j].tobytes(), (e, j)
 
 
 class TestCoupledMatchesPasses:
@@ -472,10 +468,9 @@ class TestReportCsv:
         rep = run_convergence_study(model, grid, np.full(model.d, 0.5),
                                     [1, 2, 3], 4, 1)
         k = model.d + 1  # columns per table: e1..ed, norm
-        tables = (rep.mean_lln, rep.mean_clt, rep.sem_lln, rep.sem_clt)
-        assert all(t.shape == (3, k) for t in tables)
-        assert all(getattr(rep, f).shape == (k,)
-                   for f in ("slope_lln", "slope_clt", "r2_lln", "r2_clt"))
+        assert rep.mean.shape == rep.sem.shape == (2, 3, k)
+        assert rep.slope.shape == rep.r2.shape == (2, k)
+        tables = (*rep.mean, *rep.sem)  # lln means, clt means, lln sems, clt sems
         buf = io.StringIO()
         write_report_csv(rep, buf)
         rows = [ln.split(",") for ln in buf.getvalue().splitlines()]
@@ -485,14 +480,15 @@ class TestReportCsv:
         def fmt(v):
             return "%.17g" % v
 
-        for e, row in enumerate(rows[1:4]):
-            assert row[:2] == [str(rep.eps_exponents[e]), fmt(rep.eps_list[e])]
+        for e, (row, eps) in enumerate(zip(rows[1:4], ["0.5", "0.25", "0.125"])):
+            assert row[:2] == [str(e + 1), eps]
             assert row[2:] == [fmt(v) for t in tables for v in t[e]]
         # each footer fills the mean block of its own statistic, nothing else
         for row, (label, block) in zip(rows[4:], [("slope_lln", 0), ("slope_clt", 1),
                                                   ("r2_lln", 0), ("r2_clt", 1)]):
             cells = [""] * (4 * k)
-            cells[block * k:(block + 1) * k] = [fmt(v) for v in getattr(rep, label)]
+            table = rep.slope if label.startswith("slope") else rep.r2
+            cells[block * k:(block + 1) * k] = [fmt(v) for v in table[block]]
             assert row == [label, ""] + cells
 
 

@@ -101,15 +101,15 @@ def test_simulate_replays_study_path_0(seed, tmp_path):
     common = ["--T", "4", "--dt-exp", "6", "--x0", "0.5,0.5", "--seed", str(seed)]
     rep = run_convergence_study(pendulum_model(), build_grid(4.0, 6, 1.0),
                                 np.array([0.5, 0.5]), exps, 2, seed)
-    for e, eps in enumerate(rep.eps_list):
+    for e, eps in enumerate(2.0**-i for i in rep.eps_exponents):
         out = tmp_path / f"traj{e}.csv"
         assert main(["simulate", "--eps", repr(float(eps)), "--out", str(out)] + common) == 0
         table = np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(1, 7))
         x, X, Z = table[:, 0:2], table[:, 2:4], table[:, 4:6]
         lln = np.abs(X - x).max(axis=0)
         clt = np.abs((X - x) - eps * Z).max(axis=0)
-        assert lln.tobytes() == rep.lln_paths[e, 0].tobytes(), eps
-        assert clt.tobytes() == rep.clt_paths[e, 0].tobytes(), eps
+        assert lln.tobytes() == rep.paths[0, e, 0].tobytes(), eps
+        assert clt.tobytes() == rep.paths[1, e, 0].tobytes(), eps
 
 
 class TestConvergence:
@@ -143,8 +143,8 @@ class TestConvergence:
             "--out", str(tmp_path / "r.csv"),
         ])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "slope_lln" in out and "slope_clt" in out
+        assert capsys.readouterr().out == ("slope_lln per coordinate: 1.0590 0.9994\n"
+                                           "slope_clt per coordinate: 2.3414 2.1867\n")
 
     @pytest.mark.parametrize("exps", ["5", "3,3"])
     def test_fewer_than_two_distinct_eps_rejected(self, exps, tmp_path, capsys):
@@ -262,12 +262,14 @@ CONVERGENCE = ["convergence", "--paths", "4", "--eps-exps", "1..3", "--T", "2",
 
 @pytest.mark.parametrize("argv", [
     SIMULATE, SIMULATE + AFFINE, CONVERGENCE, CONVERGENCE + AFFINE,
+    ["convergence", "--preset", "desk", "--eps-exps", "1..3", "--T", "2", "--seed", "3"],
     ["kickmap", "--A=-0.5,1,-1,-0.5", "--c", "1,0", "--r=0.5,-0.25", "--deltas", "0.5,0.25"],
 ], ids=["simulate-pendulum", "simulate-affine", "convergence-pendulum",
-        "convergence-affine", "kickmap"])
+        "convergence-affine", "convergence-preset-desk", "kickmap"])
 def test_manifest_replays_the_run(argv, tmp_path):
     """A manifest's parameters are the parsed options by name, and the run
-    they describe writes the same bytes."""
+    they describe writes the same bytes.  A preset is recorded by its effect,
+    `paths` and `dt_exp`, so `preset` itself is null."""
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
@@ -355,6 +357,9 @@ def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, 
      "error: seed must be >= 0, got -1"),
     (["convergence", "--paths", "2", "--eps-exps", "1,1100", "--T", "1", "--dt-exp", "2"],
      "error: eps exponent 1100 underflows: 2^-1100 is 0.0 as a float"),
+    (["simulate", "--model", "pendulum", "--eps", "0.1", "--T", "1", "--dt-exp", "2",
+      "--A", "1,0,0,1"],
+     "error: --A and --c apply only to --model affine_kick, not pendulum"),
 ], ids=["simulate", "convergence", "kickmap", "simulate-alpha-0", "convergence-alpha-1.5",
         "convergence-zero-mean-error", "simulate-T-inf", "simulate-T-nan",
         "simulate-dt-exp-2000", "kickmap-delta-1e-320", "kickmap-delta-nan",
@@ -362,12 +367,45 @@ def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, 
         "convergence-preset-and-paths", "convergence-preset-and-dt-exp",
         "kickmap-r-dimension", "simulate-alpha-pend-nan", "simulate-alpha-pend-inf",
         "kickmap-A-nan", "kickmap-c-inf", "kickmap-r-nan", "simulate-seed-negative",
-        "convergence-seed-negative", "convergence-eps-exp-underflow"])
+        "convergence-seed-negative", "convergence-eps-exp-underflow", "simulate-pendulum-A"])
 def test_failure_exits_1_without_output_or_manifest(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_output_directory_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    assert main(SIMULATE + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new-output", "existing-output"])
+def test_failed_write_leaves_no_partial_output(existed, monkeypatch, tmp_path, capsys):
+    """A writer that fails part way exits 1 with one error line.  The output
+    the run created is removed; a file that was there before is kept."""
+    def write_one_line_then_fail(f, *args):
+        f.write("t,x1,x2\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(integrate, "write_trajectory_csv", write_one_line_then_fail)
+    out = tmp_path / "out.csv"
+    if existed:
+        out.write_text("kept\n")
+    assert main(SIMULATE + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == ([out] if existed else [])
+
+
+def test_failed_manifest_removes_the_output(tmp_path, capsys):
+    """A manifest that cannot be written takes the output the run created
+    with it, and leaves what was there before: here a directory in its place."""
+    (tmp_path / "out.csv.manifest.json").mkdir()
+    assert main(SIMULATE + ["--out", str(tmp_path / "out.csv")]) == 1
+    assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv.manifest.json"]
 
 
 def test_readme_commands_parse():
@@ -397,7 +435,7 @@ class TestPresets:
         manifest = json.loads((tmp_path / "desk.csv.manifest.json").read_text())
         assert manifest["parameters"]["paths"] == 200
         assert manifest["parameters"]["dt_exp"] == 10
-        assert manifest["parameters"]["preset"] == "desk"
+        assert manifest["parameters"]["preset"] is None
 
 
 def test_import_leaves_scipy_linalg_unloaded():

@@ -225,6 +225,13 @@ class TestSde:
         with pytest.raises(ValueError, match="does not match grid dt"):
             integrate_coupled(m, grid, np.array([0.5, 0.5]), 0.1, finer)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_epsilon_rejected(self, eps):
+        m = pendulum_model()
+        grid = build_grid(1.0, 3, 1.0)
+        with pytest.raises(ValueError, match=f"^epsilon must be finite, got {eps}$"):
+            integrate_coupled(m, grid, np.array([0.5, 0.5]), eps, sample_brownian(grid, 2, 0))
+
 
 class TestFluctuation:
     """Z, the fluctuation process of integrate_coupled."""
