@@ -3,17 +3,21 @@ log-log slope regression across noise scales.
 
 Per path the noisy flow and the fluctuation process consume identical
 Brownian increments, so path-wise differences reflect the strong error
-bounds being verified.  Paths are batched into fixed-size chunks, run in
-order; a chunk steps all its paths and noise scales component-major and in
-place, drawing each path's increments in time blocks from its own
-generator, and reduces the sups as it goes.  No path's bits depend on its
-chunk or block, and the reduction order is fixed by path index, so the
-report is bit-identical for any chunk or block size.
+bounds being verified.  The study's paths split into contiguous shares, one
+per worker: the calling process steps the first, and a large enough study
+forks a worker process for each of the others (see _worker_count).  A share
+runs in fixed-size chunks, in order; a chunk steps all its paths and noise
+scales component-major and in place, drawing each path's increments in time
+blocks from its own generator, and reduces the sups as it goes.  No path's
+bits depend on its share, chunk or block, and the reduction runs on the
+sups of all paths in path-index order, so the report is bit-identical for
+any worker count, chunk size or block size.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -32,6 +36,12 @@ from .integrate import (
 # paths per chunk: a chunk holds O(paths x Brownian block) memory, so this
 # bounds the step loop's memory however many paths a study has.
 _CHUNK_SIZE = 250
+
+# path-steps (paths x eps x steps) a study must give each process before it
+# forks one.  Every process pays the per-step overhead of all the steps, and
+# the fork costs tens of ms, so two processes break even only near 2^23
+# path-steps of the pendulum on a 2-vCPU host.
+_MIN_WORK_PER_WORKER = 2**22
 
 
 # axis 0 of every report table: sup|X - x| (lln) and sup|X - x - eps*Z| (clt)
@@ -77,6 +87,74 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
     return float(slope), float(intercept), r2
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))  # honours taskset and cpusets
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(n_paths: int, work: int) -> int:
+    """Processes that step a study of n_paths paths and `work` path-steps
+    (paths x eps x steps): one per usable CPU, but no more than there are
+    paths or _MIN_WORK_PER_WORKER shares of work, and one without fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_usable_cpus(), n_paths, work // _MIN_WORK_PER_WORKER))
+
+
+_share_runner = None  # in a forked study worker, the study's run_share
+
+
+def _install_share_runner(run_share, parent: int):
+    """Start a forked study worker: keep the study's run_share, and exit as
+    soon as the process `parent` is gone.  A worker left behind would step
+    its share and then block for ever, writing its sups into a pipe that no
+    process reads."""
+    import threading
+    import time
+
+    def exit_when_orphaned():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    global _share_runner
+    _share_runner = run_share
+    threading.Thread(target=exit_when_orphaned, daemon=True).start()
+
+
+def _run_installed_share(share):
+    return _share_runner(share)
+
+
+def _fork_shares(run_share, shares):
+    """run_share over shares, in order, the first in this process and each
+    other in a forked worker.  Fork hands the workers run_share, a closure
+    over the study's state, without pickling it; only the shares and their
+    sups cross the pipes.  A worker that dies raises ChildProcessError,
+    naming the paths whose sups did not come back."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_install_share_runner,
+                             initargs=(run_share, os.getpid())) as pool:
+        waiting = 1  # shares[waiting:] have not come back
+        try:
+            futures = [pool.submit(_run_installed_share, share) for share in shares[1:]]
+            results = run_share(shares[0])
+            for future in futures:
+                results += future.result()
+                waiting += 1
+        except BrokenProcessPool:
+            raise ChildProcessError(
+                f"a study worker process died: the sups of paths {shares[waiting].start}"
+                f"..{shares[-1].stop - 1} were lost") from None
+    return results
+
+
 def run_convergence_study(
     model: Model,
     grid: SampleGrid,
@@ -106,11 +184,6 @@ def run_convergence_study(
     det = integrate_deterministic(model, grid, x0)
     along = _prepare_along_path(model, grid, det)
 
-    chunks = [
-        range(lo, min(lo + _CHUNK_SIZE, n_paths))
-        for lo in range(0, n_paths, _CHUNK_SIZE)
-    ]
-
     def run_chunk(idx_range):
         """Per-coordinate and squared-norm sups of |X - x| (index 0) and
         |X - x - eps*Z| (index 1), component-major: (2, d, n_eps, n_paths)
@@ -138,7 +211,14 @@ def run_convergence_study(
         _step(model, grid, visit, X, eps, blocks, along)
         return sup, sup_n2
 
-    results = [run_chunk(c) for c in chunks]
+    def run_share(share):
+        return [run_chunk(range(lo, min(lo + _CHUNK_SIZE, share.stop)))
+                for lo in range(share.start, share.stop, _CHUNK_SIZE)]
+
+    n_workers = _worker_count(n_paths, n_paths * len(eps) * grid.n_steps)
+    bounds = [n_paths * k // n_workers for k in range(n_workers + 1)]
+    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    results = run_share(shares[0]) if n_workers == 1 else _fork_shares(run_share, shares)
 
     # assemble in path-index order; all downstream reductions see one array,
     # per-coordinate sups laid out (2, n_eps, n_paths, d)

@@ -11,9 +11,11 @@ through `_emit`, so a failed run leaves neither an output nor a manifest.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import platform
+import stat
 import sys
 import time
 
@@ -65,17 +67,44 @@ def _resolve_model(args) -> dynamics.Model:
     return dynamics.affine_kick_model(args.A, args.c)
 
 
+def _write_file(path: str, write) -> None:
+    """Call write on a text file at path.  An existing regular file is
+    replaced whole, keeping its mode: the output goes to a sibling file that
+    is renamed over it, so a failed write keeps its content.  Any other path
+    (a new file, a device such as /dev/null) is written in place."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is None or not stat.S_ISREG(st.st_mode):
+        with open(path, "w", newline="\n") as f:
+            write(f)
+        return
+    if not os.access(path, os.W_OK):  # a rename would replace a read-only file
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        with open(fd, "w", newline="\n") as f:
+            os.fchmod(fd, stat.S_IMODE(st.st_mode))
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def _emit(args, t0: float, write) -> None:
     """Call write on the file named by --out, or on stdout when it is not set;
     a file output then gets its manifest, `<out>.manifest.json`.  A failed
-    write removes the files this call created, never one that existed before."""
+    write removes the files this call created, and leaves the content of a
+    regular file that existed before as it was."""
     if args.out is None:
         write(sys.stdout)
         return
     created = [p for p in (args.out, args.out + ".manifest.json") if not os.path.lexists(p)]
     try:
-        with open(args.out, "w", newline="\n") as f:
-            write(f)
+        _write_file(args.out, write)
         manifest = {
             "subcommand": args.subcommand,
             "parameters": {k: v for k, v in vars(args).items()
@@ -86,9 +115,12 @@ def _emit(args, t0: float, write) -> None:
                          "numpy": np.__version__, "scipy": scipy.__version__},
             "duration_seconds": time.time() - t0,
         }
-        with open(args.out + ".manifest.json", "w") as f:
+
+        def write_manifest(f):
             json.dump(manifest, f, indent=2, sort_keys=True, default=np.ndarray.tolist)
             f.write("\n")
+
+        _write_file(args.out + ".manifest.json", write_manifest)
     except BaseException:
         for p in filter(os.path.lexists, created):
             os.remove(p)
@@ -126,13 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--eps", type=float, required=True, help="noise scale in (0,1)")
     p_sim.add_argument("--allow-degenerate", action="store_true",
                        help="permit eps=0 (noise-free check mode)")
+    p_sim.add_argument("--path-index", type=int, default=0, metavar="J",
+                       help="draw path J of a convergence study at the same --seed")
     p_sim.set_defaults(run=cmd_simulate)
 
     p_conv = sub.add_parser("convergence", help="Monte Carlo slope study as CSV")
     _add_common(p_conv)
     p_conv.add_argument("--paths", type=int, help="Monte Carlo paths (default 1000)")
     p_conv.add_argument("--threads", type=int, default=1,
-                        help="ignored; the study runs on the calling thread")
+                        help="ignored; a large study uses every usable CPU")
     p_conv.add_argument("--eps-exps", type=_parse_eps_exps, default="1..10",
                         help="exponents i for eps=2^-i, as 'lo..hi' or a comma list")
     p_conv.add_argument("--preset", default=None, choices=["paper", "desk"],
@@ -158,7 +192,7 @@ def cmd_simulate(args, t0: float) -> int:
         raise ValueError(f"eps must lie in (0, 1), got {args.eps}")
     model = _resolve_model(args)
     grid = integrate.build_grid(args.T, args.dt_exp, args.alpha)
-    path = integrate.sample_brownian(grid, model.r, args.seed)
+    path = integrate.sample_brownian(grid, model.r, args.seed, args.path_index)
     det, noisy, fluct = integrate.integrate_coupled(model, grid, args.x0, args.eps, path)
     _emit(args, t0, lambda f: integrate.write_trajectory_csv(
         f, det, noisy, fluct, args.eps))

@@ -23,6 +23,7 @@ from impulsesim.integrate import (
 )
 from impulsesim.kickmap import affine_kick_map, regularized_kick
 
+from test_analysis import force_workers
 from test_dynamics import jacobian_consistency
 from test_integrate import linear_model
 from test_kickmap import scalar_affine_closed_form
@@ -182,9 +183,11 @@ def test_criterion_8_schedule_properties():
 
 def test_criterion_9_chunk_determinism(tmp_path, monkeypatch):
     outputs = []
-    for chunk in (7, 250, 260):
+    # (chunk size, processes): three processes split 260 paths 86, 87, 87
+    for chunk, workers in ((7, 1), (250, 1), (260, 1), (7, 2), (250, 3)):
         monkeypatch.setattr(analysis, "_CHUNK_SIZE", chunk)
-        out = tmp_path / f"report_c{chunk}.csv"
+        force_workers(monkeypatch, workers)
+        out = tmp_path / f"report_c{chunk}_w{workers}.csv"
         rc = main([
             "convergence", "--model", "pendulum", "--paths", "260",
             "--eps-exps", "1..5", "--T", "4", "--dt-exp", "6",
@@ -192,9 +195,9 @@ def test_criterion_9_chunk_determinism(tmp_path, monkeypatch):
         ])
         assert rc == 0
         outputs.append(out.read_bytes())
-    ok = outputs[0] == outputs[1] == outputs[2]
+    ok = all(o == outputs[0] for o in outputs)
     check(9, ok, "260-path convergence CSVs byte-identical in chunks of 7, "
-                 "250 (two chunks) and 260 (one chunk)")
+                 "250 (two chunks) and 260 (one chunk), and on 2 and 3 processes")
 
 
 def test_criterion_10_pathwise_epsilon_squared():

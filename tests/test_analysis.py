@@ -1,12 +1,17 @@
 import dataclasses
 import hashlib
 import io
+import os
 import re
+import select
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from impulsesim import analysis, integrate
@@ -38,6 +43,13 @@ def sup_error(a, b, shift=None, shift_scale=1.0):
     if shift is not None:
         diff = diff - shift_scale * np.concatenate((shift.values, shift.left))
     return np.max(np.abs(diff), axis=0)
+
+
+def force_workers(mp, workers):
+    """Have every study run on `workers` processes, forking all but the
+    calling one, however little work it has (with fewer paths, one per path)."""
+    mp.setattr(analysis, "_MIN_WORK_PER_WORKER", 1)
+    mp.setattr(analysis, "_usable_cpus", lambda: workers)
 
 
 def normal_equation_fit(xs, ys):
@@ -382,14 +394,18 @@ class TestCoupledMatchesPasses:
 
 
 class TestBatchingInvariance:
-    """Chunk size and Brownian block length change no bit of the report;
-    the streamed draws are bitwise those of sample_brownian."""
+    """Worker count, chunk size and Brownian block length change no bit of
+    the report; the streamed draws are bitwise those of sample_brownian."""
 
     @settings(max_examples=15, deadline=None)
     @given(model=st.sampled_from([pendulum_model(), state_dependent_pendulum()]),
            m=st.integers(2, 4), n_paths=st.integers(2, 9),
-           chunk=st.sampled_from([1, 3, 7]), block=st.sampled_from([1, 3, 5, 7]))
-    def test_report_bytes(self, model, m, n_paths, chunk, block):
+           chunk=st.sampled_from([1, 3, 7]), block=st.sampled_from([1, 3, 5, 7]),
+           workers=st.sampled_from([1, 2, 3]))
+    # two workers with one chunk each, and three with uneven shares (2, 2, 3)
+    @example(model=pendulum_model(), m=3, n_paths=6, chunk=3, block=5, workers=2)
+    @example(model=state_dependent_pendulum(), m=4, n_paths=7, chunk=1, block=3, workers=3)
+    def test_report_bytes(self, model, m, n_paths, chunk, block, workers):
         grid = build_grid(2.0, m, 0.5)  # 8, 16 or 32 steps
         seed = 5
         args = (model, grid, np.array([0.5, 0.5]), [1, 3], n_paths, seed)
@@ -397,6 +413,7 @@ class TestBatchingInvariance:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_CHUNK_SIZE", chunk)
             mp.setattr(integrate, "_BLOCK_STEPS", block)
+            force_workers(mp, workers)
             rep = run_convergence_study(*args)
             draws = np.concatenate([b.copy() for b in
                                     integrate._brownian_blocks(grid, model.r, seed,
@@ -407,6 +424,76 @@ class TestBatchingInvariance:
         for j in range(n_paths):
             expected = sample_brownian(grid, model.r, seed, j).increments
             assert draws[:, :, j].tobytes() == expected.tobytes(), j
+
+
+class TestWorkers:
+    def test_worker_count(self, monkeypatch):
+        # the benchmark's paper and desk studies fork one worker on two CPUs
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        assert analysis._worker_count(250, 250 * 10 * 2**15) == 2
+        assert analysis._worker_count(200, 200 * 10 * 2**13) == 2
+        assert analysis._worker_count(2, 10**12) == 2
+        assert analysis._worker_count(260, analysis._MIN_WORK_PER_WORKER - 1) == 1
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 1)
+        assert analysis._worker_count(1000, 10**12) == 1
+
+    def test_small_study_runs_in_process(self, monkeypatch):
+        def no_fork(*args):
+            raise AssertionError("a small study forked")
+
+        monkeypatch.setattr(analysis, "_fork_shares", no_fork)
+        run_convergence_study(pendulum_model(), build_grid(4.0, 6, 1.0),
+                              np.array([0.5, 0.5]), [1, 2, 3], 260, 0)
+
+    def test_model_error_in_a_worker_comes_back(self, monkeypatch):
+        """An exception a model raises in a worker reaches the caller with
+        its type and message."""
+        parent, base = os.getpid(), pendulum_model()
+
+        def drift(x):
+            if os.getpid() != parent:
+                raise ValueError("drift refused outside the calling process")
+            return base.drift(x)
+
+        force_workers(monkeypatch, 2)
+        with pytest.raises(ValueError) as info:
+            run_convergence_study(dataclasses.replace(base, drift=drift),
+                                  build_grid(2.0, 4, 1.0), np.array([0.5, 0.5]),
+                                  [1, 2], 4, 0)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "drift refused outside the calling process"
+
+    def test_worker_exits_when_the_calling_process_dies(self):
+        """A worker whose study process is killed exits too, and does not
+        step on and then block for ever on a pipe that nobody reads."""
+        code = (
+            "import dataclasses, os, sys, time\n"
+            "import numpy as np\n"
+            "from impulsesim import analysis, build_grid, pendulum_model\n"
+            "analysis._MIN_WORK_PER_WORKER, analysis._usable_cpus = 1, lambda: 2\n"
+            "parent, base, fd = os.getpid(), pendulum_model(), int(sys.argv[1])\n"
+            "def drift(x):\n"
+            "    if os.getpid() != parent:\n"
+            "        os.write(fd, b'w')\n"
+            "        time.sleep(60)\n"
+            "    return base.drift(x)\n"
+            "analysis.run_convergence_study(dataclasses.replace(base, drift=drift),\n"
+            "    build_grid(1.0, 2, 1.0), np.array([0.5, 0.5]), [1, 2], 4, 0)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        r, w = os.pipe()
+        try:
+            proc = subprocess.Popen([sys.executable, "-c", code, str(w)], pass_fds=(w,),
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                    env={**os.environ, "PYTHONPATH": src})
+            os.close(w)
+            # the worker holds the only other write end of the pipe
+            assert select.select([r], [], [], 60)[0] and os.read(r, 1) == b"w"
+            proc.kill()
+            proc.wait(timeout=60)
+            assert select.select([r], [], [], 10)[0], "the worker outlived its study"
+            assert os.read(r, 1) == b""
+        finally:
+            os.close(r)
 
 
 class TestStudyOverflow:
@@ -436,18 +523,25 @@ class TestStudyOverflow:
                         integrate_coupled(m, grid, x0, 2.0**-i, path)
                     except IntegrationOverflowError:
                         expected.add((2.0**-i, j))
-            # more than one eps and more than one path blow up, not all of them
+            # more than one eps and more than one path blow up, not all of them;
+            # one lies in a forked worker's share (from path 5 with two
+            # workers, from path 3 with three)
             assert len({e for e, _ in expected}) > 1 and len({j for _, j in expected}) > 1
             assert len(expected) < len(exps) * n_paths
-            with pytest.raises(IntegrationOverflowError, match="path overflow at eps") as info:
-                run_convergence_study(m, grid, x0, exps, n_paths, seed)
-            named = {
-                (float(e), int(j))
-                for e, js in re.findall(r"eps=([0-9.e-]+), path index ([0-9, ]+)",
-                                        str(info.value))
-                for j in js.split(", ")
-            }
-            assert named == expected
+            assert max(j for _, j in expected) >= 5
+            for workers in (1, 2, 3):
+                with pytest.MonkeyPatch.context() as mp:
+                    force_workers(mp, workers)
+                    with pytest.raises(IntegrationOverflowError,
+                                       match="path overflow at eps") as info:
+                        run_convergence_study(m, grid, x0, exps, n_paths, seed)
+                named = {
+                    (float(e), int(j))
+                    for e, js in re.findall(r"eps=([0-9.e-]+), path index ([0-9, ]+)",
+                                            str(info.value))
+                    for j in js.split(", ")
+                }
+                assert named == expected, workers
 
 
 class TestReportCsv:

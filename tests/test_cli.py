@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -12,8 +13,11 @@ import numpy as np
 import pytest
 import scipy
 
-from impulsesim import build_grid, integrate, pendulum_model, run_convergence_study
+from impulsesim import (build_grid, dynamics, integrate, pendulum_model,
+                        run_convergence_study)
 from impulsesim.cli import build_parser, main
+
+from test_analysis import force_workers
 
 
 def run_cli(argv, capsys=None):
@@ -93,23 +97,27 @@ class TestSimulate:
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_simulate_replays_study_path_0(seed, tmp_path):
-    """simulate --seed s draws path 0 of a study at seed s: the sups of its
-    CSV columns, over every row (left limits included), equal the study's
-    per-path sups of path 0 bit for bit at every eps."""
+def test_simulate_replays_study_path_0(seed, tmp_path, monkeypatch):
+    """simulate --seed s --path-index j draws path j of a study at seed s: the
+    sups of its CSV columns, over every row (left limits included), equal the
+    study's per-path sups of path j bit for bit at every eps.  Path 0 is the
+    default; path 3 is stepped in the study's forked worker."""
     exps = [2, 4]
     common = ["--T", "4", "--dt-exp", "6", "--x0", "0.5,0.5", "--seed", str(seed)]
+    force_workers(monkeypatch, 2)  # the calling process steps paths 0-1, a worker 2-3
     rep = run_convergence_study(pendulum_model(), build_grid(4.0, 6, 1.0),
-                                np.array([0.5, 0.5]), exps, 2, seed)
-    for e, eps in enumerate(2.0**-i for i in rep.eps_exponents):
-        out = tmp_path / f"traj{e}.csv"
-        assert main(["simulate", "--eps", repr(float(eps)), "--out", str(out)] + common) == 0
-        table = np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(1, 7))
-        x, X, Z = table[:, 0:2], table[:, 2:4], table[:, 4:6]
-        lln = np.abs(X - x).max(axis=0)
-        clt = np.abs((X - x) - eps * Z).max(axis=0)
-        assert lln.tobytes() == rep.paths[0, e, 0].tobytes(), eps
-        assert clt.tobytes() == rep.paths[1, e, 0].tobytes(), eps
+                                np.array([0.5, 0.5]), exps, 4, seed)
+    for j, index in ((0, []), (3, ["--path-index", "3"])):
+        for e, eps in enumerate(2.0**-i for i in rep.eps_exponents):
+            out = tmp_path / f"traj{j}_{e}.csv"
+            assert main(["simulate", "--eps", repr(float(eps)), "--out", str(out)]
+                        + common + index) == 0
+            table = np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(1, 7))
+            x, X, Z = table[:, 0:2], table[:, 2:4], table[:, 4:6]
+            lln = np.abs(X - x).max(axis=0)
+            clt = np.abs((X - x) - eps * Z).max(axis=0)
+            assert lln.tobytes() == rep.paths[0, e, j].tobytes(), (j, eps)
+            assert clt.tobytes() == rep.paths[1, e, j].tobytes(), (j, eps)
 
 
 class TestConvergence:
@@ -397,6 +405,43 @@ def test_failed_write_leaves_no_partial_output(existed, monkeypatch, tmp_path, c
     assert main(SIMULATE + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     assert list(tmp_path.iterdir()) == ([out] if existed else [])
+    if existed:
+        assert out.read_text() == "kept\n"
+
+
+def test_existing_output_is_replaced_keeping_its_mode(tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    (tmp_path / "out.csv.manifest.json").write_text("{}\n")
+    assert main(SIMULATE + ["--out", str(out)]) == 0
+    assert out.read_text().startswith("t,x1,x2,")
+    assert out.stat().st_mode & 0o7777 == 0o640
+    assert json.loads((tmp_path / "out.csv.manifest.json").read_text())["outputs"] == [str(out)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest.json"]
+
+
+def test_dead_study_worker_exits_1_naming_its_paths(monkeypatch, tmp_path, capsys):
+    """A study worker that dies, here by os._exit as an OOM kill would end
+    it, ends the run with one error line naming the paths it held."""
+    parent, pendulum = os.getpid(), dynamics.pendulum_model
+
+    def dying_pendulum(**kwargs):
+        model = pendulum(**kwargs)
+
+        def drift(x):
+            if os.getpid() != parent:
+                os._exit(1)
+            return model.drift(x)
+
+        return dataclasses.replace(model, drift=drift)
+
+    monkeypatch.setattr(dynamics, "pendulum_model", dying_pendulum)
+    force_workers(monkeypatch, 2)  # one worker, with paths 2-3 of 4
+    assert main(CONVERGENCE + ["--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: a study worker process died: the sups of paths 2..3 were lost\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_manifest_removes_the_output(tmp_path, capsys):
