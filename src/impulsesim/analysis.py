@@ -106,16 +106,16 @@ def _worker_count(n_paths: int, work: int) -> int:
 _share_runner = None  # in a forked study worker, the study's run_share
 
 
-def _install_share_runner(run_share, parent: int):
+def _install_share_runner(run_share, parent: int, abandoned):
     """Start a forked study worker: keep the study's run_share, and exit as
-    soon as the process `parent` is gone.  A worker left behind would step
-    its share and then block for ever, writing its sups into a pipe that no
-    process reads."""
+    soon as the process `parent` is gone or sets the byte `abandoned`.  A
+    worker left behind would step its share and then block for ever,
+    writing its sups into a pipe that no process reads."""
     import threading
     import time
 
     def exit_when_orphaned():
-        while os.getppid() == parent:
+        while os.getppid() == parent and not abandoned[0]:
             time.sleep(0.2)
         os._exit(1)
 
@@ -134,13 +134,15 @@ def _fork_shares(run_share, shares):
     over the study's state, without pickling it; only the shares and their
     sups cross the pipes.  A worker that dies raises ChildProcessError,
     naming the paths whose sups did not come back."""
+    import mmap
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    abandoned = mmap.mmap(-1, 1)  # one byte shared with the forked workers
     with ProcessPoolExecutor(len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
                              initializer=_install_share_runner,
-                             initargs=(run_share, os.getpid())) as pool:
+                             initargs=(run_share, os.getpid(), abandoned)) as pool:
         waiting = 1  # shares[waiting:] have not come back
         try:
             futures = [pool.submit(_run_installed_share, share) for share in shares[1:]]
@@ -152,6 +154,9 @@ def _fork_shares(run_share, shares):
             raise ChildProcessError(
                 f"a study worker process died: the sups of paths {shares[waiting].start}"
                 f"..{shares[-1].stop - 1} were lost") from None
+        except BaseException:
+            abandoned[0] = 1  # or leaving the pool waits for the workers' shares
+            raise
     return results
 
 

@@ -67,11 +67,11 @@ def _resolve_model(args) -> dynamics.Model:
     return dynamics.affine_kick_model(args.A, args.c)
 
 
-def _write_file(path: str, write) -> None:
-    """Call write on a text file at path.  An existing regular file is
-    replaced whole, keeping its mode: the output goes to a sibling file that
-    is renamed over it, so a failed write keeps its content.  Any other path
-    (a new file, a device such as /dev/null) is written in place."""
+def _write_file(path: str, write):
+    """Call write on a text file for path.  An existing regular file is
+    replaced whole, keeping its mode: write goes to a sibling file, returned
+    to be renamed over path.  Any other path (a new file, a device such as
+    /dev/null) is written in place, and None returned."""
     try:
         st = os.lstat(path)
     except FileNotFoundError:
@@ -79,7 +79,7 @@ def _write_file(path: str, write) -> None:
     if st is None or not stat.S_ISREG(st.st_mode):
         with open(path, "w", newline="\n") as f:
             write(f)
-        return
+        return None
     if not os.access(path, os.W_OK):  # a rename would replace a read-only file
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -88,23 +88,24 @@ def _write_file(path: str, write) -> None:
         with open(fd, "w", newline="\n") as f:
             os.fchmod(fd, stat.S_IMODE(st.st_mode))
             write(f)
-        os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+    return tmp
 
 
 def _emit(args, t0: float, write) -> None:
-    """Call write on the file named by --out, or on stdout when it is not set;
-    a file output then gets its manifest, `<out>.manifest.json`.  A failed
-    write removes the files this call created, and leaves the content of a
-    regular file that existed before as it was."""
+    """Call write on the file named by --out, or on stdout when it is not set,
+    and then write its manifest, `<out>.manifest.json`.  A failed write
+    removes the files this call created and leaves older ones as they were."""
     if args.out is None:
         write(sys.stdout)
         return
-    created = [p for p in (args.out, args.out + ".manifest.json") if not os.path.lexists(p)]
+    paths = (args.out, args.out + ".manifest.json")
+    created = [p for p in paths if not os.path.lexists(p)]
+    staged = []  # per path, the sibling file to rename over it, or None
     try:
-        _write_file(args.out, write)
+        staged.append(_write_file(args.out, write))
         manifest = {
             "subcommand": args.subcommand,
             "parameters": {k: v for k, v in vars(args).items()
@@ -120,9 +121,12 @@ def _emit(args, t0: float, write) -> None:
             json.dump(manifest, f, indent=2, sort_keys=True, default=np.ndarray.tolist)
             f.write("\n")
 
-        _write_file(args.out + ".manifest.json", write_manifest)
+        staged.append(_write_file(paths[1], write_manifest))
+        for tmp, path in zip(staged, paths):
+            if tmp is not None:
+                os.replace(tmp, path)
     except BaseException:
-        for p in filter(os.path.lexists, created):
+        for p in filter(os.path.lexists, created + list(filter(None, staged))):
             os.remove(p)
         raise
 
@@ -155,9 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="one coupled trajectory as CSV")
     _add_common(p_sim)
-    p_sim.add_argument("--eps", type=float, required=True, help="noise scale in (0,1)")
-    p_sim.add_argument("--allow-degenerate", action="store_true",
-                       help="permit eps=0 (noise-free check mode)")
+    p_sim.add_argument("--eps", type=float, required=True,
+                       help="noise scale in [0,1); 0 gives X = x")
     p_sim.add_argument("--path-index", type=int, default=0, metavar="J",
                        help="draw path J of a convergence study at the same --seed")
     p_sim.set_defaults(run=cmd_simulate)
@@ -185,11 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args, t0: float) -> int:
-    if args.eps == 0.0:
-        if not args.allow_degenerate:
-            raise ValueError("eps=0 requires --allow-degenerate")
-    elif not 0.0 < args.eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {args.eps}")
+    if not 0.0 <= args.eps < 1.0:
+        raise ValueError(f"eps must lie in [0, 1), got {args.eps}")
     model = _resolve_model(args)
     grid = integrate.build_grid(args.T, args.dt_exp, args.alpha)
     path = integrate.sample_brownian(grid, model.r, args.seed, args.path_index)

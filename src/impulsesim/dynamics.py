@@ -47,9 +47,11 @@ class Model:
     The batched stepper stores states component-major and hands these
     callables non-contiguous (..., d) views; they must not write into their
     input and must return a new array (np.empty_like keeps the input's
-    layout).  The Jacobians take (..., d) too and return (..., d, d), or one
-    constant (d, d) that broadcasts; a missing one becomes the central
-    finite-difference Jacobian of drift or reset.  All functions must be pure.
+    layout).  diffusion and the Jacobians, which take (..., d) too, return
+    (..., d, r) and (..., d, d), or one constant (d, r) and (d, d) that
+    broadcasts: a constant sigma is one (d, r).  A missing Jacobian becomes
+    the central finite-difference Jacobian of drift or reset.  All
+    functions must be pure.
     """
 
     d: int
@@ -59,8 +61,6 @@ class Model:
     reset: Callable[[np.ndarray], np.ndarray]
     drift_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     reset_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    # set when sigma is state-independent; lets integrators skip re-evaluation
-    diffusion_constant: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.d < 1 or self.r < 1:
@@ -90,10 +90,6 @@ def pendulum_model(alpha_pend: float = 1.0) -> Model:
 
     eye2 = np.eye(2)
 
-    def diffusion(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(eye2, x.shape[:-1] + (2, 2))
-
     def reset(x):
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
@@ -114,10 +110,9 @@ def pendulum_model(alpha_pend: float = 1.0) -> Model:
         r=2,
         drift=drift,
         drift_jacobian=partial(jacobian, np.array([[0.0, 1.0], [0.0, 0.0]]), -alpha_pend),
-        diffusion=diffusion,
+        diffusion=lambda x: eye2,
         reset=reset,
         reset_jacobian=partial(jacobian, eye2, 0.1),
-        diffusion_constant=eye2,
     )
 
 
@@ -135,8 +130,7 @@ def affine_kick_model(A: np.ndarray, c: np.ndarray) -> Model:
         r=d,
         drift=lambda x: np.zeros_like(np.asarray(x, float)),
         drift_jacobian=lambda x: np.zeros((d, d)),
-        diffusion=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (d, d)),
+        diffusion=lambda x: eye,
         reset=kick,
         reset_jacobian=lambda x: jac,
-        diffusion_constant=eye,
     )

@@ -134,10 +134,7 @@ def _prepare_along_path(model: Model, grid: SampleGrid, det: CadlagTrajectory):
     """Db and sigma along x(t), and Dh at its impulse left limits, one call each."""
     n, d = grid.n_steps, model.d
     db = np.broadcast_to(np.asarray(model.drift_jacobian(det.values[:n]), float), (n, d, d))
-    if model.diffusion_constant is not None:
-        sig = np.broadcast_to(model.diffusion_constant, (n, d, model.r))
-    else:
-        sig = np.asarray(model.diffusion(det.values[:n]), dtype=float)
+    sig = np.asarray(model.diffusion(det.values[:n]), dtype=float)
     dh = np.asarray(model.reset_jacobian(det.left), float)
     return db, sig, np.broadcast_to(dh, (len(det.left), d, d))
 
@@ -176,8 +173,8 @@ def _step(model, grid, visit, X, eps, increments, along):
     none longer than the first, of Brownian increments, n_steps in all,
     and along as _prepare_along_path of the deterministic flow.  It steps
     X, noisy at scales eps, and Z (d, n_paths), started at 0, on the same
-    increments; the noise sigma(x_n) dW_n of Z, and of X when sigma is
-    constant, is formed a block at a time.
+    increments; the noise sigma(x_n) dW_n of Z, and of X when along's sigma
+    is one constant (d, r), is formed a block at a time.
     visit(n, i, X, Z) sees each node n from 0 (i None) and each left limit
     (at node n = grid.impulse_nodes[i], before the reset); Z is None in the
     deterministic pass.  X and Z are the same arrays at every visit, and a
@@ -187,14 +184,15 @@ def _step(model, grid, visit, X, eps, increments, along):
     """
     d, dt = model.d, grid.dt
     position = {node: i for i, node in enumerate(grid.impulse_nodes)}
-    sigma = model.diffusion_constant
+    sigma_of_x = False  # X's noise from diffusion at every step
     Xv = X.transpose(1, 2, 0)
     Xt = np.empty_like(X)
     Z = None
     if increments is not None:
         db, sig, dh = along
         db, dh = db[..., None], dh[..., None]
-        sig = sig.transpose(1, 2, 0)[..., None]  # (d, r, n_steps, 1)
+        sigma_of_x = sig.shape != (d, model.r)
+        sig = np.broadcast_to(sig, (len(db), d, model.r)).transpose(1, 2, 0)[..., None]
         eps = np.broadcast_to(eps[:, None], X.shape).copy()  # unit strides multiply faster
         dx = np.empty_like(X)
         Z = np.zeros((d, X.shape[-1]))
@@ -221,14 +219,14 @@ def _step(model, grid, visit, X, eps, increments, along):
         for n, (dW, noise) in enumerate(steps):
             # left-endpoint evaluation: drift and diffusion at the pre-step state
             b = _component_major(model.drift(Xv), Xv.shape, (2, 0, 1))
-            if Z is not None and sigma is None:
+            if sigma_of_x:
                 s = _component_major(model.diffusion(Xv), Xv.shape + (model.r,),
                                      (2, 3, 0, 1))
                 _matvec(s, dW, dx, Xt)
             np.multiply(b, dt, out=Xt)
             np.add(X, Xt, out=X)
             if Z is not None:
-                np.multiply(eps, dx if sigma is None else noise[:, None], out=Xt)
+                np.multiply(eps, dx if sigma_of_x else noise[:, None], out=Xt)
                 np.add(X, Xt, out=X)
                 np.multiply(_matvec(db[n], Z, Zt, tmp), dt, out=Zt)
                 np.add(Z, Zt, out=Z)

@@ -6,6 +6,7 @@ import re
 import select
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -244,6 +245,13 @@ def unbatched_drift_model():
                                drift_jacobian=lambda x: np.zeros((2, 2)))
 
 
+def per_state_sigma(model):
+    """model with its sigma returned per state, (..., d, r), never as one
+    (d, r): the stepper then calls diffusion at every step."""
+    return dataclasses.replace(model, diffusion=lambda x: np.broadcast_to(
+        model.diffusion(x), np.shape(x)[:-1] + (model.d, model.r)))
+
+
 def sup_sq_norm(a, b, shift=None, shift_scale=1.0):
     """Sup over grid nodes and left limits of |a - b - shift_scale*shift|^2,
     the squares summed in component order."""
@@ -272,27 +280,24 @@ def sin_mix(M, x):
 @st.composite
 def random_models(draw):
     """d, r in {1, 2}: drift sin_mix(A, x), reset x + sin_mix(K, x) with
-    analytic batched Jacobians, and sigma S constant or S (1 + cos x_i / 2)."""
+    analytic batched Jacobians, and sigma S (1 + cos x_i / 2), or a constant
+    S returned as one (d, r) or per state."""
     d, r = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
     away_from_0 = st.floats(-1.0, 1.0).filter(lambda v: abs(v) >= 0.25)
     A = draw(arrays(float, (d, d), elements=away_from_0))
     K = draw(arrays(float, (d, d), elements=st.floats(-0.5, 0.5)))
     S = draw(arrays(float, (d, r), elements=away_from_0))
     eye = np.eye(d)
-    if draw(st.booleans()):
-        def diffusion(x):
-            return S * (1.0 + 0.5 * np.cos(x))[..., :, None]
-        constant = None
-    else:
-        def diffusion(x):
-            return np.broadcast_to(S, np.shape(x)[:-1] + (d, r))
-        constant = S
+    diffusion = draw(st.sampled_from([
+        lambda x: S * (1.0 + 0.5 * np.cos(x))[..., :, None],
+        lambda x: S,
+        lambda x: np.broadcast_to(S, np.shape(x)[:-1] + (d, r)),
+    ]))
     return Model(
         d, r, drift=lambda x: sin_mix(A, x), diffusion=diffusion,
         reset=lambda x: x + sin_mix(K, x),
         drift_jacobian=lambda x: A * np.cos(x)[..., None, :],
         reset_jacobian=lambda x: eye + K * np.cos(x)[..., None, :],
-        diffusion_constant=constant,
     )
 
 
@@ -352,7 +357,8 @@ class TestStudyMatchesPerPath:
 class TestCoupledMatchesPasses:
     """integrate_coupled gives bitwise the deterministic flow of
     integrate_deterministic and the same Z at every eps, 0 included; at
-    eps = 0 its X is x."""
+    eps = 0 its X is x.  Its triple keeps its bits when sigma is returned
+    per state."""
 
     @pytest.mark.parametrize("model, eps", [
         (pendulum_model(), 2**-4),
@@ -372,6 +378,8 @@ class TestCoupledMatchesPasses:
         pairs += [(fluct, integrate_coupled(model, grid, x0, e, path)[2]) for e in (0.0, 0.5)]
         if eps == 0.0:
             pairs.append((noisy, det))
+        pairs += zip((det, noisy, fluct),
+                     integrate_coupled(per_state_sigma(model), grid, x0, eps, path))
         for got, ref in pairs:
             assert got.grid == ref.grid == grid
             assert got.values.tobytes() == ref.values.tobytes()
@@ -394,27 +402,30 @@ class TestCoupledMatchesPasses:
 
 
 class TestBatchingInvariance:
-    """Worker count, chunk size and Brownian block length change no bit of
-    the report; the streamed draws are bitwise those of sample_brownian."""
+    """Worker count, chunk size, Brownian block length and a constant sigma
+    returned per state change no bit of the report; the streamed draws are
+    bitwise those of sample_brownian."""
 
     @settings(max_examples=15, deadline=None)
     @given(model=st.sampled_from([pendulum_model(), state_dependent_pendulum()]),
            m=st.integers(2, 4), n_paths=st.integers(2, 9),
            chunk=st.sampled_from([1, 3, 7]), block=st.sampled_from([1, 3, 5, 7]),
-           workers=st.sampled_from([1, 2, 3]))
+           workers=st.sampled_from([1, 2, 3]), per_state=st.booleans())
     # two workers with one chunk each, and three with uneven shares (2, 2, 3)
-    @example(model=pendulum_model(), m=3, n_paths=6, chunk=3, block=5, workers=2)
-    @example(model=state_dependent_pendulum(), m=4, n_paths=7, chunk=1, block=3, workers=3)
-    def test_report_bytes(self, model, m, n_paths, chunk, block, workers):
+    @example(model=pendulum_model(), m=3, n_paths=6, chunk=3, block=5, workers=2,
+             per_state=True)
+    @example(model=state_dependent_pendulum(), m=4, n_paths=7, chunk=1, block=3, workers=3,
+             per_state=False)
+    def test_report_bytes(self, model, m, n_paths, chunk, block, workers, per_state):
         grid = build_grid(2.0, m, 0.5)  # 8, 16 or 32 steps
         seed = 5
-        args = (model, grid, np.array([0.5, 0.5]), [1, 3], n_paths, seed)
-        ref = run_convergence_study(*args)
+        args = (grid, np.array([0.5, 0.5]), [1, 3], n_paths, seed)
+        ref = run_convergence_study(model, *args)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_CHUNK_SIZE", chunk)
             mp.setattr(integrate, "_BLOCK_STEPS", block)
             force_workers(mp, workers)
-            rep = run_convergence_study(*args)
+            rep = run_convergence_study(per_state_sigma(model) if per_state else model, *args)
             draws = np.concatenate([b.copy() for b in
                                     integrate._brownian_blocks(grid, model.r, seed,
                                                                range(n_paths))])
@@ -463,6 +474,61 @@ class TestWorkers:
         assert type(info.value) is ValueError
         assert str(info.value) == "drift refused outside the calling process"
 
+    def test_error_in_the_calling_share_ends_the_workers(self, monkeypatch):
+        """An exception in the calling process's own share reaches the caller
+        with its type and message at once, not after the workers have
+        stepped their shares (8 s here), and no worker outlives the study."""
+        parent, base = os.getpid(), pendulum_model()
+
+        def drift(x):
+            if os.getpid() != parent:
+                time.sleep(0.5)
+            elif np.shape(x)[:-1] != (1, 1):  # the coupled pass, not the deterministic one
+                raise ValueError("drift refused in the calling process")
+            return base.drift(x)
+
+        force_workers(monkeypatch, 2)
+        r, w = os.pipe()  # the forked worker inherits the write end
+        try:
+            start = time.monotonic()
+            with pytest.raises(ValueError) as info:
+                run_convergence_study(dataclasses.replace(base, drift=drift),
+                                      build_grid(2.0, 3, 1.0), np.array([0.5, 0.5]),
+                                      [1, 2], 4, 0)
+            assert time.monotonic() - start < 2.0
+            assert type(info.value) is ValueError
+            assert str(info.value) == "drift refused in the calling process"
+            os.close(w)
+            w = None
+            assert select.select([r], [], [], 2)[0], "a worker outlived its study"
+            assert os.read(r, 1) == b""
+        finally:
+            os.close(r)
+            if w is not None:
+                os.close(w)
+
+    def test_constant_sigma_is_evaluated_once(self, monkeypatch):
+        """A study whose diffusion returns one (d, r) matrix calls it once, in
+        the calling process, before it forks its workers."""
+        parent, base, events = os.getpid(), pendulum_model(), []
+        fork_shares = analysis._fork_shares
+
+        def diffusion(x):
+            if os.getpid() != parent:
+                raise ValueError("diffusion called in a study worker")
+            events.append("diffusion")
+            return base.diffusion(x)
+
+        def fork(*args):
+            events.append("fork")
+            return fork_shares(*args)
+
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(analysis, "_fork_shares", fork)
+        run_convergence_study(dataclasses.replace(base, diffusion=diffusion),
+                              build_grid(2.0, 4, 1.0), np.array([0.5, 0.5]), [1, 2], 4, 0)
+        assert events == ["diffusion", "fork"]
+
     def test_worker_exits_when_the_calling_process_dies(self):
         """A worker whose study process is killed exits too, and does not
         step on and then block for ever on a pipe that nobody reads."""
@@ -504,11 +570,10 @@ class TestStudyOverflow:
         m = Model(
             1, 1,
             drift=lambda x: 1e300 * np.asarray(x, float) ** 2 * (np.asarray(x) > 1.0),
-            diffusion=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (1, 1)),
+            diffusion=lambda x: eye,
             reset=lambda x: np.asarray(x, float),
             drift_jacobian=lambda x: np.zeros((1, 1)),
             reset_jacobian=lambda x: eye,
-            diffusion_constant=eye,
         )
         grid = build_grid(4.0, 6, 1.0)
         x0 = np.zeros(1)

@@ -55,16 +55,10 @@ class TestSimulate:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 32769 + 8 + 1
 
-    def test_degenerate_eps_requires_flag(self, tmp_path, capsys):
-        rc = main(["simulate", "--eps", "0", "--T", "2", "--dt-exp", "3",
-                   "--out", str(tmp_path / "t.csv")])
-        assert rc != 0
-        assert "allow-degenerate" in capsys.readouterr().err
-
     def test_degenerate_eps_matches_deterministic(self, tmp_path):
         out = tmp_path / "t.csv"
         rc = main([
-            "simulate", "--eps", "0", "--allow-degenerate",
+            "simulate", "--eps", "0",
             "--T", "2", "--dt-exp", "3", "--out", str(out),
         ])
         assert rc == 0
@@ -246,16 +240,14 @@ def usage_error(argv, tmp_path, capsys) -> str:
 
 def _argv_from_manifest(manifest, out):
     """The CLI call a manifest describes, built from its parameters alone by
-    one rule: a null or false parameter is left out, a true one is a bare
-    flag, and any other is `--<key with _ as ->=<value>`, a list comma-joined."""
+    one rule: a null parameter is left out, and any other is
+    `--<key with _ as ->=<value>`, a list comma-joined."""
     argv = [manifest["subcommand"], f"--out={out}"]
     for key, value in manifest["parameters"].items():
         option = "--" + key.replace("_", "-")
-        if value is None or value is False:
+        if value is None:
             continue
-        if value is True:
-            argv.append(option)
-        elif isinstance(value, str):
+        if isinstance(value, str):
             argv.append(f"{option}={value}")
         else:
             argv.append(f"{option}={','.join(map(repr, np.ravel(value).tolist()))}")
@@ -453,6 +445,18 @@ def test_failed_manifest_removes_the_output(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv.manifest.json"]
 
 
+def test_failed_manifest_keeps_an_existing_output(tmp_path, capsys):
+    """A manifest that cannot be written leaves an existing output's content
+    as it was: the output is replaced only once its manifest is written."""
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    (tmp_path / "out.csv.manifest.json").mkdir()
+    assert main(SIMULATE + ["--out", str(out)]) == 1
+    assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest.json"]
+
+
 def test_readme_commands_parse():
     """Every `impulsesim ...` command in README.md's code blocks parses, so a
     renamed or removed option fails here and not in a reader's shell."""
@@ -467,6 +471,16 @@ def test_readme_commands_parse():
             build_parser().parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {' '.join(argv)}")
+
+
+def test_readme_custom_model_example_runs(capsys):
+    """The Python block of README.md's "Custom models" runs as written, so
+    the model contract it shows cannot drift from the library's."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Custom models\n", 1)[1]
+    [code] = re.findall(r"^```python\n(.*?)^```", section, flags=re.M | re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("[[")
 
 
 class TestPresets:

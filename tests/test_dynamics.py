@@ -98,8 +98,7 @@ class TestAffineKickModel:
         assert (m.d, m.r) == (3, 3)
         assert np.array_equal(m.drift(x), np.zeros((4, 3)))
         assert np.array_equal(m.drift_jacobian(x[0]), np.zeros((3, 3)))
-        assert np.array_equal(m.diffusion(x), np.broadcast_to(np.eye(3), (4, 3, 3)))
-        assert np.array_equal(m.diffusion_constant, np.eye(3))
+        assert np.array_equal(m.diffusion(x), np.eye(3))
 
     def test_zero_matrix_is_translation(self):
         m = affine_kick_model(np.zeros((2, 2)), np.array([1.0, -2.0]))

@@ -29,11 +29,10 @@ def linear_model(A, M, d=2):
     return Model(
         d, d,
         drift=lambda x: np.asarray(x, float) @ A.T,
-        diffusion=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (d, d)),
+        diffusion=lambda x: eye,
         reset=lambda x: np.asarray(x, float) @ M.T,
         drift_jacobian=lambda x: A,
         reset_jacobian=lambda x: M,
-        diffusion_constant=eye,
     )
 
 
@@ -43,11 +42,10 @@ def constant_model(c=0.0, d=1):
     return Model(
         d, d,
         drift=lambda x: np.zeros_like(np.asarray(x, float)),
-        diffusion=lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (d, d)),
+        diffusion=lambda x: eye,
         reset=lambda x: np.asarray(x, float) + c,
         drift_jacobian=lambda x: np.zeros((d, d)),
         reset_jacobian=lambda x: eye,
-        diffusion_constant=eye,
     )
 
 

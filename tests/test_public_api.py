@@ -1,3 +1,5 @@
+import dataclasses
+
 import impulsesim
 
 # the public surface: a name joins or leaves it only together with this list
@@ -27,3 +29,10 @@ def test_all_is_the_pinned_sorted_list_and_resolves():
     assert impulsesim.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(impulsesim, name, None) is not None, name
+
+
+def test_model_fields():
+    # a constant sigma is a diffusion that returns one (d, r) matrix, not a field
+    names = [f.name for f in dataclasses.fields(impulsesim.Model)]
+    assert names == ["d", "r", "drift", "diffusion", "reset", "drift_jacobian",
+                     "reset_jacobian"]
