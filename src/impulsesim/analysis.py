@@ -5,24 +5,24 @@ Per path the noisy flow and the fluctuation process consume identical
 Brownian increments, so path-wise differences reflect the strong error
 bounds being verified.  The study's paths split into contiguous shares, one
 per worker: the calling process steps the first, and a large enough study
-forks a worker process for each of the others (see _worker_count).  A share
-runs in fixed-size chunks, in order; a chunk steps all its paths and noise
-scales component-major and in place, drawing each path's increments in time
-blocks from its own generator, and reduces the sups as it goes.  No path's
-bits depend on its share, chunk or block, and the reduction runs on the
-sups of all paths in path-index order, so the report is bit-identical for
-any worker count, chunk size or block size.
+forks a worker process for each of the others (see _MIN_WORK_PER_WORKER).
+A share runs in fixed-size chunks, in order; a chunk steps all its paths
+and noise scales component-major and in place, drawing each path's
+increments in time blocks from its own generator, and reduces the sups as
+it goes.  No path's bits depend on its share, chunk or block, and the
+reduction runs on the sups of all paths in path-index order, so the report
+is bit-identical for any worker count, chunk size or block size.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
+from . import _workers
 from .dynamics import Model
 from .integrate import (
     IntegrationOverflowError,
@@ -87,79 +87,6 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
     return float(slope), float(intercept), r2
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))  # honours taskset and cpusets
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_count(n_paths: int, work: int) -> int:
-    """Processes that step a study of n_paths paths and `work` path-steps
-    (paths x eps x steps): one per usable CPU, but no more than there are
-    paths or _MIN_WORK_PER_WORKER shares of work, and one without fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_usable_cpus(), n_paths, work // _MIN_WORK_PER_WORKER))
-
-
-_share_runner = None  # in a forked study worker, the study's run_share
-
-
-def _install_share_runner(run_share, parent: int, abandoned):
-    """Start a forked study worker: keep the study's run_share, and exit as
-    soon as the process `parent` is gone or sets the byte `abandoned`.  A
-    worker left behind would step its share and then block for ever,
-    writing its sups into a pipe that no process reads."""
-    import threading
-    import time
-
-    def exit_when_orphaned():
-        while os.getppid() == parent and not abandoned[0]:
-            time.sleep(0.2)
-        os._exit(1)
-
-    global _share_runner
-    _share_runner = run_share
-    threading.Thread(target=exit_when_orphaned, daemon=True).start()
-
-
-def _run_installed_share(share):
-    return _share_runner(share)
-
-
-def _fork_shares(run_share, shares):
-    """run_share over shares, in order, the first in this process and each
-    other in a forked worker.  Fork hands the workers run_share, a closure
-    over the study's state, without pickling it; only the shares and their
-    sups cross the pipes.  A worker that dies raises ChildProcessError,
-    naming the paths whose sups did not come back."""
-    import mmap
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    abandoned = mmap.mmap(-1, 1)  # one byte shared with the forked workers
-    with ProcessPoolExecutor(len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_install_share_runner,
-                             initargs=(run_share, os.getpid(), abandoned)) as pool:
-        waiting = 1  # shares[waiting:] have not come back
-        try:
-            futures = [pool.submit(_run_installed_share, share) for share in shares[1:]]
-            results = run_share(shares[0])
-            for future in futures:
-                results += future.result()
-                waiting += 1
-        except BrokenProcessPool:
-            raise ChildProcessError(
-                f"a study worker process died: the sups of paths {shares[waiting].start}"
-                f"..{shares[-1].stop - 1} were lost") from None
-        except BaseException:
-            abandoned[0] = 1  # or leaving the pool waits for the workers' shares
-            raise
-    return results
-
-
 def run_convergence_study(
     model: Model,
     grid: SampleGrid,
@@ -220,10 +147,16 @@ def run_convergence_study(
         return [run_chunk(range(lo, min(lo + _CHUNK_SIZE, share.stop)))
                 for lo in range(share.start, share.stop, _CHUNK_SIZE)]
 
-    n_workers = _worker_count(n_paths, n_paths * len(eps) * grid.n_steps)
+    def lost(shares):
+        return (f"a study worker process died: the sups of paths {shares[0].start}"
+                f"..{shares[-1].stop - 1} were lost")
+
+    n_workers = _workers._worker_count(n_paths, n_paths * len(eps) * grid.n_steps,
+                                       _MIN_WORK_PER_WORKER)
     bounds = [n_paths * k // n_workers for k in range(n_workers + 1)]
     shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    results = run_share(shares[0]) if n_workers == 1 else _fork_shares(run_share, shares)
+    results = (run_share(shares[0]) if n_workers == 1
+               else _workers._fork_shares(run_share, shares, lost))
 
     # assemble in path-index order; all downstream reductions see one array,
     # per-coordinate sups laid out (2, n_eps, n_paths, d)

@@ -5,17 +5,29 @@ limit, like the unit-time flow of zdot = g(z).  For affine fields
 g(x) = Ax + c this flow has the closed form exp(A) r + K c with
 K = integral_0^1 exp(uA) du.  A kick field g is a plain callable taking and
 returning arrays of shape (d,).
+
+The rows of a large kick_limit_check table split into contiguous shares of
+near-equal substeps: the calling process runs the first, and a forked
+worker process runs each of the others (see _MIN_SUBSTEPS_PER_WORKER).
+Every row is computed alone, so the table is the same for any split.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _workers
+
 _CHECK_EVERY = 1024  # regularized-kick substeps between finiteness checks
 _MAX_SUBSTEP_EXP = 24  # kick_limit_check runs at most 2^24 substeps per delta
+# substeps a kick table must give each process before it forks one.  The
+# fork costs about 25 ms, so two processes break even near 2^15 substeps of
+# a 2-d affine field (about 0.1 s) on a 2-vCPU host.
+_MIN_SUBSTEPS_PER_WORKER = 2**14
 
 
 def regularized_kick(
@@ -96,8 +108,15 @@ def kick_limit_check(
 
     For each delta the flow is integrated with 1/delta substeps, rounded up
     to a power of two so the Euler step is an exact binary fraction; returns
-    rows (delta, substeps, error).  A delta that needs more than
-    2^_MAX_SUBSTEP_EXP substeps is rejected before any row runs.
+    rows (delta, substeps, error), in the order of deltas.  A delta that
+    needs more than 2^_MAX_SUBSTEP_EXP substeps is rejected before any row
+    runs.  A table with enough substeps runs its rows on the usable CPUs,
+    in contiguous shares of near-equal substeps, one per process, but in no
+    more processes than the total holds its largest row, rounded to the
+    nearest whole number: no share can take less time than that row.  The
+    first row in delta order that overflows raises its FloatingPointError;
+    a worker process that dies raises ChildProcessError naming the deltas
+    of the rows lost.
     """
     if not np.isfinite(r).all():
         raise ValueError(f"r must be finite, got {np.ravel(r).tolist()}")
@@ -115,5 +134,24 @@ def kick_limit_check(
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
     target = np.atleast_1d(np.asarray(closed_form(np.atleast_1d(r)), dtype=float))
-    return [(delta, 1 << k, float(np.linalg.norm(regularized_kick(g, r, delta, 1 << k) - target)))
-            for delta, k in zip(deltas, exps)]
+
+    def run_share(share):
+        return [(deltas[i], 1 << exps[i],
+                 float(np.linalg.norm(regularized_kick(g, r, deltas[i], 1 << exps[i]) - target)))
+                for i in share]
+
+    def lost(shares):
+        return ("a kick table worker process died: the rows of deltas "
+                + ", ".join(str(deltas[i]) for share in shares for i in share) + " were lost")
+
+    # share k ends at the row boundary whose substep count lies nearest to
+    # k/n of the total
+    before = list(accumulate((1 << k for k in exps), initial=0))
+    total, largest = before[-1], 1 << max(exps, default=0)
+    n = _workers._worker_count(round(total / largest), total, _MIN_SUBSTEPS_PER_WORKER)
+    bounds = sorted({min(range(len(before)), key=lambda i: abs(n * before[i] - k * total))
+                     for k in range(n + 1)})
+    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if len(shares) < 2:
+        return run_share(range(len(deltas)))
+    return _workers._fork_shares(run_share, shares, lost)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from impulsesim import analysis, integrate
+from impulsesim import _workers, analysis, integrate, kickmap
 from impulsesim.analysis import (
     fit_loglog_slope,
     run_convergence_study,
@@ -47,10 +47,13 @@ def sup_error(a, b, shift=None, shift_scale=1.0):
 
 
 def force_workers(mp, workers):
-    """Have every study run on `workers` processes, forking all but the
-    calling one, however little work it has (with fewer paths, one per path)."""
+    """Have every study and kick table run on `workers` processes, forking
+    all but the calling one, however little work it has (a study with fewer
+    paths on one per path, a kick table on no more than the total holds its
+    largest row)."""
     mp.setattr(analysis, "_MIN_WORK_PER_WORKER", 1)
-    mp.setattr(analysis, "_usable_cpus", lambda: workers)
+    mp.setattr(kickmap, "_MIN_SUBSTEPS_PER_WORKER", 1)
+    mp.setattr(_workers, "_usable_cpus", lambda: workers)
 
 
 def normal_equation_fit(xs, ys):
@@ -440,19 +443,20 @@ class TestBatchingInvariance:
 class TestWorkers:
     def test_worker_count(self, monkeypatch):
         # the benchmark's paper and desk studies fork one worker on two CPUs
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
-        assert analysis._worker_count(250, 250 * 10 * 2**15) == 2
-        assert analysis._worker_count(200, 200 * 10 * 2**13) == 2
-        assert analysis._worker_count(2, 10**12) == 2
-        assert analysis._worker_count(260, analysis._MIN_WORK_PER_WORKER - 1) == 1
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 1)
-        assert analysis._worker_count(1000, 10**12) == 1
+        least = analysis._MIN_WORK_PER_WORKER
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+        assert _workers._worker_count(250, 250 * 10 * 2**15, least) == 2
+        assert _workers._worker_count(200, 200 * 10 * 2**13, least) == 2
+        assert _workers._worker_count(2, 10**12, least) == 2
+        assert _workers._worker_count(260, least - 1, least) == 1
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+        assert _workers._worker_count(1000, 10**12, least) == 1
 
     def test_small_study_runs_in_process(self, monkeypatch):
         def no_fork(*args):
             raise AssertionError("a small study forked")
 
-        monkeypatch.setattr(analysis, "_fork_shares", no_fork)
+        monkeypatch.setattr(_workers, "_fork_shares", no_fork)
         run_convergence_study(pendulum_model(), build_grid(4.0, 6, 1.0),
                               np.array([0.5, 0.5]), [1, 2, 3], 260, 0)
 
@@ -511,7 +515,7 @@ class TestWorkers:
         """A study whose diffusion returns one (d, r) matrix calls it once, in
         the calling process, before it forks its workers."""
         parent, base, events = os.getpid(), pendulum_model(), []
-        fork_shares = analysis._fork_shares
+        fork_shares = _workers._fork_shares
 
         def diffusion(x):
             if os.getpid() != parent:
@@ -524,7 +528,7 @@ class TestWorkers:
             return fork_shares(*args)
 
         force_workers(monkeypatch, 2)
-        monkeypatch.setattr(analysis, "_fork_shares", fork)
+        monkeypatch.setattr(_workers, "_fork_shares", fork)
         run_convergence_study(dataclasses.replace(base, diffusion=diffusion),
                               build_grid(2.0, 4, 1.0), np.array([0.5, 0.5]), [1, 2], 4, 0)
         assert events == ["diffusion", "fork"]
@@ -535,8 +539,8 @@ class TestWorkers:
         code = (
             "import dataclasses, os, sys, time\n"
             "import numpy as np\n"
-            "from impulsesim import analysis, build_grid, pendulum_model\n"
-            "analysis._MIN_WORK_PER_WORKER, analysis._usable_cpus = 1, lambda: 2\n"
+            "from impulsesim import _workers, analysis, build_grid, pendulum_model\n"
+            "analysis._MIN_WORK_PER_WORKER, _workers._usable_cpus = 1, lambda: 2\n"
             "parent, base, fd = os.getpid(), pendulum_model(), int(sys.argv[1])\n"
             "def drift(x):\n"
             "    if os.getpid() != parent:\n"

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy
 
-from impulsesim import (build_grid, dynamics, integrate, pendulum_model,
+from impulsesim import (build_grid, dynamics, integrate, kickmap, pendulum_model,
                         run_convergence_study)
 from impulsesim.cli import build_parser, main
 
@@ -436,6 +436,25 @@ def test_dead_study_worker_exits_1_naming_its_paths(monkeypatch, tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_dead_kick_table_worker_exits_1_naming_its_deltas(monkeypatch, tmp_path, capsys):
+    """A kick table worker that dies ends the run with one error line naming
+    the deltas of the rows it held."""
+    parent, regularized_kick = os.getpid(), kickmap.regularized_kick
+
+    def dying_kick(g, r, delta, substeps):
+        if os.getpid() != parent:
+            os._exit(1)
+        return regularized_kick(g, r, delta, substeps)
+
+    monkeypatch.setattr(kickmap, "regularized_kick", dying_kick)
+    force_workers(monkeypatch, 2)  # one worker, with the last row of 16 substeps
+    assert main(["kickmap", "--A=-0.5,1,-1,-0.5", "--c", "1,0", "--r=0.5,-0.25",
+                 "--deltas", "0.5,0.25,0.125,0.0625", "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: a kick table worker process died: the rows of deltas 0.0625 were lost\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_manifest_removes_the_output(tmp_path, capsys):
     """A manifest that cannot be written takes the output the run created
     with it, and leaves what was there before: here a directory in its place."""
@@ -508,6 +527,18 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_the_fork_runner_unloaded():
+    """Only a run that forks workers needs multiprocessing and
+    concurrent.futures; loading them would add to every run's start-up."""
+    code = ("import sys, impulsesim.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_runs_leave_numpy_ma_unloaded():
     """simulate and convergence never use numpy.ma; numpy loads it lazily,
     so loading it would only add to every run's start-up."""
@@ -533,7 +564,8 @@ def test_closed_stdout_exits_1_without_traceback():
     assert proc.stdout.readline().startswith(b"t,x1,x2,")
     proc.stdout.close()  # the rows still to come (about 400 kB) overfill the pipe
     assert proc.wait(timeout=60) == 1
-    assert proc.stderr.read() == b""  # a traceback fits in the pipe
+    with proc.stderr:
+        assert proc.stderr.read() == b""  # a traceback fits in the pipe
 
 
 def test_benchmark_command_lines(tmp_path):

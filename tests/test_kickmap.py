@@ -1,14 +1,18 @@
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from impulsesim import _workers
 from impulsesim.kickmap import (
     affine_kick_map,
     kick_limit_check,
     regularized_kick,
 )
+
+from test_analysis import force_workers
 
 
 def reference_kick(g, r, substeps):
@@ -218,3 +222,96 @@ class TestKickLimitCheck:
         field = lambda x: x
         with pytest.raises(ValueError):
             kick_limit_check(field, lambda r: r, np.zeros(1), [0.1, 0.2])
+
+
+class TestKickTableWorkers:
+    A = np.array([[-0.5, 1.0], [-1.0, -0.5]])
+    c = np.array([1.0, 0.0])
+    r = np.array([0.5, -0.25])
+
+    def g(self, x):
+        return np.asarray(x, float) @ self.A.T + self.c
+
+    def table(self, deltas, g=None):
+        kick, _ = affine_kick_map(self.A, self.c)
+        return kick_limit_check(g or self.g, kick, self.r, deltas)
+
+    def record_shares(self, monkeypatch, run=True):
+        """Patch the fork runner to log each call's shares, and run them
+        only if `run`; returns the log."""
+        seen, fork_shares = [], _workers._fork_shares
+
+        def fork(run_share, shares, lost):
+            seen.append(list(shares))
+            return fork_shares(run_share, shares, lost) if run else []
+
+        monkeypatch.setattr(_workers, "_fork_shares", fork)
+        return seen
+
+    @pytest.mark.parametrize("workers, deltas, shares", [
+        (1, [0.1, 0.09, 0.08], []),
+        (2, [0.1, 0.09, 0.08], [[range(0, 1), range(1, 3)]]),
+        (3, [0.1, 0.09, 0.08], [[range(0, 1), range(1, 2), range(2, 3)]]),
+        (2, [2.0**-i for i in range(1, 13)], [[range(0, 11), range(11, 12)]]),
+    ])
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch, workers, deltas,
+                                                    shares):
+        ref = self.table(deltas)
+        force_workers(monkeypatch, workers)
+        seen = self.record_shares(monkeypatch)
+        rows = self.table(deltas)
+        assert seen == shares
+        assert rows == ref
+        assert all(type(v) is t for row in rows for v, t in zip(row, (float, int, float)))
+
+    @pytest.mark.parametrize("cpus", [2, 3, 64])
+    def test_benchmark_table_splits_off_its_last_row(self, monkeypatch, cpus):
+        """Rows 1-16 hold 2^17 - 2 substeps and row 17 holds 2^17, so the
+        table runs on two processes however many CPUs there are."""
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
+        seen = self.record_shares(monkeypatch, run=False)
+        self.table([2.0**-i for i in range(1, 18)])
+        assert seen == [[range(0, 16), range(16, 17)]]
+
+    @pytest.mark.parametrize("deltas", [[0.1, 0.05, 0.025, 0.0125],
+                                        [2.0**-i for i in range(1, 9)]])
+    def test_small_table_runs_in_process(self, monkeypatch, deltas):
+        def no_fork(*args):
+            raise AssertionError("a small kick table forked")
+
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(_workers, "_fork_shares", no_fork)
+        assert len(self.table(deltas)) == len(deltas)
+
+    def test_overflow_in_a_worker_names_its_substep(self, monkeypatch):
+        """The FloatingPointError of a worker's row reaches the caller with
+        its type and message."""
+        parent = os.getpid()
+
+        def bad(z):
+            return np.asarray(z) ** 3 * 1e200
+
+        def g(z):
+            return bad(z) if os.getpid() != parent else self.g(z)
+
+        _, k = reference_kick(bad, self.r, 16)
+        assert k is not None
+        force_workers(monkeypatch, 2)  # the worker holds rows 2-3, of 16 substeps
+        with pytest.raises(FloatingPointError) as info:
+            self.table([0.1, 0.09, 0.08], g)
+        assert type(info.value) is FloatingPointError
+        assert str(info.value) == f"regularized kick overflowed at substep {k}/16"
+
+    def test_dead_worker_names_the_lost_deltas(self, monkeypatch):
+        parent = os.getpid()
+
+        def g(z):
+            if os.getpid() != parent:
+                os._exit(1)
+            return self.g(z)
+
+        force_workers(monkeypatch, 2)
+        with pytest.raises(ChildProcessError) as info:
+            self.table([0.1, 0.09, 0.08], g)
+        assert str(info.value) == (
+            "a kick table worker process died: the rows of deltas 0.09, 0.08 were lost")
