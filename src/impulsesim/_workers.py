@@ -9,6 +9,8 @@ convergence study and the kick table use it.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
+from itertools import accumulate
 
 
 def _usable_cpus() -> int:
@@ -18,13 +20,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(n_units: int, work: int, min_work: int) -> int:
-    """Processes that run a job of n_units indivisible units and `work` in
-    all: one per usable CPU, but no more than n_units, nor than one per
-    min_work of work, and one without fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_usable_cpus(), n_units, work // min_work))
+def _split(weights, min_work):
+    """run_shares's shares, as ranges of unit indices."""
+    before = list(accumulate(weights, initial=0))
+    total, n = before[-1], 1
+    if hasattr(os, "fork"):
+        n = max(1, min(_usable_cpus(), round(total / max(weights, default=1)),
+                       total // min_work))
+    bounds = sorted({bisect_right(before, k * total // n) - 1 for k in range(n + 1)})
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def run_shares(run_share, weights, min_work, lost):
+    """The lists run_share returns for a job's shares, concatenated in order;
+    unit i of the job does weights[i] > 0 of work.  The job runs on
+    n = min(usable CPUs, round(total / largest weight), total // min_work)
+    processes, one without fork, and share k ends at the last unit boundary
+    whose prefix of work is at most k/n of the total.  A job of one share
+    runs in this process, any other through _fork_shares."""
+    shares = _split(weights, min_work)
+    if len(shares) < 2:
+        return run_share(range(len(weights)))
+    return _fork_shares(run_share, shares, lost)
 
 
 _share_runner = None  # in a forked worker, the job's run_share

@@ -3,15 +3,14 @@ log-log slope regression across noise scales.
 
 Per path the noisy flow and the fluctuation process consume identical
 Brownian increments, so path-wise differences reflect the strong error
-bounds being verified.  The study's paths split into contiguous shares, one
-per worker: the calling process steps the first, and a large enough study
-forks a worker process for each of the others (see _MIN_WORK_PER_WORKER).
-A share runs in fixed-size chunks, in order; a chunk steps all its paths
-and noise scales component-major and in place, drawing each path's
-increments in time blocks from its own generator, and reduces the sups as
-it goes.  No path's bits depend on its share, chunk or block, and the
-reduction runs on the sups of all paths in path-index order, so the report
-is bit-identical for any worker count, chunk size or block size.
+bounds being verified.  A large enough study steps its paths on the usable
+CPUs (see _workers.run_shares), a path weighing its steps times the noise
+scales.  A share runs in fixed-size chunks, in order; a chunk steps all
+its paths and noise scales component-major and in place, drawing each
+path's increments in time blocks from its own generator, and reduces the
+sups as it goes.  No path's bits depend on its share, chunk or block, and
+the reduction runs on the sups of all paths in path-index order, so the
+report is bit-identical for any worker count, chunk size or block size.
 """
 
 from __future__ import annotations
@@ -151,12 +150,8 @@ def run_convergence_study(
         return (f"a study worker process died: the sups of paths {shares[0].start}"
                 f"..{shares[-1].stop - 1} were lost")
 
-    n_workers = _workers._worker_count(n_paths, n_paths * len(eps) * grid.n_steps,
-                                       _MIN_WORK_PER_WORKER)
-    bounds = [n_paths * k // n_workers for k in range(n_workers + 1)]
-    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    results = (run_share(shares[0]) if n_workers == 1
-               else _workers._fork_shares(run_share, shares, lost))
+    results = _workers.run_shares(run_share, [len(eps) * grid.n_steps] * n_paths,
+                                  _MIN_WORK_PER_WORKER, lost)
 
     # assemble in path-index order; all downstream reductions see one array,
     # per-coordinate sups laid out (2, n_eps, n_paths, d)

@@ -220,9 +220,9 @@ def cmd_convergence(args, t0: float) -> int:
 
 def cmd_kickmap(args, t0: float) -> int:
     A, c, r, deltas = args.A, args.c, args.r, args.deltas.tolist()
+    if r.shape != A.shape[:1]:  # before the closed form loads scipy.linalg
+        raise ValueError(f"r has shape {r.shape}, expected {A.shape[:1]}")
     closed, _ = kickmap.affine_kick_map(A, c)
-    if r.shape != c.shape:
-        raise ValueError(f"r has shape {r.shape}, expected {c.shape}")
     rows = kickmap.kick_limit_check(
         lambda x: np.asarray(x, float) @ A.T + c, closed, r, deltas)
 

@@ -6,16 +6,14 @@ g(x) = Ax + c this flow has the closed form exp(A) r + K c with
 K = integral_0^1 exp(uA) du.  A kick field g is a plain callable taking and
 returning arrays of shape (d,).
 
-The rows of a large kick_limit_check table split into contiguous shares of
-near-equal substeps: the calling process runs the first, and a forked
-worker process runs each of the others (see _MIN_SUBSTEPS_PER_WORKER).
-Every row is computed alone, so the table is the same for any split.
+A large kick_limit_check table runs its rows on the usable CPUs, each
+row's substeps its weight in _workers.run_shares.  Every row is computed
+alone, so the table is the same for any split.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,13 +108,10 @@ def kick_limit_check(
     to a power of two so the Euler step is an exact binary fraction; returns
     rows (delta, substeps, error), in the order of deltas.  A delta that
     needs more than 2^_MAX_SUBSTEP_EXP substeps is rejected before any row
-    runs.  A table with enough substeps runs its rows on the usable CPUs,
-    in contiguous shares of near-equal substeps, one per process, but in no
-    more processes than the total holds its largest row, rounded to the
-    nearest whole number: no share can take less time than that row.  The
-    first row in delta order that overflows raises its FloatingPointError;
-    a worker process that dies raises ChildProcessError naming the deltas
-    of the rows lost.
+    runs.  A table with enough substeps runs its rows on the usable CPUs
+    (see _workers.run_shares).  The first row in delta order that overflows
+    raises its FloatingPointError; a worker process that dies raises
+    ChildProcessError naming the deltas of the rows lost.
     """
     if not np.isfinite(r).all():
         raise ValueError(f"r must be finite, got {np.ravel(r).tolist()}")
@@ -144,14 +139,5 @@ def kick_limit_check(
         return ("a kick table worker process died: the rows of deltas "
                 + ", ".join(str(deltas[i]) for share in shares for i in share) + " were lost")
 
-    # share k ends at the row boundary whose substep count lies nearest to
-    # k/n of the total
-    before = list(accumulate((1 << k for k in exps), initial=0))
-    total, largest = before[-1], 1 << max(exps, default=0)
-    n = _workers._worker_count(round(total / largest), total, _MIN_SUBSTEPS_PER_WORKER)
-    bounds = sorted({min(range(len(before)), key=lambda i: abs(n * before[i] - k * total))
-                     for k in range(n + 1)})
-    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if len(shares) < 2:
-        return run_share(range(len(deltas)))
-    return _workers._fork_shares(run_share, shares, lost)
+    return _workers.run_shares(run_share, [1 << e for e in exps],
+                               _MIN_SUBSTEPS_PER_WORKER, lost)

@@ -440,17 +440,39 @@ class TestBatchingInvariance:
             assert draws[:, :, j].tobytes() == expected.tobytes(), j
 
 
+STUDY, TABLE = analysis._MIN_WORK_PER_WORKER, kickmap._MIN_SUBSTEPS_PER_WORKER
+HALVING = [2**i for i in range(1, 18)]  # the substeps of deltas 2^-1..2^-17
+
+
 class TestWorkers:
-    def test_worker_count(self, monkeypatch):
+    @pytest.mark.parametrize("cpus, weights, min_work, bounds", [
         # the benchmark's paper and desk studies fork one worker on two CPUs
-        least = analysis._MIN_WORK_PER_WORKER
-        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
-        assert _workers._worker_count(250, 250 * 10 * 2**15, least) == 2
-        assert _workers._worker_count(200, 200 * 10 * 2**13, least) == 2
-        assert _workers._worker_count(2, 10**12, least) == 2
-        assert _workers._worker_count(260, least - 1, least) == 1
-        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
-        assert _workers._worker_count(1000, 10**12, least) == 1
+        pytest.param(2, [10 * 2**15] * 250, STUDY, [0, 125, 250], id="paper-study"),
+        pytest.param(2, [10 * 2**13] * 200, STUDY, [0, 100, 200], id="desk-study"),
+        pytest.param(2, [5 * 10**11] * 2, STUDY, [0, 1, 2], id="two-paths"),
+        pytest.param(2, [STUDY // 260] * 260, STUDY, [0, 260], id="study-below-floor"),
+        pytest.param(64, [3 * 256] * 260, STUDY, [0, 260], id="small-study"),
+        pytest.param(1, [10**9] * 1000, STUDY, [0, 1000], id="one-cpu"),
+        # the last row of 2^-1..2^-17 holds as many substeps as all the others;
+        # deltas 0.1, 0.05, ... and 0.1, 0.09, 0.08 round up to 16, 32, ... substeps
+        pytest.param(2, HALVING, TABLE, [0, 16, 17], id="benchmark-table-2-cpus"),
+        pytest.param(3, HALVING, TABLE, [0, 16, 17], id="benchmark-table-3-cpus"),
+        pytest.param(64, HALVING, TABLE, [0, 16, 17], id="benchmark-table-64-cpus"),
+        pytest.param(64, [16, 32, 64, 128], TABLE, [0, 4], id="small-table"),
+        pytest.param(64, HALVING[:8], TABLE, [0, 8], id="small-halving-table"),
+        pytest.param(1, [16] * 3, 1, [0, 3], id="three-rows-1-cpu"),
+        pytest.param(2, [16] * 3, 1, [0, 1, 3], id="three-rows-2-cpus"),
+        pytest.param(3, [16] * 3, 1, [0, 1, 2, 3], id="three-rows-3-cpus"),
+        pytest.param(2, HALVING[:12], 1, [0, 11, 12], id="halving-table-2-cpus"),
+        # equal units end share k at floor(n_units * k / n)
+        pytest.param(3, [7] * 10, 1, [0, 3, 6, 10], id="equal-units"),
+        pytest.param(4, [5], 1, [0, 1], id="one-unit"),
+        pytest.param(4, [], 1, [0], id="empty"),
+    ])
+    def test_split(self, monkeypatch, cpus, weights, min_work, bounds):
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
+        assert _workers._split(weights, min_work) == [
+            range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     def test_small_study_runs_in_process(self, monkeypatch):
         def no_fork(*args):

@@ -527,6 +527,20 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_mismatched_r_is_refused_before_scipy_linalg_loads():
+    """A kick start point of the wrong size is refused before the closed form
+    loads scipy.linalg for its exponential."""
+    code = ("import sys; from impulsesim.cli import main; "
+            "rc = main(['kickmap', '--A', '1', '--c', '1', '--r', '1,2']); "
+            "print('scipy.linalg' in sys.modules); sys.exit(rc)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert proc.stdout.strip() == "False"
+    assert proc.stderr == "error: r has shape (2,), expected (1,)\n"
+
+
 def test_import_leaves_the_fork_runner_unloaded():
     """Only a run that forks workers needs multiprocessing and
     concurrent.futures; loading them would add to every run's start-up."""

@@ -274,14 +274,15 @@ class TestKickTableWorkers:
         assert seen == [[range(0, 16), range(16, 17)]]
 
     @pytest.mark.parametrize("deltas", [[0.1, 0.05, 0.025, 0.0125],
-                                        [2.0**-i for i in range(1, 9)]])
+                                        [2.0**-i for i in range(1, 9)], []])
     def test_small_table_runs_in_process(self, monkeypatch, deltas):
         def no_fork(*args):
             raise AssertionError("a small kick table forked")
 
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 64)
         monkeypatch.setattr(_workers, "_fork_shares", no_fork)
-        assert len(self.table(deltas)) == len(deltas)
+        rows = self.table(deltas)
+        assert len(rows) == len(deltas) and type(rows) is list
 
     def test_overflow_in_a_worker_names_its_substep(self, monkeypatch):
         """The FloatingPointError of a worker's row reaches the caller with
