@@ -106,10 +106,12 @@ def run_convergence_study(
     eps_exponents = tuple(int(i) for i in eps_exponents)
     if any(i <= 0 for i in eps_exponents):
         raise ValueError("eps exponents must be positive")
-    for i in eps_exponents:
+    for k, i in enumerate(eps_exponents):
         if math.ldexp(1.0, -i) == 0.0:
             raise ValueError(f"eps exponent {i} underflows: 2^-{i} is 0.0 as a float")
-    if len(set(eps_exponents)) < 2:
+        if i in eps_exponents[:k]:
+            raise ValueError(f"eps exponent {i} is repeated: the study needs distinct eps")
+    if len(eps_exponents) < 2:
         raise ValueError("need at least 2 distinct eps exponents to fit a slope")
     eps = np.array([2.0**-i for i in eps_exponents])
     det = integrate_deterministic(model, grid, x0)

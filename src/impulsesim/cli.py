@@ -1,11 +1,11 @@
 """Command-line front end: simulate / convergence / kickmap subcommands.
 
 Every output file is accompanied by a JSON manifest with the run's parsed
-options by name, after resolution (a preset's paths and dt exponent, the
-zero kick of `--model affine_kick`), and the Python, numpy and scipy
-versions, so any artifact can be reproduced bit-exactly.  Each subparser
-names its command as `run`.  All three compute first and then write
-through `_emit`, so a failed run leaves neither an output nor a manifest.
+options by name (an option without a default that was not given as null)
+and the Python, numpy and scipy versions, so any artifact can be
+reproduced bit-exactly.  Each subparser names its command as `run`.  All
+three compute first and then write through `_emit`, so a failed run leaves
+neither an output nor a manifest.
 """
 
 from __future__ import annotations
@@ -55,38 +55,45 @@ def _parse_eps_exps(s: str) -> list[int]:
 
 
 def _resolve_model(args) -> dynamics.Model:
-    """The model of a simulate or convergence run; for --model affine_kick the
-    kick matrix A and offset c, zero where not given, are written back onto args."""
+    """The model of a simulate or convergence run.  The other model's options
+    are refused; this model's options that were not given take their defaults."""
     if args.model == "pendulum":
         if args.A is not None or args.c is not None:
             raise ValueError("--A and --c apply only to --model affine_kick, not pendulum")
-        return dynamics.pendulum_model(alpha_pend=args.alpha_pend)
+        alpha_pend = 1.0 if args.alpha_pend is None else args.alpha_pend
+        return dynamics.pendulum_model(alpha_pend=alpha_pend)
+    if args.alpha_pend is not None:
+        raise ValueError("--alpha-pend applies only to --model pendulum, not affine_kick")
     d = len(args.x0)
-    args.A = np.zeros((d, d)) if args.A is None else args.A
-    args.c = np.zeros(args.A.shape[0]) if args.c is None else args.c
-    return dynamics.affine_kick_model(args.A, args.c)
+    A = np.zeros((d, d)) if args.A is None else args.A
+    c = np.zeros(A.shape[0]) if args.c is None else args.c
+    return dynamics.affine_kick_model(A, c)
 
 
 def _write_file(path: str, write):
-    """Call write on a text file for path.  An existing regular file is
-    replaced whole, keeping its mode: write goes to a sibling file, returned
-    to be renamed over path.  Any other path (a new file, a device such as
-    /dev/null) is written in place, and None returned."""
+    """Call write on a text file for path.  A regular file, new or existing, is
+    written to a sibling file, returned to be renamed over path, with the mode
+    of the file it replaces, or open's for a new one.  Any other path (a device
+    such as /dev/null) is written in place, and None returned."""
     try:
         st = os.lstat(path)
     except FileNotFoundError:
         st = None
-    if st is None or not stat.S_ISREG(st.st_mode):
+    if st is not None and not stat.S_ISREG(st.st_mode):
         with open(path, "w", newline="\n") as f:
             write(f)
         return None
-    if not os.access(path, os.W_OK):  # a rename would replace a read-only file
+    if st is not None and not os.access(path, os.W_OK):  # a rename would replace it
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"  # a killed run's sibling never blocks a new run
+    try:  # a new file gets 0o666 under the umask, as from open
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666 if st is None else 0o600)
+    except OSError as exc:  # named by the target, not its sibling
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", newline="\n") as f:
-            os.fchmod(fd, stat.S_IMODE(st.st_mode))
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
             write(f)
     except BaseException:
         os.remove(tmp)
@@ -96,13 +103,13 @@ def _write_file(path: str, write):
 
 def _emit(args, t0: float, write) -> None:
     """Call write on the file named by --out, or on stdout when it is not set,
-    and then write its manifest, `<out>.manifest.json`.  A failed write
-    removes the files this call created and leaves older ones as they were."""
+    and then write its manifest, `<out>.manifest.json`.  A regular file is
+    renamed into place only once both are written, so a run that fails or is
+    killed before then leaves both paths as they were."""
     if args.out is None:
         write(sys.stdout)
         return
     paths = (args.out, args.out + ".manifest.json")
-    created = [p for p in paths if not os.path.lexists(p)]
     staged = []  # per path, the sibling file to rename over it, or None
     try:
         staged.append(_write_file(args.out, write))
@@ -126,16 +133,15 @@ def _emit(args, t0: float, write) -> None:
             if tmp is not None:
                 os.replace(tmp, path)
     except BaseException:
-        for p in filter(os.path.lexists, created + list(filter(None, staged))):
-            os.remove(p)
+        for tmp in filter(os.path.lexists, filter(None, staged)):  # not yet renamed
+            os.remove(tmp)
         raise
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--model", default="pendulum", choices=["pendulum", "affine_kick"])
     p.add_argument("--alpha", type=float, default=1.0, help="impulse offset in (0,1]")
-    p.add_argument("--alpha-pend", type=float, default=1.0,
-                   help="pendulum stiffness constant")
+    p.add_argument("--alpha-pend", type=float, help="pendulum: stiffness constant (default 1)")
     p.add_argument("--T", type=float, default=8.0, help="time horizon")
     p.add_argument("--dt-exp", type=int, default=12, metavar="M",
                    help="time step dt = 2^-M")
@@ -167,14 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", help="Monte Carlo slope study as CSV")
     _add_common(p_conv)
-    p_conv.add_argument("--paths", type=int, help="Monte Carlo paths (default 1000)")
+    p_conv.add_argument("--paths", type=int, default=1000, help="Monte Carlo paths")
     p_conv.add_argument("--threads", type=int, default=1,
                         help="ignored; a large study uses every usable CPU")
     p_conv.add_argument("--eps-exps", type=_parse_eps_exps, default="1..10",
                         help="exponents i for eps=2^-i, as 'lo..hi' or a comma list")
-    p_conv.add_argument("--preset", default=None, choices=["paper", "desk"],
-                        help="paper: --paths 1000 --dt-exp 12; desk: --paths 200 --dt-exp 10")
-    p_conv.set_defaults(dt_exp=None, run=cmd_convergence)  # dt_exp: 12, or the preset's
+    p_conv.set_defaults(run=cmd_convergence)
 
     p_kick = sub.add_parser("kickmap", help="kick-map convergence error table as CSV")
     p_kick.add_argument("--A", type=_parse_matrix, required=True)
@@ -200,14 +204,6 @@ def cmd_simulate(args, t0: float) -> int:
 
 
 def cmd_convergence(args, t0: float) -> int:
-    given = [o for o, v in (("--paths", args.paths), ("--dt-exp", args.dt_exp)) if v is not None]
-    if args.preset and given:
-        raise ValueError(f"--preset {args.preset} sets --paths and --dt-exp; "
-                         f"{' and '.join(given)} cannot be given with it")
-    paths, dt_exp = {"paper": (1000, 12), "desk": (200, 10)}.get(args.preset, (1000, 12))
-    args.paths = paths if args.paths is None else args.paths
-    args.dt_exp = dt_exp if args.dt_exp is None else args.dt_exp
-    args.preset = None  # paths and dt_exp record its effect
     model = _resolve_model(args)
     grid = integrate.build_grid(args.T, args.dt_exp, args.alpha)
     report = analysis.run_convergence_study(

@@ -209,6 +209,8 @@ class TestConvergenceStudy:
         for exps in ([5], [3, 3], []):
             with pytest.raises(ValueError, match="distinct eps"):
                 run_convergence_study(m, grid, x0, exps, 4, 0)
+        with pytest.raises(ValueError, match="eps exponent 1 is repeated"):
+            run_convergence_study(m, grid, x0, [1, 1, 2], 4, 0)
 
 
 def three_state_model():

@@ -261,28 +261,27 @@ CONVERGENCE = ["convergence", "--paths", "4", "--eps-exps", "1..3", "--T", "2",
 
 
 @pytest.mark.parametrize("argv", [
-    SIMULATE, SIMULATE + AFFINE, CONVERGENCE, CONVERGENCE + AFFINE,
-    ["convergence", "--preset", "desk", "--eps-exps", "1..3", "--T", "2", "--seed", "3"],
+    SIMULATE, SIMULATE + AFFINE, SIMULATE + ["--model", "affine_kick"],
+    SIMULATE + ["--alpha-pend", "1.5"], CONVERGENCE, CONVERGENCE + AFFINE,
     ["kickmap", "--A=-0.5,1,-1,-0.5", "--c", "1,0", "--r=0.5,-0.25", "--deltas", "0.5,0.25"],
-], ids=["simulate-pendulum", "simulate-affine", "convergence-pendulum",
-        "convergence-affine", "convergence-preset-desk", "kickmap"])
+], ids=["simulate-pendulum", "simulate-affine", "simulate-affine-zero-kick",
+        "simulate-alpha-pend", "convergence-pendulum", "convergence-affine", "kickmap"])
 def test_manifest_replays_the_run(argv, tmp_path):
-    """A manifest's parameters are the parsed options by name, and the run
-    they describe writes the same bytes.  A preset is recorded by its effect,
-    `paths` and `dt_exp`, so `preset` itself is null."""
+    """A manifest's parameters are the parsed options by name, an option
+    without a default that was not given as null, and the run they describe
+    writes the same bytes and records the same parameters."""
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
     params = manifest["parameters"]
-    parsed = vars(build_parser().parse_args(argv))
-    assert set(params) == set(parsed) - {"subcommand", "out", "run", "threads"}
-    if "--model" in argv:
-        assert params["A"] == [[0.5, 0.0], [0.0, 0.5]] and params["c"] == [1.0, 0.0]
-    elif argv[0] != "kickmap":
-        assert params["A"] is None and params["c"] is None
+    parsed = {k: v for k, v in vars(build_parser().parse_args(argv)).items()
+              if k not in ("subcommand", "out", "run", "threads")}
+    assert params == json.loads(json.dumps(parsed, default=np.ndarray.tolist))
     rerun = tmp_path / "rerun.csv"
     assert main(_argv_from_manifest(manifest, rerun)) == 0
     assert rerun.read_bytes() == out.read_bytes()
+    rerun_manifest = json.loads((tmp_path / "rerun.csv.manifest.json").read_text())
+    assert rerun_manifest["parameters"] == params
 
 
 def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, capsys):
@@ -332,12 +331,6 @@ def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, 
     # 2^997 substeps would never end; the limit rejects it before any row runs
     (["kickmap", "--A", "1", "--c", "1", "--r", "1", "--deltas", "0.5,1e-300"],
      "error: delta=1e-300 needs 2^997 substeps, above the limit of 2^24"),
-    (["convergence", "--preset", "desk", "--paths", "3", "--dt-exp", "4",
-      "--eps-exps", "1..2", "--T", "1"],
-     "error: --preset desk sets --paths and --dt-exp; --paths and --dt-exp cannot "
-     "be given with it"),
-    (["convergence", "--preset", "paper", "--dt-exp", "4", "--eps-exps", "1..2", "--T", "1"],
-     "error: --preset paper sets --paths and --dt-exp; --dt-exp cannot be given with it"),
     (["kickmap", "--A", "1,0,0,1", "--c", "1,1", "--r", "1,2,3"],
      "error: r has shape (3,), expected (2,)"),
     (["simulate", "--eps", "0.1", "--alpha-pend", "nan"],
@@ -360,14 +353,19 @@ def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, 
     (["simulate", "--model", "pendulum", "--eps", "0.1", "--T", "1", "--dt-exp", "2",
       "--A", "1,0,0,1"],
      "error: --A and --c apply only to --model affine_kick, not pendulum"),
+    (["simulate", "--model", "affine_kick", "--x0", "0.5", "--eps", "0.1", "--T", "1",
+      "--dt-exp", "2", "--alpha-pend", "5"],
+     "error: --alpha-pend applies only to --model pendulum, not affine_kick"),
+    (["convergence", "--paths", "2", "--eps-exps", "1,1,2", "--T", "1", "--dt-exp", "2"],
+     "error: eps exponent 1 is repeated: the study needs distinct eps"),
 ], ids=["simulate", "convergence", "kickmap", "simulate-alpha-0", "convergence-alpha-1.5",
         "convergence-zero-mean-error", "simulate-T-inf", "simulate-T-nan",
         "simulate-dt-exp-2000", "kickmap-delta-1e-320", "kickmap-delta-nan",
         "kickmap-delta-inf", "simulate-x0-nan", "kickmap-delta-1e-300",
-        "convergence-preset-and-paths", "convergence-preset-and-dt-exp",
         "kickmap-r-dimension", "simulate-alpha-pend-nan", "simulate-alpha-pend-inf",
         "kickmap-A-nan", "kickmap-c-inf", "kickmap-r-nan", "simulate-seed-negative",
-        "convergence-seed-negative", "convergence-eps-exp-underflow", "simulate-pendulum-A"])
+        "convergence-seed-negative", "convergence-eps-exp-underflow", "simulate-pendulum-A",
+        "simulate-affine-alpha-pend", "convergence-eps-exp-repeated"])
 def test_failure_exits_1_without_output_or_manifest(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
@@ -384,8 +382,8 @@ def test_missing_output_directory_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("existed", [False, True], ids=["new-output", "existing-output"])
 def test_failed_write_leaves_no_partial_output(existed, monkeypatch, tmp_path, capsys):
-    """A writer that fails part way exits 1 with one error line.  The output
-    the run created is removed; a file that was there before is kept."""
+    """A writer that fails part way exits 1 with one error line.  No output
+    is left where there was none; a file that was there before is kept."""
     def write_one_line_then_fail(f, *args):
         f.write("t,x1,x2\n")
         raise OSError(28, "No space left on device")
@@ -399,6 +397,31 @@ def test_failed_write_leaves_no_partial_output(existed, monkeypatch, tmp_path, c
     assert list(tmp_path.iterdir()) == ([out] if existed else [])
     if existed:
         assert out.read_text() == "kept\n"
+
+
+def test_killed_writer_leaves_no_output(tmp_path):
+    """A run killed while it writes, here by SIGKILL after one line, leaves
+    neither an output nor a manifest at their paths."""
+    code = ("import os, signal, sys; from impulsesim import cli, integrate\n"
+            "def write_one_line_then_die(f, *args):\n"
+            "    f.write('t,x1,x2\\n'); f.flush(); os.kill(os.getpid(), signal.SIGKILL)\n"
+            "integrate.write_trajectory_csv = write_one_line_then_die\n"
+            "cli.main(sys.argv[1:])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code, *SIMULATE, "--out", "out.csv"],
+                          cwd=tmp_path, capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == -9
+    names = [p.name for p in tmp_path.iterdir()]
+    assert "out.csv" not in names and "out.csv.manifest.json" not in names
+
+
+def test_new_output_gets_the_mode_open_gives(tmp_path):
+    (tmp_path / "ref").write_text("")
+    out = tmp_path / "out.csv"
+    assert main(SIMULATE + ["--out", str(out)]) == 0
+    for p in (out, tmp_path / "out.csv.manifest.json"):
+        assert p.stat().st_mode & 0o7777 == (tmp_path / "ref").stat().st_mode & 0o7777
 
 
 def test_existing_output_is_replaced_keeping_its_mode(tmp_path):
@@ -456,8 +479,8 @@ def test_dead_kick_table_worker_exits_1_naming_its_deltas(monkeypatch, tmp_path,
 
 
 def test_failed_manifest_removes_the_output(tmp_path, capsys):
-    """A manifest that cannot be written takes the output the run created
-    with it, and leaves what was there before: here a directory in its place."""
+    """A manifest that cannot be written leaves no output either, and leaves
+    what was there before: here a directory in its place."""
     (tmp_path / "out.csv.manifest.json").mkdir()
     assert main(SIMULATE + ["--out", str(tmp_path / "out.csv")]) == 1
     assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
@@ -500,20 +523,6 @@ def test_readme_custom_model_example_runs(capsys):
     [code] = re.findall(r"^```python\n(.*?)^```", section, flags=re.M | re.S)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("[[")
-
-
-class TestPresets:
-    def test_desk_preset_parameters_in_manifest(self, tmp_path):
-        out = tmp_path / "desk.csv"
-        rc = main([
-            "convergence", "--preset", "desk", "--eps-exps", "1..3",
-            "--T", "2", "--seed", "5", "--out", str(out),
-        ])
-        assert rc == 0
-        manifest = json.loads((tmp_path / "desk.csv.manifest.json").read_text())
-        assert manifest["parameters"]["paths"] == 200
-        assert manifest["parameters"]["dt_exp"] == 10
-        assert manifest["parameters"]["preset"] is None
 
 
 def test_import_leaves_scipy_linalg_unloaded():
