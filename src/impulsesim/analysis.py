@@ -65,7 +65,8 @@ class ConvergenceReport:
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
     """Ordinary least squares of log2(ys) against xs.
 
-    Returns (slope, intercept, r_squared).
+    Returns (slope, intercept, r_squared) from exactly rounded sums of the
+    centred data, whose bits depend neither on the CPU nor on the pairs' order.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -77,13 +78,13 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
         raise ValueError("need at least 2 distinct xs to fit a slope")
     if np.any(ys <= 0):
         raise ValueError("ys must be strictly positive")
-    ly = np.log2(ys)
-    slope, intercept = np.polyfit(xs, ly, 1)
-    resid = ly - (slope * xs + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    n, xs, ly = len(xs), xs.tolist(), [math.log2(y) for y in ys.tolist()]
+    x_mean, y_mean = math.fsum(xs) / n, math.fsum(ly) / n
+    dx, dy = [x - x_mean for x in xs], [y - y_mean for y in ly]
+    sxx, sxy, syy = (math.fsum(u * v for u, v in zip(a, b))
+                     for a, b in ((dx, dx), (dx, dy), (dy, dy)))
+    slope = sxy / sxx
+    return slope, y_mean - slope * x_mean, 1.0 if syy == 0.0 else slope * sxy / syy
 
 
 def run_convergence_study(

@@ -2,10 +2,10 @@
 
 Every output file is accompanied by a JSON manifest with the run's parsed
 options by name (an option without a default that was not given as null)
-and the Python, numpy and scipy versions, so any artifact can be
-reproduced bit-exactly.  Each subparser names its command as `run`.  All
-three compute first and then write through `_emit`, so a failed run leaves
-neither an output nor a manifest.
+and the Python and numpy versions, so any artifact can be reproduced
+bit-exactly, on any CPU: no output's bits go through BLAS.  Each subparser
+names its command as `run`.  All three compute first and then write
+through `_emit`, so a failed run leaves neither an output nor a manifest.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 # numpy loads it on first use; simulate and convergence always draw from it,
 # so it loads with the CLI
 import numpy.random  # noqa: F401
-import scipy
 
 from . import __version__, analysis, dynamics, integrate, kickmap
 
@@ -105,11 +104,13 @@ def _emit(args, t0: float, write) -> None:
     """Call write on the file named by --out, or on stdout when it is not set,
     and then write its manifest, `<out>.manifest.json`.  A regular file is
     renamed into place only once both are written, so a run that fails or is
-    killed before then leaves both paths as they were."""
+    killed before then leaves both paths as they were; a new output renamed
+    into place before its manifest's rename fails is removed again."""
     if args.out is None:
         write(sys.stdout)
         return
     paths = (args.out, args.out + ".manifest.json")
+    new = not os.path.lexists(args.out)
     staged = []  # per path, the sibling file to rename over it, or None
     try:
         staged.append(_write_file(args.out, write))
@@ -120,7 +121,7 @@ def _emit(args, t0: float, write) -> None:
             "outputs": [args.out],
             "tool_version": __version__,
             "versions": {"python": platform.python_version(),
-                         "numpy": np.__version__, "scipy": scipy.__version__},
+                         "numpy": np.__version__},
             "duration_seconds": time.time() - t0,
         }
 
@@ -133,6 +134,8 @@ def _emit(args, t0: float, write) -> None:
             if tmp is not None:
                 os.replace(tmp, path)
     except BaseException:
+        if new and staged and not os.path.lexists(staged[0]):  # renamed into place
+            os.remove(args.out)
         for tmp in filter(os.path.lexists, filter(None, staged)):  # not yet renamed
             os.remove(tmp)
         raise
@@ -216,7 +219,7 @@ def cmd_convergence(args, t0: float) -> int:
 
 def cmd_kickmap(args, t0: float) -> int:
     A, c, r, deltas = args.A, args.c, args.r, args.deltas.tolist()
-    if r.shape != A.shape[:1]:  # before the closed form loads scipy.linalg
+    if r.shape != A.shape[:1]:
         raise ValueError(f"r has shape {r.shape}, expected {A.shape[:1]}")
     closed, _ = kickmap.affine_kick_map(A, c)
     rows = kickmap.kick_limit_check(

@@ -63,6 +63,28 @@ def regularized_kick(
     return z
 
 
+def _matmul(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ b for x (..., k), b (k, m), summed in column order as integrate._matvec
+    does, without BLAS: no bits depend on the CPU or on how many rows x stacks."""
+    out = x[..., :1] * b[0]
+    for j in range(1, b.shape[0]):
+        out = out + x[..., j:j + 1] * b[j]
+    return out
+
+
+def _expm(M: np.ndarray) -> np.ndarray:
+    """exp(M) by scaling and squaring: a degree-18 Taylor polynomial of
+    M / 2^s, whose 1-norm is at most 1/2, squared s times (N. J. Higham,
+    SIAM J. Matrix Anal. Appl. 26(4), 2005)."""
+    s = max(0, math.frexp(np.abs(M).sum(axis=0).max())[1] + 1)
+    X, E = M * 2.0**-s, np.eye(len(M))
+    for k in range(18, 0, -1):  # Horner: I + X/1 (I + X/2 (... (I + X/18)))
+        E = np.eye(len(M)) + _matmul(X, E) / k
+    for _ in range(s):
+        E = _matmul(E, E)
+    return E
+
+
 def affine_kick_map(A: np.ndarray, c: np.ndarray):
     """Closed-form kick map for the affine field g(x) = Ax + c.
 
@@ -82,16 +104,12 @@ def affine_kick_map(A: np.ndarray, c: np.ndarray):
     for name, v in (("A", A), ("c", c)):
         if not np.isfinite(v).all():
             raise ValueError(f"{name} must be finite, got {v.tolist()}")
-    from scipy.linalg import expm  # loaded here: no other layer needs scipy.linalg
-
     d = A.shape[0]
-    block = expm(np.block([[A, np.eye(d)], [np.zeros((d, 2 * d))]]))
-    eA = block[:d, :d]
-    Kc = block[:d, d:] @ c
+    block = _expm(np.block([[A, np.eye(d)], [np.zeros((d, 2 * d))]]))
+    eA, Kc = block[:d, :d], _matmul(c, block[:d, d:].T)
 
     def kick(r):
-        r = np.asarray(r, dtype=float)
-        return r @ eA.T + Kc
+        return _matmul(np.asarray(r, dtype=float), eA.T) + Kc
 
     return kick, eA
 
@@ -130,9 +148,11 @@ def kick_limit_check(
         raise ValueError("deltas must be strictly decreasing")
     target = np.atleast_1d(np.asarray(closed_form(np.atleast_1d(r)), dtype=float))
 
+    def error(z):  # an exactly rounded sum: np.linalg.norm's bits follow the BLAS kernel
+        return math.sqrt(math.fsum(v * v for v in (z - target).tolist()))
+
     def run_share(share):
-        return [(deltas[i], 1 << exps[i],
-                 float(np.linalg.norm(regularized_kick(g, r, deltas[i], 1 << exps[i]) - target)))
+        return [(deltas[i], 1 << exps[i], error(regularized_kick(g, r, deltas[i], 1 << exps[i])))
                 for i in share]
 
     def lost(shares):

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from impulsesim import (build_grid, dynamics, integrate, kickmap, pendulum_model,
                         run_convergence_study)
@@ -42,7 +41,7 @@ class TestSimulate:
         assert manifest["outputs"] == [str(out)]
         assert manifest["versions"] == {
             "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy": np.__version__,
         }
 
     def test_paper_figure_row_count(self, tmp_path):
@@ -216,7 +215,7 @@ class TestKickmap:
             "r": [0.5, -0.25], "deltas": [0.5, 0.25],
         }
         assert manifest["outputs"] == [str(out)]
-        assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+        assert set(manifest["versions"]) == {"python", "numpy"}
 
     def test_malformed_matrix_rejected(self, tmp_path, capsys):
         err = usage_error(["kickmap", "--A", "1,2,3", "--c", "1", "--r", "1"], tmp_path, capsys)
@@ -499,6 +498,33 @@ def test_failed_manifest_keeps_an_existing_output(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest.json"]
 
 
+@pytest.mark.parametrize("existed", [False, True], ids=["new-output", "existing-output"])
+def test_failed_manifest_rename(existed, monkeypatch, tmp_path, capsys):
+    """The output is renamed into place before its manifest.  When the
+    manifest's rename fails, a new output is removed, and an existing one
+    stays replaced beside the manifest that was there before."""
+    out, manifest = tmp_path / "out.csv", tmp_path / "out.csv.manifest.json"
+    if existed:
+        out.write_text("old\n")
+        manifest.write_text("{}\n")
+    replace = os.replace
+
+    def fail_second(src, dst):
+        if dst == str(manifest):
+            raise OSError(5, "Input/output error")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_second)
+    assert main(SIMULATE + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 5] Input/output error\n"
+    if existed:
+        assert out.read_text().startswith("t,x1,x2,")
+        assert manifest.read_text() == "{}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest.json"]
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_readme_commands_parse():
     """Every `impulsesim ...` command in README.md's code blocks parses, so a
     renamed or removed option fails here and not in a reader's shell."""
@@ -525,29 +551,49 @@ def test_readme_custom_model_example_runs(capsys):
     assert capsys.readouterr().out.startswith("[[")
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    """Only the affine kick map needs scipy.linalg; loading it costs more
-    than the rest of the import."""
-    code = "import sys, impulsesim.cli; print('scipy.linalg' in sys.modules)"
+def test_kickmap_run_leaves_scipy_unloaded():
+    """numpy is the one dependency: the affine closed form takes its own
+    exponential, so a kick table never loads scipy."""
+    code = ("import sys; from impulsesim.cli import main; "
+            "rc = main(['kickmap', '--A', '1', '--c', '1', '--r', '1']); "
+            "print('scipy' in sys.modules, file=sys.stderr); sys.exit(rc)")
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stderr.strip() == "False"
 
 
-def test_mismatched_r_is_refused_before_scipy_linalg_loads():
-    """A kick start point of the wrong size is refused before the closed form
-    loads scipy.linalg for its exponential."""
-    code = ("import sys; from impulsesim.cli import main; "
-            "rc = main(['kickmap', '--A', '1', '--c', '1', '--r', '1,2']); "
-            "print('scipy.linalg' in sys.modules); sys.exit(rc)")
+KERNEL_GUARD = {
+    "pendulum.csv": ["convergence", "--paths", "16", "--eps-exps", "1..4", "--T", "4",
+                     "--dt-exp", "6", "--seed", "7"],
+    "affine.csv": ["convergence", "--model", "affine_kick", "--A=-0.5,1,-1,-0.5", "--c", "1,0",
+                   "--paths", "16", "--eps-exps", "1..4", "--T", "4", "--dt-exp", "6",
+                   "--seed", "7"],
+    "kick.csv": ["kickmap", "--A=-0.5,1,-1,-0.5", "--c", "1,0", "--r=0.5,-0.25",
+                 "--deltas", ",".join(repr(2.0**-i) for i in range(1, 11))],
+}
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_outputs_do_not_depend_on_the_blas_kernel(kernel, tmp_path):
+    """A pendulum study, an affine_kick study and a kick table rerun in a
+    process whose OpenBLAS takes another CPU's kernels write this process's
+    bytes.  OPENBLAS_CORETYPE acts only on the child; a BLAS that ignores it
+    makes this pass trivially."""
+    calls = []
+    for name, argv in KERNEL_GUARD.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        calls.append(argv + ["--out", str(tmp_path / f"{kernel}-{name}")])
+    code = ("import json, sys; from impulsesim.cli import main; "
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 1
-    assert proc.stdout.strip() == "False"
-    assert proc.stderr == "error: r has shape (2,), expected (1,)\n"
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel})
+    assert proc.returncode == 0, proc.stderr
+    for name in KERNEL_GUARD:
+        assert (tmp_path / f"{kernel}-{name}").read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_import_leaves_the_fork_runner_unloaded():

@@ -160,6 +160,26 @@ class TestAffineKickMap:
         assert kick(np.zeros(1))[0] == pytest.approx(math.expm1(a) / a, rel=1e-14)
         assert jac[0, 0] == pytest.approx(math.exp(a), rel=1e-14)
 
+    @pytest.mark.parametrize("theta", [0.3, 2.0, 25.0])
+    def test_rotation_and_jordan_block(self, theta):
+        # exp of [[0, t], [-t, 0]] turns by t; exp of [[a, 1], [0, a]] is e^a [[1, 1], [0, 1]]
+        _, jac = affine_kick_map(np.array([[0.0, theta], [-theta, 0.0]]), np.zeros(2))
+        cos, sin = math.cos(theta), math.sin(theta)
+        assert np.allclose(jac, [[cos, sin], [-sin, cos]], rtol=0, atol=1e-13 * theta)
+        a = -theta
+        _, jac = affine_kick_map(np.array([[a, 1.0], [0.0, a]]), np.zeros(2))
+        assert np.allclose(jac, math.exp(a) * np.array([[1.0, 1.0], [0.0, 1.0]]),
+                           rtol=1e-13 * theta, atol=0)
+
+    def test_batch_keeps_each_state_bits(self):
+        """A state's kick has the same bits alone as in any batch."""
+        kick, _ = affine_kick_map(np.array([[-0.5, 1.0], [-1.0, -0.5]]), np.array([1.0, 0.0]))
+        states = np.random.default_rng(3).normal(size=(64, 2))
+        batch = kick(states)
+        for state, kicked in zip(states, batch):
+            assert kick(state).tobytes() == kicked.tobytes()
+        assert kick(states.T.copy().T).tobytes() == batch.tobytes()  # component-major layout
+
     def test_translation_composition(self):
         # q translations from 0 accumulate to q*c
         c = np.array([0.3, -0.7])
@@ -215,7 +235,7 @@ class TestKickLimitCheck:
         for delta in deltas:
             substeps = 1 << max(0, math.ceil(math.log2(1 / delta)))
             z, _ = reference_kick(g, r, substeps)
-            expected.append((delta, substeps, float(np.linalg.norm(z - target))))
+            expected.append((delta, substeps, math.sqrt(math.fsum((z - target) ** 2))))
         assert kick_limit_check(g, kick, r, deltas) == expected
 
     def test_nonmonotone_deltas_rejected(self):
