@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
+import operator
 import os
 import platform
 import stat
@@ -222,8 +224,9 @@ def cmd_kickmap(args, t0: float) -> int:
     if r.shape != A.shape[:1]:
         raise ValueError(f"r has shape {r.shape}, expected {A.shape[:1]}")
     closed, _ = kickmap.affine_kick_map(A, c)
-    rows = kickmap.kick_limit_check(
-        lambda x: np.asarray(x, float) @ A.T + c, closed, r, deltas)
+    Al, cl = A.tolist(), c.tolist()  # g(x) = Ax + c, exactly rounded sums: no BLAS
+    rows = kickmap.kick_limit_check(lambda x: [math.fsum([*map(operator.mul, a, x.tolist()), ci])
+                                               for a, ci in zip(Al, cl)], closed, r, deltas)
 
     def write(f):
         f.write("delta,substeps,error\n")

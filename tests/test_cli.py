@@ -572,15 +572,18 @@ KERNEL_GUARD = {
                    "--seed", "7"],
     "kick.csv": ["kickmap", "--A=-0.5,1,-1,-0.5", "--c", "1,0", "--r=0.5,-0.25",
                  "--deltas", ",".join(repr(2.0**-i) for i in range(1, 11))],
+    # at d = 3 a field through `@` took other bits under Prescott
+    "kick-3d.csv": ["kickmap", "--A=-0.5,1,0.2,-1,-0.5,0.3,0.1,-0.2,-0.7", "--c", "1,0,0",
+                    "--r=0.5,0.5,0.5", "--deltas", ",".join(repr(2.0**-i) for i in range(1, 11))],
 }
 
 
 @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
 def test_outputs_do_not_depend_on_the_blas_kernel(kernel, tmp_path):
-    """A pendulum study, an affine_kick study and a kick table rerun in a
-    process whose OpenBLAS takes another CPU's kernels write this process's
-    bytes.  OPENBLAS_CORETYPE acts only on the child; a BLAS that ignores it
-    makes this pass trivially."""
+    """A pendulum study, an affine_kick study and kick tables at d = 2 and 3
+    rerun in a process whose OpenBLAS takes another CPU's kernels write this
+    process's bytes.  OPENBLAS_CORETYPE acts only on the child; a BLAS that
+    ignores it makes this pass trivially."""
     calls = []
     for name, argv in KERNEL_GUARD.items():
         assert main(argv + ["--out", str(tmp_path / name)]) == 0

@@ -157,8 +157,9 @@ class TestAffineKickMap:
         # K = (e^a - 1)/a; the power series of K had relative errors of
         # 4e-9, 0.54 and 3.5e17 here
         kick, jac = affine_kick_map(np.array([[a]]), np.array([1.0]))
-        assert kick(np.zeros(1))[0] == pytest.approx(math.expm1(a) / a, rel=1e-14)
-        assert jac[0, 0] == pytest.approx(math.exp(a), rel=1e-14)
+        # abs=0: approx's default abs=1e-12 would pass any exp(a) near 0
+        assert kick(np.zeros(1))[0] == pytest.approx(math.expm1(a) / a, rel=1e-14, abs=0)
+        assert jac[0, 0] == pytest.approx(math.exp(a), rel=2e-14, abs=0)
 
     @pytest.mark.parametrize("theta", [0.3, 2.0, 25.0])
     def test_rotation_and_jordan_block(self, theta):
