@@ -225,7 +225,7 @@ def cmd_kickmap(args, t0: float) -> int:
         raise ValueError(f"r has shape {r.shape}, expected {A.shape[:1]}")
     closed, _ = kickmap.affine_kick_map(A, c)
     Al, cl = A.tolist(), c.tolist()  # g(x) = Ax + c, exactly rounded sums: no BLAS
-    rows = kickmap.kick_limit_check(lambda x: [math.fsum([*map(operator.mul, a, x.tolist()), ci])
+    rows = kickmap.kick_limit_check(lambda x: [math.fsum([*map(operator.mul, a, x), ci])
                                                for a, ci in zip(Al, cl)], closed, r, deltas)
 
     def write(f):

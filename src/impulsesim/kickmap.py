@@ -3,8 +3,10 @@
 An impulse forcing g(x) * sum_n delta(t - t_n) acts, in the vanishing-width
 limit, like the unit-time flow of zdot = g(z).  For affine fields
 g(x) = Ax + c this flow has the closed form exp(A) r + K c with
-K = integral_0^1 exp(uA) du.  A kick field g is a plain callable taking and
-returning arrays of shape (d,).
+K = integral_0^1 exp(uA) du.  A kick field g is a plain callable that takes
+the state as a list of d Python floats and returns d floats: a list, a tuple
+or a (d,) array.  A field written for arrays wraps its input in
+np.asarray(z).
 
 A large kick_limit_check table runs its rows on the usable CPUs, each
 row's substeps its weight in _workers.run_shares.  Every row is computed
@@ -14,7 +16,7 @@ alone, so the table is the same for any split.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,45 +24,59 @@ from . import _workers
 
 _CHECK_EVERY = 1024  # regularized-kick substeps between finiteness checks
 _MAX_SUBSTEP_EXP = 24  # kick_limit_check runs at most 2^24 substeps per delta
-# substeps a kick table must give each process before it forks one.  The
-# fork costs about 25 ms, so two processes break even near 2^15 substeps of
-# a 2-d affine field (about 0.1 s) on a 2-vCPU host.
+# substeps a kick table must give each process before it forks one.  In
+# fresh processes on a 2-vCPU host, where 2^15 substeps of a 2-d affine field
+# take about 0.1 s, a second process changed the run of a halving table of
+# 2^14 - 2 substeps in all by +3 to +47 ms, of 2^15 - 2 by -13 to +32 ms and
+# of 2^16 - 2 by -63 to +14 ms (median -28): 2^14 forks only the last.
 _MIN_SUBSTEPS_PER_WORKER = 2**14
 
 
 def regularized_kick(
-    g: Callable[[np.ndarray], np.ndarray], r: np.ndarray, delta: float, substeps: int
+    g: Callable[[list[float]], Iterable[float]], r: np.ndarray, delta: float, substeps: int
 ) -> np.ndarray:
     """Flow of the width-delta regularized kick, zdot = (1/delta) g(z) over [0, delta].
 
     Integrated in rescaled time as zdot = g(z) over [0, 1] with explicit
-    Euler, so the result depends on substeps only, never on delta.  Raises
-    FloatingPointError naming the first substep whose state is not finite.
+    Euler, so the result depends on substeps only, never on delta.  The
+    state is a list of d Python floats, and g returns d floats (a list, a
+    tuple or a (d,) array); a field written for arrays wraps its input in
+    np.asarray(z).  Raises FloatingPointError naming the first substep whose
+    state is not finite, or at which g raises OverflowError.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    z = np.atleast_1d(np.asarray(r, dtype=float)).copy()
+    z = np.atleast_1d(np.asarray(r, dtype=float)).tolist()
     h = 1.0 / substeps
     # a non-finite component stays non-finite under z + h*g(z), so checking
     # once per block and replaying a bad block step by step names the first
-    # bad substep
+    # bad substep.  Python floats raise where numpy gives inf (float ** 2,
+    # fsum's intermediate overflow), and g may raise at a non-finite state,
+    # so an exception from g also sends its block to the replay.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, substeps, _CHECK_EVERY):
             start, hi = z, min(lo + _CHECK_EVERY, substeps)
-            for _ in range(lo, hi):
-                z = z + h * np.asarray(g(z), dtype=float)
-            if np.isfinite(z).all():
-                continue
+            try:
+                for _ in range(lo, hi):
+                    z = [zi + h * gi for zi, gi in zip(z, g(z), strict=True)]
+                if all(map(math.isfinite, z)):
+                    continue
+            except Exception:  # the replay raises it again or names its substep
+                pass
             z = start
             for n in range(lo, hi):
-                z = z + h * np.asarray(g(z), dtype=float)
-                if not np.isfinite(z).all():
+                try:
+                    z = [zi + h * gi for zi, gi in zip(z, g(z), strict=True)]
+                    finite = all(map(math.isfinite, z))
+                except OverflowError:  # g overflowed at a finite state
+                    finite = False
+                if not finite:
                     raise FloatingPointError(
                         f"regularized kick overflowed at substep {n + 1}/{substeps}"
                     )
-    return z
+    return np.array(z)
 
 
 def _matmul(x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,7 +109,8 @@ def affine_kick_map(A: np.ndarray, c: np.ndarray):
     and the constant Jacobian exp(A).  Both come from one exponential of
     the block matrix [[A, I], [0, 0]], which is [[exp(A), K], [0, I]]
     (C. Van Loan, IEEE Trans. Autom. Control 23(3), 1978); unlike the power
-    series of K it stays accurate for contracting fields.
+    series of K it stays accurate for contracting fields.  Raises
+    ValueError if exp(A) is not finite.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] != A.shape[1]:
@@ -105,7 +122,10 @@ def affine_kick_map(A: np.ndarray, c: np.ndarray):
         if not np.isfinite(v).all():
             raise ValueError(f"{name} must be finite, got {v.tolist()}")
     d = A.shape[0]
-    block = _expm(np.block([[A, np.eye(d)], [np.zeros((d, 2 * d))]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = _expm(np.block([[A, np.eye(d)], [np.zeros((d, 2 * d))]]))
+    if not np.isfinite(block).all():
+        raise ValueError(f"exp(A) overflows for A = {A.tolist()}")
     eA, Kc = block[:d, :d], _matmul(c, block[:d, d:].T)
 
     def kick(r):
@@ -115,7 +135,7 @@ def affine_kick_map(A: np.ndarray, c: np.ndarray):
 
 
 def kick_limit_check(
-    g: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[list[float]], Iterable[float]],
     closed_form: Callable[[np.ndarray], np.ndarray],
     r: np.ndarray,
     deltas: Sequence[float],

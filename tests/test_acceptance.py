@@ -120,7 +120,7 @@ def test_criterion_5_kick_map_oracle():
     ok = ok and bool(np.allclose(kick_d(rr), expected, rtol=1e-12))
 
     # doubling substeps halves the flow error for g(x) = x + 1 at r = 1
-    field = lambda x: x + 1.0
+    field = lambda x: np.asarray(x) + 1.0
     target = math.e * 1.0 + (math.e - 1.0)
     errs = [abs(float(regularized_kick(field, np.array([1.0]), 1.0, n)[0]) - target)
             for n in (64, 128, 256, 512)]

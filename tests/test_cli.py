@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -17,6 +19,7 @@ from impulsesim import (build_grid, dynamics, integrate, kickmap, pendulum_model
 from impulsesim.cli import build_parser, main
 
 from test_analysis import force_workers
+from test_kickmap import reference_kick
 
 
 def run_cli(argv, capsys=None):
@@ -357,6 +360,22 @@ def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, 
      "error: --alpha-pend applies only to --model pendulum, not affine_kick"),
     (["convergence", "--paths", "2", "--eps-exps", "1,1,2", "--T", "1", "--dt-exp", "2"],
      "error: eps exponent 1 is repeated: the study needs distinct eps"),
+    # exp(A) is finite, but fsum's partials overflow in the first substep's field
+    (["kickmap", "--A=-1e308,-1e308,0,0", "--c", "0,0", "--r=1,1", "--deltas", "0.5"],
+     "error: regularized kick overflowed at substep 1/2"),
+    # the field's products overflow to +-inf at substep 2, and fsum raises
+    # "-inf + inf" on that state at substep 3
+    (["kickmap", "--A=-1e300,-1e300,1e300,-1e300", "--c", "0,0", "--r=1,1",
+      "--deltas", "0.125"],
+     "error: regularized kick overflowed at substep 2/8"),
+    (["kickmap", "--A", "800", "--c", "0", "--r", "1", "--deltas", "0.5,0.25"],
+     "error: exp(A) overflows for A = [[800.0]]"),
+    (["simulate", "--model", "affine_kick", "--A", "800", "--c", "0", "--x0", "1",
+      "--eps", "0.1", "--T", "2", "--dt-exp", "2"],
+     "error: exp(A) overflows for A = [[800.0]]"),
+    # refused before any substep, which would overflow too
+    (["kickmap", "--A=1e308,1e308,0,0", "--c", "0,0", "--r=1,1", "--deltas", "0.5"],
+     "error: exp(A) overflows for A = [[1e+308, 1e+308], [0.0, 0.0]]"),
 ], ids=["simulate", "convergence", "kickmap", "simulate-alpha-0", "convergence-alpha-1.5",
         "convergence-zero-mean-error", "simulate-T-inf", "simulate-T-nan",
         "simulate-dt-exp-2000", "kickmap-delta-1e-320", "kickmap-delta-nan",
@@ -364,7 +383,9 @@ def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, 
         "kickmap-r-dimension", "simulate-alpha-pend-nan", "simulate-alpha-pend-inf",
         "kickmap-A-nan", "kickmap-c-inf", "kickmap-r-nan", "simulate-seed-negative",
         "convergence-seed-negative", "convergence-eps-exp-underflow", "simulate-pendulum-A",
-        "simulate-affine-alpha-pend", "convergence-eps-exp-repeated"])
+        "simulate-affine-alpha-pend", "convergence-eps-exp-repeated",
+        "kickmap-fsum-overflow", "kickmap-field-raises-at-inf", "kickmap-expA-overflow",
+        "simulate-affine-expA-overflow", "kickmap-expA-overflow-before-substeps"])
 def test_failure_exits_1_without_output_or_manifest(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
@@ -576,6 +597,43 @@ KERNEL_GUARD = {
     "kick-3d.csv": ["kickmap", "--A=-0.5,1,0.2,-1,-0.5,0.3,0.1,-0.2,-0.7", "--c", "1,0,0",
                     "--r=0.5,0.5,0.5", "--deltas", ",".join(repr(2.0**-i) for i in range(1, 11))],
 }
+
+
+KICK_2D = ["kickmap", "--A=-0.5,1,-1,-0.5", "--c", "1,0", "--r=0.5,-0.25",
+           "--deltas", ",".join(repr(2.0**-i) for i in range(1, 13))]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (KICK_2D, "81e952fea1b9e6aed6bb028712da55a732cbd66cd3b109b1c2106dc22fa7e3df"),
+    (KERNEL_GUARD["kick-3d.csv"],
+     "925ea3170e0a39690d0d27a6728dbf71745536a589a9c2210533d7322598b1c8"),
+], ids=["2d", "3d"])
+def test_kick_table_bytes(argv, digest, tmp_path):
+    """sha256 of two kick tables: a change to any byte of a table fails here.
+    The field and the error are exactly rounded sums, so they hold on any CPU."""
+    out = tmp_path / "table.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_kick_table_matches_reference_bitwise(tmp_path):
+    """The table of KICK_2D, whose field steps Python floats, equals rows of
+    the numpy Euler loop reference_kick fed Ax + c as exactly rounded sums."""
+    A, c, r = [[-0.5, 1.0], [-1.0, -0.5]], [1.0, 0.0], np.array([0.5, -0.25])
+
+    def g(x):
+        return np.array([math.fsum([*(a * v for a, v in zip(row, x)), ci])
+                         for row, ci in zip(A, c)])
+
+    target = kickmap.affine_kick_map(A, c)[0](r)
+    expected = []
+    for i in range(1, 13):
+        z, _ = reference_kick(g, r, 2**i)
+        expected.append((2.0**-i, 2**i, math.sqrt(math.fsum((z - target) ** 2))))
+    out = tmp_path / "table.csv"
+    assert main(KICK_2D + ["--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(float(d), int(n), float(e)) for d, n, e in rows] == expected
 
 
 @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])

@@ -34,7 +34,7 @@ def blows_up_at(k, substeps, bad=np.inf):
     threshold, h = 0.0, 1.0 / substeps
     for _ in range(k - 1):
         threshold += h
-    return lambda z: np.where(z >= threshold, bad, 1.0)
+    return lambda z: np.where(np.asarray(z) >= threshold, bad, 1.0)
 
 
 def scalar_affine_closed_form(a, c, r):
@@ -55,7 +55,7 @@ class TestRegularizedKick:
 
     def test_linear_field_converges_to_exponential(self):
         a = 0.7
-        field = lambda x: a * x
+        field = lambda x: a * np.asarray(x)
         r = np.array([1.5])
         out = regularized_kick(field, r, delta=0.1, substeps=200_000)
         assert np.allclose(out, math.exp(a) * 1.5, rtol=1e-5)
@@ -78,9 +78,12 @@ class TestRegularizedKick:
             regularized_kick(field, np.zeros(1), delta=-1.0, substeps=4)
         with pytest.raises(ValueError):
             regularized_kick(field, np.zeros(1), delta=0.1, substeps=0)
+        for wrong in ([1.0], [1.0, 2.0, 3.0]):  # g must return d floats
+            with pytest.raises(ValueError, match="zip"):
+                regularized_kick(lambda x: wrong, np.zeros(2), delta=0.1, substeps=4)
 
     def test_overflow_aborts(self):
-        field = lambda x: x**3 * 1e200
+        field = lambda x: np.asarray(x)**3 * 1e200
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="substep 2/50$"):
@@ -99,9 +102,42 @@ class TestRegularizedKick:
             with pytest.raises(FloatingPointError, match=f"substep {k}/{substeps}$"):
                 regularized_kick(g, np.array([0.0]), 0.1, substeps)
 
+    @pytest.mark.parametrize("k", [1, 1024, 1025, 3000])
+    def test_field_exceptions_in_any_block(self, k):
+        """An OverflowError from g at a finite state, as float ** 2 and fsum
+        raise, is substep k's overflow; an exception from g at a non-finite
+        state, as fsum raises for inf and -inf, does not hide the substep
+        that made it; any other exception passes unchanged."""
+        substeps = 4096
+        g = blows_up_at(k, substeps)
+
+        def raising(exc):
+            def field(z):
+                v = g(z)
+                if np.isinf(v).any():
+                    raise exc
+                return v
+            return field
+
+        def raising_at_non_finite(z):
+            if not np.isfinite(z).all():
+                raise ValueError("-inf + inf in fsum")
+            return g(z)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for field in (raising(OverflowError("math range error")), raising_at_non_finite):
+                with pytest.raises(FloatingPointError, match=f"substep {k}/{substeps}$"):
+                    regularized_kick(field, np.array([0.0]), 0.1, substeps)
+            with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+                regularized_kick(raising(ZeroDivisionError("float division by zero")),
+                                 np.array([0.0]), 0.1, substeps)
+
     def test_one_component_overflows_in_a_later_block(self):
         # z2' = z2^2 from 1.5 blows up near t = 2/3; Euler overflows a few
-        # substeps after it passes 1/h, while z1 stays finite
+        # substeps after it passes 1/h, while z1 stays finite.  The list
+        # field keeps Python floats, whose z2 ** 2 raises OverflowError where
+        # numpy's (and the reference's) gives inf.
         def g(z):
             return np.array([-z[0], z[1] ** 2])
 
@@ -110,12 +146,14 @@ class TestRegularizedKick:
         assert k is not None and k > 1024
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FloatingPointError, match=f"substep {k}/{substeps}$"):
-                regularized_kick(g, np.array([1.0, 1.5]), 0.1, substeps)
+            for field in (g, lambda z: [-z[0], z[1] ** 2]):
+                with pytest.raises(FloatingPointError, match=f"substep {k}/{substeps}$"):
+                    regularized_kick(field, np.array([1.0, 1.5]), 0.1, substeps)
 
     @pytest.mark.parametrize("substeps", [1, 1023, 1024, 1025, 3000])
     def test_finite_flow_matches_reference_bitwise(self, substeps):
         def g(z):
+            z = np.asarray(z)
             return np.sin(z) + 0.5 * z[::-1]
 
         r = np.array([0.3, -1.2])
