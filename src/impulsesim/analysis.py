@@ -142,7 +142,7 @@ def run_convergence_study(
         X = np.empty(shape)
         X[...] = det.values[0][:, None, None]
         blocks = _brownian_blocks(grid, model.r, base_seed, idx_range)
-        _step(model, grid, visit, X, eps, blocks, along)
+        _step(model, grid, visit, X, np.zeros((model.d, len(idx_range))), eps, blocks, along)
         return sup, sup_n2
 
     def run_share(share):

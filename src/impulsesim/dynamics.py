@@ -44,6 +44,8 @@ class Model:
 
     drift, diffusion and reset must accept arrays of shape (..., d) and
     broadcast over leading axes (the Monte Carlo engine batches states).
+    Each output row must depend only on its input row: so x can step as a
+    noise-free lane of X's batch, and a study path replays alone bit for bit.
     The batched stepper stores states component-major and hands these
     callables non-contiguous (..., d) views; they must not write into their
     input and must return a new array (np.empty_like keeps the input's

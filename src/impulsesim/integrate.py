@@ -1,15 +1,15 @@
 """Time grids, Brownian paths, and the coupled Euler/Euler-Maruyama integrators.
 
 build_grid lays out the impulse schedule t_k = k - 1 + alpha as grid nodes;
-no other code writes it down.  One batched stepper advances the
-deterministic flow, the noisy flow and the fluctuation process on that
-grid in two passes: a deterministic pass steps x alone, and a coupled
-pass steps X, at one or more noise scales, and Z together on one set of
-Brownian increments, with the noise of a Brownian block formed at once.
-The per-path entry point and the Monte Carlo study both run it:
-integrate_coupled gives one path's triple (x, X, Z), a deterministic pass
-and then a coupled pass, as the study does.  write_trajectory_csv writes
-the triple as one table.
+no other code writes it down.  One batched stepper holds the two
+recursions, each written once: the flow of X, whose lanes at noise scale 0
+are the deterministic flow x, and the linear step of the fluctuation
+process Z along x, which calls no model function; it runs either, or both
+in lockstep on one set of Brownian increments.  integrate_coupled gives
+one path's triple (x, X, Z) in two passes: x and X as two lanes of one
+flow batch, then Z alone along x.  The Monte Carlo study steps x alone,
+then X at every noise scale and path in lockstep with Z.
+write_trajectory_csv writes the triple as one table.
 
 At an impulse node the Euler step into the node produces the left
 limit, the reset applies instantaneously, and the step out of the node
@@ -117,16 +117,18 @@ class CadlagTrajectory:
     left: np.ndarray  # (len(grid.impulse_nodes), d)
 
 
-def _matvec(a: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray):
-    """out = a v, component-major: a (d, r, ...) against v (r, ...) into out
-    (d, ...), as products rounded one by one and summed in column order.
-    The bits of a path never depend on how many paths are stacked; with `@`
+def _matvec(a: np.ndarray, v: np.ndarray, out: np.ndarray, prod: np.ndarray):
+    """out = a v, component-major: a (d, r, ...) against v (r, ...), batch
+    axes ... broadcasting, into out (d, ...): all products rounded one by one
+    in one multiply into prod (d, r, ...), then summed in column order.  The
+    bits of a path never depend on how many paths are stacked; with `@`
     they can, since BLAS may fuse the multiply-adds of a single row (gemv)
     but not of many (gemm)."""
-    np.multiply(a[:, 0], v[0], out=out)
-    for j in range(1, v.shape[0]):
-        np.multiply(a[:, j], v[j], out=tmp)
-        np.add(out, tmp, out=out)
+    np.multiply(a, v, out=prod)
+    # x + -0.0 is x, signed zeros included: one column is copied bit for bit
+    np.add(prod[:, 0], prod[:, 1] if prod.shape[1] > 1 else -0.0, out=out)
+    for j in range(2, prod.shape[1]):
+        np.add(out, prod[:, j], out=out)
     return out
 
 
@@ -137,15 +139,6 @@ def _prepare_along_path(model: Model, grid: SampleGrid, det: CadlagTrajectory):
     sig = np.asarray(model.diffusion(det.values[:n]), dtype=float)
     dh = np.asarray(model.reset_jacobian(det.left), float)
     return db, sig, np.broadcast_to(dh, (len(det.left), d, d))
-
-
-def _component_major(a, shape, axes):
-    """A model output as floats of the batch's (..., d[, r]) shape (an
-    unbatched output broadcasts), with its component axes moved first."""
-    a = np.asarray(a, float)
-    if a.shape != shape:
-        a = np.broadcast_to(a, shape)
-    return a.transpose(axes)
 
 
 def _brownian_blocks(grid: SampleGrid, r: int, seed: int, path_indices):
@@ -162,102 +155,106 @@ def _brownian_blocks(grid: SampleGrid, r: int, seed: int, path_indices):
         yield block
 
 
-def _step(model, grid, visit, X, eps, increments, along):
-    """The one Euler / Euler-Maruyama / fluctuation scheme, over a batch, in
-    one of two passes.
+def _step(model, grid, visit, X, Z, eps=None, increments=None, along=None):
+    """The one Euler / Euler-Maruyama / fluctuation scheme over a batch: the
+    flow of X, the linear step of Z along the deterministic flow x, or both
+    in lockstep on the same increments.
 
-    All states are component-major and updated in place; X: (d, n_eps,
-    n_paths).  The deterministic pass, with eps, increments and along all
-    None, steps X alone, noise-free.  The coupled pass is given all three:
-    eps (n_eps,) noise scales, increments as blocks (steps, r, n_paths),
-    none longer than the first, of Brownian increments, n_steps in all,
-    and along as _prepare_along_path of the deterministic flow.  It steps
-    X, noisy at scales eps, and Z (d, n_paths), started at 0, on the same
-    increments; the noise sigma(x_n) dW_n of Z, and of X when along's sigma
-    is one constant (d, r), is formed a block at a time.
-    visit(n, i, X, Z) sees each node n from 0 (i None) and each left limit
-    (at node n = grid.impulse_nodes[i], before the reset); Z is None in the
-    deterministic pass.  X and Z are the same arrays at every visit, and a
-    visitor that keeps values must copy them.  The model's callables see
-    (..., d) views.  A value that leaves the finite floats raises no
-    warning: the callers check the recorded values.
+    States are component-major and updated in place, and either may be
+    None: X (d, n_eps, n_paths) at noise scales eps (n_eps,), zeros first,
+    where a lane at eps 0 gets no noise and keeps the bits of x, and Z
+    (d, n_paths) from 0.  increments are blocks (steps, r, n_paths), none
+    longer than the first, n_steps in all; along is _prepare_along_path of
+    x.  X's sigma is along's, or one diffusion call at X's start.  When it
+    is one constant (d, r), X's noise, like Z's sigma(x_n) dW_n, is formed a
+    block at a time; else it is sigma(X_n) dW_n.  visit(n, i, X, Z) sees
+    each node n from 0 (i None) and each left limit (at node n =
+    grid.impulse_nodes[i], before the reset), with the same arrays each
+    time: a visitor that keeps values must copy them.  The model's
+    callables see (..., d) views.  A value that leaves the finite floats
+    raises no warning: the callers check the recorded values.
     """
-    d, dt = model.d, grid.dt
+    d, r, dt = model.d, model.r, np.array(grid.dt)  # 0-d: multiplies faster than a float
     position = {node: i for i, node in enumerate(grid.impulse_nodes)}
-    sigma_of_x = False  # X's noise from diffusion at every step
-    Xv = X.transpose(1, 2, 0)
-    Xt = np.empty_like(X)
-    Z = None
-    if increments is not None:
-        db, sig, dh = along
-        db, dh = db[..., None], dh[..., None]
-        sigma_of_x = sig.shape != (d, model.r)
-        sig = np.broadcast_to(sig, (len(db), d, model.r)).transpose(1, 2, 0)[..., None]
-        eps = np.broadcast_to(eps[:, None], X.shape).copy()  # unit strides multiply faster
-        dx = np.empty_like(X)
-        Z = np.zeros((d, X.shape[-1]))
-        Zt, tmp = np.empty_like(Z), np.empty_like(Z)
+    noisy = sigma_of_x = False
+    if X is not None:
+        quiet = int(np.count_nonzero(eps == 0))
+        # eps * noise goes to Xe, added to every lane: a quiet lane's entries
+        # stay -0.0, and x + -0.0 is x, signed zeros included
+        Xt, Xe = np.empty_like(X), np.full_like(X, -0.0)
+        Xv, Xtv = X.transpose(1, 2, 0), Xt.transpose(1, 2, 0)  # the model's (..., d) views
+        Xnv, Xne = Xv[quiet:], Xe[:, quiet:]  # the noisy lanes
+        noisy = Xne.size > 0
+    if noisy:
+        sig = np.asarray(along[1] if along is not None else model.diffusion(Xnv), float)
+        sigma_of_x = sig.shape != (d, r)
+        eps = np.broadcast_to(eps[quiet:, None], Xne.shape).copy()  # unit strides multiply faster
+        dx, prod_x = np.empty_like(Xne), np.empty((d, r) + Xne.shape[1:])
+    if Z is not None:
+        db, sig, dh = along[0][..., None], along[1], along[2][..., None]
+        Zt, prod = np.empty_like(Z), np.empty((d, d) + Z.shape[1:])
 
     def noisy_steps():
-        """(dW, sigma(x_n) dW_n) per step; the noise of a whole block is one
-        column sum, with the products and order of a per-step _matvec."""
-        lo = 0
+        """(dW, sigma dW) per step; the noise of a whole block is one
+        _matvec, with the products and order of a per-step one."""
+        lo, sig_n = 0, np.broadcast_to(sig, (grid.n_steps, d, r)).transpose(1, 2, 0)[..., None]
         for block in increments:
-            hi = lo + len(block)
+            k = len(block)
             if lo == 0:
-                buf, buf_tmp = np.empty((2, len(block), d, X.shape[-1]))
-            noise, t = buf[:hi - lo], buf_tmp[:hi - lo]
-            _matvec(sig[:, :, lo:hi], block.transpose(1, 0, 2),
-                    noise.transpose(1, 0, 2), t.transpose(1, 0, 2))
-            yield from zip(block, noise)
-            lo = hi
+                noise = np.empty((k, d, block.shape[-1]))
+                prod_b = np.empty((d, r) + noise.shape[::2])
+            _matvec(sig_n[:, :, lo:lo + k], block.transpose(1, 0, 2),
+                    noise[:k].transpose(1, 0, 2), prod_b[:, :, :k])
+            yield from zip(block, noise)  # as long as the block
+            lo += k
 
-    steps = (itertools.repeat((None, None), grid.n_steps) if Z is None
-             else noisy_steps())
+    if Z is not None or (noisy and not sigma_of_x):
+        steps = noisy_steps()
+    elif noisy:
+        steps = ((dW, None) for block in increments for dW in block)
+    else:
+        steps = itertools.repeat((None, None), grid.n_steps)
     with np.errstate(over="ignore", invalid="ignore"):
         visit(0, None, X, Z)
         for n, (dW, noise) in enumerate(steps):
-            # left-endpoint evaluation: drift and diffusion at the pre-step state
-            b = _component_major(model.drift(Xv), Xv.shape, (2, 0, 1))
-            if sigma_of_x:
-                s = _component_major(model.diffusion(Xv), Xv.shape + (model.r,),
-                                     (2, 3, 0, 1))
-                _matvec(s, dW, dx, Xt)
-            np.multiply(b, dt, out=Xt)
-            np.add(X, Xt, out=X)
-            if Z is not None:
-                np.multiply(eps, dx if sigma_of_x else noise[:, None], out=Xt)
+            if X is not None:  # X's flow: drift and diffusion at the pre-step state
+                if sigma_of_x:
+                    s = np.broadcast_to(np.asarray(model.diffusion(Xnv), float),
+                                        Xnv.shape + (r,))
+                    _matvec(s.transpose(2, 3, 0, 1), dW[:, None], dx, prod_x)
+                # an unbatched drift broadcasts; its floats are cast first
+                np.multiply(model.drift(Xv), dt, out=Xtv, dtype=float)
                 np.add(X, Xt, out=X)
-                np.multiply(_matvec(db[n], Z, Zt, tmp), dt, out=Zt)
+                if noisy:
+                    np.multiply(eps, dx if sigma_of_x else noise[:, None], out=Xne)
+                    np.add(X, Xe, out=X)
+            if Z is not None:  # Z's linear step along x
+                np.multiply(_matvec(db[n], Z, Zt, prod), dt, out=Zt)
                 np.add(Z, Zt, out=Z)
                 np.add(Z, noise, out=Z)
             i = position.get(n + 1)
             if i is not None:
                 visit(n + 1, i, X, Z)
-                X[...] = _component_major(model.reset(Xv), Xv.shape, (2, 0, 1))
+                if X is not None:
+                    Xv[...] = model.reset(Xv)
                 if Z is not None:
-                    Z[...] = _matvec(dh[i], Z, Zt, tmp)
+                    Z[...] = _matvec(dh[i], Z, Zt, prod)
             visit(n + 1, None, X, Z)
 
 
-def _record(model, grid, x0, eps=None, increments=None, along=None) -> list[CadlagTrajectory]:
-    """Run one path from x0 through _step and record X, and in the coupled
-    pass (eps a float, given with increments and along) Z too, as cadlag
-    trajectories.  A non-finite recorded value raises, naming its first step."""
-    X = x0.reshape(-1, 1, 1).copy()
-    x = X[:, 0, 0]
-    n_traj = 1 if eps is None else 2
-    values = np.empty((n_traj, grid.n_steps + 1, model.d))
-    left = np.empty((n_traj, len(grid.impulse_nodes), model.d))
+def _record(model, grid, values, left, X, Z, **pass_args):
+    """Run a pass of _step over one path, copying its X's k lanes, or its Z,
+    into values (k, n_steps + 1, d) and left (k, n_impulses, d)."""
+    state = X[..., 0].T if Z is None else Z.T
 
     def visit(n, i, X, Z):
-        into = values[:, n] if i is None else left[:, i]
-        into[0] = x
-        if Z is not None:
-            into[1] = Z[:, 0]
+        (values[:, n] if i is None else left[:, i])[...] = state
 
-    _step(model, grid, visit, X, None if eps is None else np.array([eps]),
-          increments, along)
+    _step(model, grid, visit, X, Z, **pass_args)
+
+
+def _trajectories(grid, values, left) -> list[CadlagTrajectory]:
+    """values and left of _record as cadlag trajectories; raises at the first non-finite step."""
     bad = list(np.flatnonzero(~np.isfinite(values).all(axis=(0, 2))))
     bad += [grid.impulse_nodes[i]
             for i in np.flatnonzero(~np.isfinite(left).all(axis=(0, 2)))]
@@ -291,8 +288,11 @@ def _check_x0(model: Model, x0) -> np.ndarray:
 
 def integrate_deterministic(model: Model, grid: SampleGrid, x0: np.ndarray) -> CadlagTrajectory:
     """Explicit Euler flow of the impulsive ODE on the grid."""
-    [det] = _record(model, grid, _check_x0(model, x0))
-    return det
+    values = np.empty((1, grid.n_steps + 1, model.d))
+    left = np.empty((1, len(grid.impulse_nodes), model.d))
+    _record(model, grid, values, left, _check_x0(model, x0).reshape(-1, 1, 1).copy(), None,
+            eps=np.zeros(1))
+    return _trajectories(grid, values, left)[0]
 
 
 def integrate_coupled(
@@ -306,18 +306,21 @@ def integrate_coupled(
     point.  x is the Euler flow of the impulsive ODE, X the Euler-Maruyama
     flow of the SDE at noise scale epsilon, and Z the fluctuation process:
     dZ = Db(x) Z dt + sigma(x) dW from Z = 0, its left limit at an impulse
-    mapped by Dh at the deterministic left limit.  X and Z share the path's
-    increments and advance together in the coupled pass of the stepper,
-    after the deterministic pass; epsilon=0 gives X = x bitwise."""
+    mapped by Dh at the deterministic left limit.  A flow pass steps x and
+    X as two lanes of one batch; then a pass along x steps Z on the same
+    increments.  epsilon=0 gives X = x bitwise, signed zeros included."""
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     x0 = _check_x0(model, x0)
     _check_path(model, grid, path)
-    det = integrate_deterministic(model, grid, x0)
-    noisy, fluct = _record(model, grid, x0, epsilon, _path_blocks(path),
-                           _prepare_along_path(model, grid, det))
-    # at epsilon 0 the coupled X is x + 0.0 * noise, which turns -0.0 into +0.0
-    return det, det if epsilon == 0.0 else noisy, fluct
+    values = np.empty((3, grid.n_steps + 1, model.d))  # x, X, Z
+    left = np.empty((3, len(grid.impulse_nodes), model.d))
+    _record(model, grid, values[:2], left[:2], np.repeat(x0[:, None, None], 2, axis=1), None,
+            eps=np.array([0.0, epsilon]), increments=_path_blocks(path))
+    [det] = _trajectories(grid, values[:1], left[:1])
+    _record(model, grid, values[2:], left[2:], None, np.zeros((model.d, 1)),
+            increments=_path_blocks(path), along=_prepare_along_path(model, grid, det))
+    return (det, *_trajectories(grid, values[1:], left[1:]))
 
 
 # Views of integrate_coupled that only perfbench/spans.py reads, by name; they

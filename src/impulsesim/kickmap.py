@@ -110,7 +110,7 @@ def affine_kick_map(A: np.ndarray, c: np.ndarray):
     the block matrix [[A, I], [0, 0]], which is [[exp(A), K], [0, I]]
     (C. Van Loan, IEEE Trans. Autom. Control 23(3), 1978); unlike the power
     series of K it stays accurate for contracting fields.  Raises
-    ValueError if exp(A) is not finite.
+    ValueError if exp(A) or K c is not finite.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] != A.shape[1]:
@@ -124,9 +124,11 @@ def affine_kick_map(A: np.ndarray, c: np.ndarray):
     d = A.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         block = _expm(np.block([[A, np.eye(d)], [np.zeros((d, 2 * d))]]))
+        eA, Kc = block[:d, :d], _matmul(c, block[:d, d:].T)
     if not np.isfinite(block).all():
         raise ValueError(f"exp(A) overflows for A = {A.tolist()}")
-    eA, Kc = block[:d, :d], _matmul(c, block[:d, d:].T)
+    if not np.isfinite(Kc).all():
+        raise ValueError(f"K c overflows for A = {A.tolist()}, c = {c.tolist()}")
 
     def kick(r):
         return _matmul(np.asarray(r, dtype=float), eA.T) + Kc
@@ -145,11 +147,11 @@ def kick_limit_check(
     For each delta the flow is integrated with 1/delta substeps, rounded up
     to a power of two so the Euler step is an exact binary fraction; returns
     rows (delta, substeps, error), in the order of deltas.  A delta that
-    needs more than 2^_MAX_SUBSTEP_EXP substeps is rejected before any row
-    runs.  A table with enough substeps runs its rows on the usable CPUs
-    (see _workers.run_shares).  The first row in delta order that overflows
-    raises its FloatingPointError; a worker process that dies raises
-    ChildProcessError naming the deltas of the rows lost.
+    needs more than 2^_MAX_SUBSTEP_EXP substeps, and a closed form not
+    finite at r, are rejected before any row runs.  A table with enough
+    substeps runs its rows on the usable CPUs (see _workers.run_shares).
+    The first row in delta order that overflows raises FloatingPointError;
+    a dead worker process raises ChildProcessError naming the lost deltas.
     """
     if not np.isfinite(r).all():
         raise ValueError(f"r must be finite, got {np.ravel(r).tolist()}")
@@ -166,10 +168,19 @@ def kick_limit_check(
                              f"limit of 2^{_MAX_SUBSTEP_EXP}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
-    target = np.atleast_1d(np.asarray(closed_form(np.atleast_1d(r)), dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = np.atleast_1d(np.asarray(closed_form(np.atleast_1d(r)), dtype=float)).tolist()
+    if not all(map(math.isfinite, target)):
+        raise ValueError(f"the closed form is not finite at r = {np.ravel(r).tolist()}")
 
     def error(z):  # an exactly rounded sum: np.linalg.norm's bits follow the BLAS kernel
-        return math.sqrt(math.fsum(v * v for v in (z - target).tolist()))
+        v = [zi - ti for zi, ti in zip(z.tolist(), target)]
+        try:
+            e = math.sqrt(math.fsum(x * x for x in v))
+        except OverflowError:  # fsum's partial sums overflow
+            e = math.inf
+        # a finite error whose squares overflow: hypot scales by the largest |v|
+        return e if e < math.inf else math.hypot(*v)
 
     def run_share(share):
         return [(deltas[i], 1 << exps[i], error(regularized_kick(g, r, deltas[i], 1 << exps[i])))

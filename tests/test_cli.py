@@ -116,6 +116,24 @@ def test_simulate_replays_study_path_0(seed, tmp_path, monkeypatch):
             assert clt.tobytes() == rep.paths[1, e, j].tobytes(), (j, eps)
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--eps", "0.0625"], "af4acd52fa9c7b485d76bdad982c634be48e1804da8e1842fbbb88d65e6ce980"),
+    (["--eps", "0"], "a99c3c5f82b2c6a5e5f46af742aaeebd99b1599acb62d31c4f8e61a2485a9ffe"),
+    # x2 and X2 are -0 until the first kick: a noise-free X must keep the signed zero
+    (["--x0", "0,-0", "--eps", "0"],
+     "3c934d47f0d50ccd1e99442707783f43a47d72dfee11a1edc5c429c9552499f5"),
+    (["--x0", "0,-0", "--eps", "0.0625"],
+     "562b218c46ac3d9dad27932b18ed442851729d2eae0d92da6f8a4c95871b6a2c"),
+    (["--model", "affine_kick", "--A=0.5,0.2,-0.1,0.3", "--c", "1,0", "--eps", "0.0625"],
+     "31ff0b1c20ef43acaeb3f1a8ef93f8951146d37c2fd7be8d148a1b57ba33acc6"),
+], ids=["eps", "eps-0", "signed-zero-eps-0", "signed-zero", "affine"])
+def test_simulate_bytes(argv, digest, tmp_path):
+    """sha256 of simulate's trajectory CSV: a change to any byte fails here."""
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--dt-exp", "8", "--T", "4", "--out", str(out)] + argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestConvergence:
     def test_threads_flag_accepted_and_ignored(self, tmp_path):
         outs = []
@@ -376,6 +394,11 @@ def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, 
     # refused before any substep, which would overflow too
     (["kickmap", "--A=1e308,1e308,0,0", "--c", "0,0", "--r=1,1", "--deltas", "0.5"],
      "error: exp(A) overflows for A = [[1e+308, 1e+308], [0.0, 0.0]]"),
+    # exp(A) is finite; K c, and exp(A) r, are not
+    (["kickmap", "--A=709", "--c", "1e308", "--r=1", "--deltas", "0.5"],
+     "error: K c overflows for A = [[709.0]], c = [1e+308]"),
+    (["kickmap", "--A=1", "--c", "0", "--r=1e308", "--deltas", "0.5"],
+     "error: the closed form is not finite at r = [1e+308]"),
 ], ids=["simulate", "convergence", "kickmap", "simulate-alpha-0", "convergence-alpha-1.5",
         "convergence-zero-mean-error", "simulate-T-inf", "simulate-T-nan",
         "simulate-dt-exp-2000", "kickmap-delta-1e-320", "kickmap-delta-nan",
@@ -385,7 +408,8 @@ def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, 
         "convergence-seed-negative", "convergence-eps-exp-underflow", "simulate-pendulum-A",
         "simulate-affine-alpha-pend", "convergence-eps-exp-repeated",
         "kickmap-fsum-overflow", "kickmap-field-raises-at-inf", "kickmap-expA-overflow",
-        "simulate-affine-expA-overflow", "kickmap-expA-overflow-before-substeps"])
+        "simulate-affine-expA-overflow", "kickmap-expA-overflow-before-substeps",
+        "kickmap-Kc-overflow", "kickmap-closed-form-overflow"])
 def test_failure_exits_1_without_output_or_manifest(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
@@ -596,6 +620,7 @@ KERNEL_GUARD = {
     # at d = 3 a field through `@` took other bits under Prescott
     "kick-3d.csv": ["kickmap", "--A=-0.5,1,0.2,-1,-0.5,0.3,0.1,-0.2,-0.7", "--c", "1,0,0",
                     "--r=0.5,0.5,0.5", "--deltas", ",".join(repr(2.0**-i) for i in range(1, 11))],
+    "trajectory.csv": ["simulate", "--eps", "0.0625", "--T", "4", "--dt-exp", "10"],
 }
 
 
@@ -638,10 +663,10 @@ def test_kick_table_matches_reference_bitwise(tmp_path):
 
 @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
 def test_outputs_do_not_depend_on_the_blas_kernel(kernel, tmp_path):
-    """A pendulum study, an affine_kick study and kick tables at d = 2 and 3
-    rerun in a process whose OpenBLAS takes another CPU's kernels write this
-    process's bytes.  OPENBLAS_CORETYPE acts only on the child; a BLAS that
-    ignores it makes this pass trivially."""
+    """A pendulum study, an affine_kick study, kick tables at d = 2 and 3 and
+    a simulate trajectory rerun in a process whose OpenBLAS takes another
+    CPU's kernels write this process's bytes.  OPENBLAS_CORETYPE acts only
+    on the child; a BLAS that ignores it makes this pass trivially."""
     calls = []
     for name, argv in KERNEL_GUARD.items():
         assert main(argv + ["--out", str(tmp_path / name)]) == 0
@@ -717,8 +742,8 @@ def test_benchmark_command_lines(tmp_path):
 
 # per subcommand, the traced layers a benchmark run of it must record
 TRACED_LAYERS = {
-    "simulate": ["integrate.integrate_deterministic", "dynamics.drift",
-                 "dynamics.drift_jacobian", "integrate.write_trajectory_csv"],
+    "simulate": ["dynamics.drift", "dynamics.drift_jacobian",
+                 "integrate.write_trajectory_csv"],
     "convergence": ["analysis.run_convergence_study", "analysis.write_report_csv",
                     "dynamics.drift"],
     "kickmap": ["kickmap.regularized_kick", "kickmap.affine_kick_map"],

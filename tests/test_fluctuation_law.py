@@ -10,8 +10,8 @@ Numerical Solution of Stochastic Differential Equations, 1992):
 
 The sample covariance of Z over many paths must match S at every left limit
 and at the horizon, within a bound in standard errors.  The paths are drawn
-in one coupled pass of the stepper, as the study draws them; a few of them
-are checked bitwise against integrate_coupled.  A transposed or
+in one batched pass of Z along x, as integrate_coupled draws one path; a few
+of them are checked bitwise against integrate_coupled.  A transposed or
 wrongly scaled noise term would pass the pathwise checks if it hit X and Z
 alike, but not this one.
 """
@@ -58,9 +58,8 @@ def exact_covariances(model, grid, det):
 
 
 def fluctuation_samples(model, grid, det, seed, n_paths):
-    """Z of paths 0..n_paths-1 at seed, drawn in one coupled pass: (n_left,
+    """Z of paths 0..n_paths-1 at seed, drawn in one pass along x: (n_left,
     n_paths, d) at the left limits and (n_paths, d) at the horizon T."""
-    X = np.broadcast_to(X0[:, None, None], (model.d, 1, n_paths)).copy()
     left = np.empty((len(grid.impulse_nodes), n_paths, model.d))
     final = np.empty((n_paths, model.d))
 
@@ -70,9 +69,9 @@ def fluctuation_samples(model, grid, det, seed, n_paths):
         elif n == grid.n_steps:
             final[...] = Z.T
 
-    _step(model, grid, visit, X, np.array([0.0]),
-          _brownian_blocks(grid, model.r, seed, range(n_paths)),
-          _prepare_along_path(model, grid, det))
+    _step(model, grid, visit, None, np.zeros((model.d, n_paths)),
+          increments=_brownian_blocks(grid, model.r, seed, range(n_paths)),
+          along=_prepare_along_path(model, grid, det))
     return left, final
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import warnings
 
@@ -415,6 +416,16 @@ class TestTrajectoryCsvBytes:
         path = sample_brownian(grid, 2, 1)
         trajs = integrate_coupled(m, grid, np.array([0.5, 0.5]), eps, path)
         assert written_csv(*trajs, eps) == reference_trajectory_csv(*trajs, eps)
+
+
+def test_state_dependent_sigma_bytes():
+    """sha256 of a coupled trajectory whose X noise goes through diffusion(X)."""
+    model = state_dependent_pendulum()
+    grid = build_grid(3.0, 5, 0.5)
+    path, eps = sample_brownian(grid, model.r, 1), 2**-4
+    csv = written_csv(*integrate_coupled(model, grid, np.array([0.5, 0.5]), eps, path), eps)
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "8160318578e8e59cddb1d6bbed3d05824ee43160b365a605df2f22f3f64cdf70")
 
 
 class TestBlockInvariance:

@@ -277,6 +277,19 @@ class TestKickLimitCheck:
             expected.append((delta, substeps, math.sqrt(math.fsum((z - target) ** 2))))
         assert kick_limit_check(g, kick, r, deltas) == expected
 
+    @pytest.mark.parametrize("d, a", [(1, 709.0), (2, 354.7)],
+                             ids=["square-overflows", "fsum-overflows"])
+    def test_finite_error_whose_squares_overflow(self, d, a):
+        """An error above about 1.3e154 stays finite: a square overflows at
+        d = 1, fsum's partial sum at d = 2.  math.hypot sums it scaled, to
+        within an ulp."""
+        kick, _ = affine_kick_map(a * np.eye(d), np.zeros(d))
+        r = np.ones(d)
+        [(_, _, err)] = kick_limit_check(lambda x: [a * v for v in x], kick, r, [0.5])
+        z, _ = reference_kick(lambda x: a * x, r, 2)
+        assert err == pytest.approx(abs(z[0] - kick(r)[0]) * math.sqrt(d), rel=2**-52)
+        assert 1e154 < err < math.inf
+
     def test_nonmonotone_deltas_rejected(self):
         field = lambda x: x
         with pytest.raises(ValueError):
