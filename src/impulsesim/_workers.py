@@ -1,14 +1,14 @@
 """Fork runner: run a job's contiguous shares on the usable CPUs.
 
-The calling process runs the first share and a forked worker process runs
-each of the others.  Fork hands the workers the job's closure without
-pickling it; only the shares and their results cross the pipes.  The
-convergence study and the kick table use it.
-"""
-
-from __future__ import annotations
+The convergence study and the kick table use it.  The calling process runs
+the first share, and each other runs in a worker forked with os.fork, which
+hands it the job's closure without pickling it.  A worker's list, or the
+exception its share raised, comes back pickled through its own pipe."""
 
 import os
+import pickle
+import threading
+import time
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -44,55 +44,55 @@ def run_shares(run_share, weights, min_work, lost):
     return _fork_shares(run_share, shares, lost)
 
 
-_share_runner = None  # in a forked worker, the job's run_share
-
-
-def _install_share_runner(run_share, parent: int, abandoned):
-    """Start a forked worker: keep the job's run_share, and exit as soon as
-    the process `parent` is gone or sets the byte `abandoned`.  A worker
-    left behind would run its share and then block for ever, writing its
-    results into a pipe that no process reads."""
-    import threading
-    import time
-
-    def exit_when_orphaned():
-        while os.getppid() == parent and not abandoned[0]:
+def _work(run_share, share, pipe, parent):
+    """A forked worker: pickle share's list, or the exception it raised, into
+    the file pipe and exit, or exit at once if the process parent dies."""
+    def exit_when_orphaned():  # or this worker blocks on a pipe nobody reads
+        while os.getppid() == parent:
             time.sleep(0.2)
         os._exit(1)
 
-    global _share_runner
-    _share_runner = run_share
-    threading.Thread(target=exit_when_orphaned, daemon=True).start()
-
-
-def _run_installed_share(share):
-    return _share_runner(share)
+    try:
+        threading.Thread(target=exit_when_orphaned, daemon=True).start()
+        try:
+            data = pickle.dumps(run_share(share))
+        except BaseException as e:
+            data = pickle.dumps(e)
+        pipe.write(data)
+        pipe.flush()
+    finally:
+        os._exit(0)  # no path returns into the caller's code
 
 
 def _fork_shares(run_share, shares, lost):
-    """The lists run_share returns for shares, concatenated in order: the
-    first share runs in this process and each other in a forked worker.  A
-    worker that dies raises ChildProcessError with the message
-    lost(shares that did not come back)."""
-    import mmap
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    """The lists run_share returns for shares, concatenated in order.  A
+    worker's pickle that does not load, because the worker died or raised
+    what does not pickle or unpickle, raises ChildProcessError(lost(shares
+    from there on)).  Every worker is killed and reaped on the way out."""
+    import signal  # 1-2 ms of enums that a run which does not fork skips
 
-    abandoned = mmap.mmap(-1, 1)  # one byte shared with the forked workers
-    with ProcessPoolExecutor(len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_install_share_runner,
-                             initargs=(run_share, os.getpid(), abandoned)) as pool:
-        waiting = 1  # shares[waiting:] have not come back
-        try:
-            futures = [pool.submit(_run_installed_share, share) for share in shares[1:]]
-            results = run_share(shares[0])
-            for future in futures:
-                results += future.result()
-                waiting += 1
-        except BrokenProcessPool:
-            raise ChildProcessError(lost(shares[waiting:])) from None
-        except BaseException:
-            abandoned[0] = 1  # or leaving the pool waits for the workers' shares
-            raise
-    return results
+    parent, pids, reads = os.getpid(), [], []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            reads.append(open(r, "rb"))
+            with open(w, "wb") as pipe:  # this process's write end closes after the fork
+                if (pid := os.fork()) == 0:
+                    _work(run_share, share, pipe, parent)
+            pids.append(pid)
+        results = run_share(shares[0])
+        for k, pipe in enumerate(reads, 1):
+            try:
+                result = pickle.load(pipe)
+            except Exception as e:  # cut short, or an exception that cannot be rebuilt
+                raise ChildProcessError(lost(shares[k:])) from e
+            if isinstance(result, BaseException):
+                raise result
+            results += result
+        return results
+    finally:
+        for pipe in reads:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # not yet reaped, so still this worker
+            os.waitpid(pid, 0)

@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 import hashlib
 import io
 import os
 import re
 import select
+import signal
 import subprocess
 import sys
 import time
@@ -599,6 +601,88 @@ class TestWorkers:
             assert os.read(r, 1) == b""
         finally:
             os.close(r)
+
+
+@contextlib.contextmanager
+def no_hang(seconds=60):
+    """Fail a block that runs over `seconds`, instead of hanging the suite."""
+    def timeout(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TwoArgError(Exception):
+    """Pickles, but unpickling calls TwoArgError(message), which fails."""
+    def __init__(self, unit, why):
+        super().__init__(f"unit {unit} {why}")
+
+
+def lost_units(shares):
+    return "lost " + ", ".join(str(i) for share in shares for i in share)
+
+
+class TestForkRunner:
+    """_workers.run_shares on three units of work, forced onto one process
+    per unit: units 1 and 2 run in forked workers."""
+
+    @pytest.mark.parametrize("fault, unit, raises, message", [
+        pytest.param(None, None, None, None, id="success"),
+        pytest.param("exit", 2, ChildProcessError, "lost 2", id="last-worker-dies"),
+        pytest.param("exit", 1, ChildProcessError, "lost 1, 2", id="first-worker-dies"),
+        pytest.param("raise", 2, ValueError, "unit 2 refused", id="worker-raises"),
+        pytest.param("raise", 0, ValueError, "unit 0 refused", id="calling-share-raises"),
+        pytest.param("unpicklable", 2, ChildProcessError, "lost 2",
+                     id="worker-raises-unpicklable"),
+        pytest.param("unrebuildable", 1, ChildProcessError, "lost 1, 2",
+                     id="worker-raises-unrebuildable"),
+    ])
+    def test_lost_shares_and_no_worker_left(self, monkeypatch, fault, unit, raises, message):
+        """A worker that dies, or whose exception does not pickle or unpickle,
+        loses its share and the shares after it, and only those: the message
+        names no unit that came back.  No forked worker is left unreaped,
+        whether the job returns or raises."""
+        parent, fork, pids = os.getpid(), os.fork, []
+
+        def logged_fork():  # logs the pid of each forked worker
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def run_share(share):
+            (i,) = share
+            if i == unit and fault == "exit":
+                os._exit(1)
+            if i == unit and fault == "unrebuildable":
+                raise TwoArgError(i, "refused")
+            if i == unit:
+                error = ValueError(f"unit {i} refused")
+                if fault == "unpicklable":
+                    error.callback = lambda: None  # a local object: pickling fails
+                raise error
+            return [(i, os.getpid() != parent)]
+
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", logged_fork)
+        with no_hang():
+            if raises is None:
+                assert _workers.run_shares(run_share, [1] * 3, 1, lost_units) == [
+                    (0, False), (1, True), (2, True)]
+            else:
+                with pytest.raises(raises) as info:
+                    _workers.run_shares(run_share, [1] * 3, 1, lost_units)
+                assert type(info.value) is raises and str(info.value) == message
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ChildProcessError):  # reaped: no such child
+                os.waitpid(pid, os.WNOHANG)
 
 
 class TestStudyOverflow:

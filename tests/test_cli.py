@@ -661,37 +661,66 @@ def test_kick_table_matches_reference_bitwise(tmp_path):
     assert [(float(d), int(n), float(e)) for d, n, e in rows] == expected
 
 
-@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
-def test_outputs_do_not_depend_on_the_blas_kernel(kernel, tmp_path):
+# numpy's own SIMD dispatch for this numpy: its X86_V2 baseline only, as on
+# a CPU without AVX2; np.exp on 1e6 doubles takes other bits under it
+BASELINE_SIMD = "X86_V4 X86_V3 AVX512_ICL AVX512_SPR"
+
+
+@pytest.mark.parametrize("variable, value", [
+    pytest.param("OPENBLAS_CORETYPE", "Haswell", id="Haswell"),
+    pytest.param("OPENBLAS_CORETYPE", "Prescott", id="Prescott"),
+    pytest.param("NPY_DISABLE_CPU_FEATURES", BASELINE_SIMD, id="numpy-baseline-simd"),
+])
+def test_outputs_do_not_depend_on_the_blas_kernel(variable, value, tmp_path):
     """A pendulum study, an affine_kick study, kick tables at d = 2 and 3 and
     a simulate trajectory rerun in a process whose OpenBLAS takes another
-    CPU's kernels write this process's bytes.  OPENBLAS_CORETYPE acts only
-    on the child; a BLAS that ignores it makes this pass trivially."""
+    CPU's kernels, or whose numpy dispatches its ufuncs to no SIMD above its
+    baseline, write this process's bytes.  The variable acts only on the
+    child; a BLAS that ignores OPENBLAS_CORETYPE, or a numpy that warns of a
+    feature this CPU lacks, makes this pass trivially."""
     calls = []
     for name, argv in KERNEL_GUARD.items():
         assert main(argv + ["--out", str(tmp_path / name)]) == 0
-        calls.append(argv + ["--out", str(tmp_path / f"{kernel}-{name}")])
+        calls.append(argv + ["--out", str(tmp_path / f"child-{name}")])
     code = ("import json, sys; from impulsesim.cli import main; "
             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)], capture_output=True,
                           text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel})
+                          env={**os.environ, "PYTHONPATH": src, variable: value})
     assert proc.returncode == 0, proc.stderr
     for name in KERNEL_GUARD:
-        assert (tmp_path / f"{kernel}-{name}").read_bytes() == (tmp_path / name).read_bytes(), name
+        assert (tmp_path / f"child-{name}").read_bytes() == (tmp_path / name).read_bytes(), name
 
 
-def test_import_leaves_the_fork_runner_unloaded():
-    """Only a run that forks workers needs multiprocessing and
-    concurrent.futures; loading them would add to every run's start-up."""
-    code = ("import sys, impulsesim.cli; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+def test_import_leaves_the_fork_runner_unloaded(tmp_path):
+    """The fork runner is os.fork and a pipe per worker: neither importing
+    the CLI nor a study or kick table that forks loads multiprocessing,
+    concurrent.futures or mmap, which would add to the run's start-up.  Both
+    runs are forced onto two processes, as force_workers does, and must
+    fork once each."""
+    code = (
+        "import os, sys\n"
+        "from impulsesim import _workers, analysis, kickmap\n"
+        "from impulsesim.cli import main\n"
+        "analysis._MIN_WORK_PER_WORKER = kickmap._MIN_SUBSTEPS_PER_WORKER = 1\n"
+        "_workers._usable_cpus = lambda: 2\n"
+        "fork, forks = os.fork, []\n"
+        "def logged_fork():\n"
+        "    forks.append(os.getpid())\n"
+        "    return fork()\n"
+        "os.fork = logged_fork\n"
+        "assert main(['convergence', '--paths', '4', '--eps-exps', '1..2', '--T', '2',\n"
+        "             '--dt-exp', '3', '--out', sys.argv[1] + '/study.csv']) == 0\n"
+        "assert main(['kickmap', '--A', '1', '--c', '1', '--r', '1', '--deltas',\n"
+        "             '0.5,0.25', '--out', sys.argv[1] + '/table.csv']) == 0\n"
+        "print(len(forks), [m for m in ('multiprocessing', 'concurrent.futures', 'mmap')\n"
+        "                   if m in sys.modules])\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "2 []"  # after the study's slope lines
 
 
 def test_runs_leave_numpy_ma_unloaded():
