@@ -37,9 +37,9 @@ from .integrate import (
 _CHUNK_SIZE = 250
 
 # path-steps (paths x eps x steps) a study must give each process before it
-# forks one.  Every process pays the per-step overhead of all the steps.  A
-# fork's round trip takes 7-9 ms on a 2-vCPU host; two processes broke even
-# near 2^23 path-steps of the pendulum there when it took 30-50 ms.
+# forks one; each pays the per-step overhead of all the steps.  Forked bare
+# on a 2-vCPU host, two processes broke even near 2^21 path-steps of the
+# pendulum at dt = 2^-6, and between 2^23.3 and 2^24.3 at dt = 2^-12.
 _MIN_WORK_PER_WORKER = 2**22
 
 

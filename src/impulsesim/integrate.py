@@ -1,15 +1,16 @@
 """Time grids, Brownian paths, and the coupled Euler/Euler-Maruyama integrators.
 
-build_grid lays out the impulse schedule t_k = k - 1 + alpha as grid nodes;
-no other code writes it down.  One batched stepper holds the two
-recursions, each written once: the flow of X, whose lanes at noise scale 0
-are the deterministic flow x, and the linear step of the fluctuation
-process Z along x, which calls no model function; it runs either, or both
-in lockstep on one set of Brownian increments.  integrate_coupled gives
-one path's triple (x, X, Z) in two passes: x and X as two lanes of one
-flow batch, then Z alone along x.  The Monte Carlo study steps x alone,
-then X at every noise scale and path in lockstep with Z.
-write_trajectory_csv writes the triple as one table.
+build_grid lays out the impulse schedule t_k = k - 1 + alpha as grid nodes; no
+other code writes it down.  One batched stepper holds the two recursions, each
+written once: the flow of X, whose lanes at noise scale 0 are the
+deterministic flow x, and the linear step of the fluctuation process Z along
+x, which calls no model function.  It runs either, or both in lockstep, over
+Brownian blocks of _BLOCK_STEPS steps: each block is drawn once, turned into
+its sigma dW once, and stepped node by node.  integrate_coupled gives one
+path's triple (x, X, Z) in two passes: x and X as two lanes of one flow batch,
+then Z alone along x.  The Monte Carlo study steps x alone, then X at every
+noise scale and path in lockstep with Z.  write_trajectory_csv writes the
+triple as one table.
 
 At an impulse node the Euler step into the node produces the left
 limit, the reset applies instantaneously, and the step out of the node
@@ -21,7 +22,6 @@ at impulse nodes) and `left` one left limit per impulse, in the order of
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import IO
@@ -160,86 +160,76 @@ def _step(model, grid, visit, X, Z, eps=None, increments=None, along=None):
     flow of X, the linear step of Z along the deterministic flow x, or both
     in lockstep on the same increments.
 
-    States are component-major and updated in place, and either may be
-    None: X (d, n_eps, n_paths) at noise scales eps (n_eps,), zeros first,
-    where a lane at eps 0 gets no noise and keeps the bits of x, and Z
-    (d, n_paths) from 0.  increments are blocks (steps, r, n_paths), none
-    longer than the first, n_steps in all; along is _prepare_along_path of
-    x.  X's sigma is along's, or one diffusion call at X's start.  When it
-    is one constant (d, r), X's noise, like Z's sigma(x_n) dW_n, is formed a
-    block at a time; else it is sigma(X_n) dW_n.  visit(n, i, X, Z) sees
-    each node n from 0 (i None) and each left limit (at node n =
-    grid.impulse_nodes[i], before the reset), with the same arrays each
-    time: a visitor that keeps values must copy them.  The model's
-    callables see (..., d) views.  A value that leaves the finite floats
-    raises no warning: the callers check the recorded values.
+    States are component-major and updated in place, and either may be None: X
+    (d, n_eps, n_paths) at noise scales eps (n_eps,), zeros first, and Z (d,
+    n_paths) from 0.  The noise update never writes a lane at eps 0: it keeps
+    the bits of x.  increments yields blocks (steps, r, n_paths) of
+    _BLOCK_STEPS steps, the last one shorter, n_steps in all, read only when X
+    has a noisy lane or Z steps; along is _prepare_along_path of x.  X's sigma
+    is along's, or one diffusion call at X's start.  When it is one constant
+    (d, r), X's noise, like Z's sigma(x_n) dW_n, is formed a block at a time in
+    one _matvec; else it is sigma(X_n) dW_n.  visit(n, i, X, Z) sees each node
+    n from 0 (i None) and each left limit (at node n = grid.impulse_nodes[i],
+    before the reset), with the same arrays each time: a visitor that keeps
+    values must copy them.  The model's callables see (..., d) views.  A value
+    that leaves the finite floats raises no warning: the callers check the
+    recorded values.
     """
     d, r, dt = model.d, model.r, np.array(grid.dt)  # 0-d: multiplies faster than a float
     position = {node: i for i, node in enumerate(grid.impulse_nodes)}
     noisy = sigma_of_x = False
     if X is not None:
         quiet = int(np.count_nonzero(eps == 0))
-        # eps * noise goes to Xe, added to every lane: a quiet lane's entries
-        # stay -0.0, and x + -0.0 is x, signed zeros included
-        Xt, Xe = np.empty_like(X), np.full_like(X, -0.0)
+        Xt = np.empty_like(X)
         Xv, Xtv = X.transpose(1, 2, 0), Xt.transpose(1, 2, 0)  # the model's (..., d) views
-        Xnv, Xne = Xv[quiet:], Xe[:, quiet:]  # the noisy lanes
-        noisy = Xne.size > 0
+        Xn, Xnv = X[:, quiet:], Xv[quiet:]  # the noisy lanes
+        noisy = Xn.size > 0
     if noisy:
         sig = np.asarray(along[1] if along is not None else model.diffusion(Xnv), float)
         sigma_of_x = sig.shape != (d, r)
-        eps = np.broadcast_to(eps[quiet:, None], Xne.shape).copy()  # unit strides multiply faster
-        dx, prod_x = np.empty_like(Xne), np.empty((d, r) + Xne.shape[1:])
+        eps = np.broadcast_to(eps[quiet:, None], Xn.shape).copy()  # unit strides multiply faster
+        dx, prod_x = np.empty_like(Xn), np.empty((d, r) + Xn.shape[1:])
     if Z is not None:
         db, sig, dh = along[0][..., None], along[1], along[2][..., None]
         Zt, prod = np.empty_like(Z), np.empty((d, d) + Z.shape[1:])
-
-    def noisy_steps():
-        """(dW, sigma dW) per step; the noise of a whole block is one
-        _matvec, with the products and order of a per-step one."""
-        lo, sig_n = 0, np.broadcast_to(sig, (grid.n_steps, d, r)).transpose(1, 2, 0)[..., None]
-        for block in increments:
-            k = len(block)
-            if lo == 0:
-                noise = np.empty((k, d, block.shape[-1]))
-                prod_b = np.empty((d, r) + noise.shape[::2])
-            _matvec(sig_n[:, :, lo:lo + k], block.transpose(1, 0, 2),
-                    noise[:k].transpose(1, 0, 2), prod_b[:, :, :k])
-            yield from zip(block, noise)  # as long as the block
-            lo += k
-
-    if Z is not None or (noisy and not sigma_of_x):
-        steps = noisy_steps()
-    elif noisy:
-        steps = ((dW, None) for block in increments for dW in block)
-    else:
-        steps = itertools.repeat((None, None), grid.n_steps)
+    formed = Z is not None or (noisy and not sigma_of_x)  # sigma dW a block at a time
+    if formed:
+        sig_n = np.broadcast_to(sig, (grid.n_steps, d, r)).transpose(1, 2, 0)[..., None]
+        shape = (min(_BLOCK_STEPS, grid.n_steps), d, (X if Z is None else Z).shape[-1])
+        noise, prod_b = np.empty(shape), np.empty((d, r) + shape[::2])
     with np.errstate(over="ignore", invalid="ignore"):
         visit(0, None, X, Z)
-        for n, (dW, noise) in enumerate(steps):
-            if X is not None:  # X's flow: drift and diffusion at the pre-step state
-                if sigma_of_x:
-                    s = np.broadcast_to(np.asarray(model.diffusion(Xnv), float),
-                                        Xnv.shape + (r,))
-                    _matvec(s.transpose(2, 3, 0, 1), dW[:, None], dx, prod_x)
-                # an unbatched drift broadcasts; its floats are cast first
-                np.multiply(model.drift(Xv), dt, out=Xtv, dtype=float)
-                np.add(X, Xt, out=X)
-                if noisy:
-                    np.multiply(eps, dx if sigma_of_x else noise[:, None], out=Xne)
-                    np.add(X, Xe, out=X)
-            if Z is not None:  # Z's linear step along x
-                np.multiply(_matvec(db[n], Z, Zt, prod), dt, out=Zt)
-                np.add(Z, Zt, out=Z)
-                np.add(Z, noise, out=Z)
-            i = position.get(n + 1)
-            if i is not None:
-                visit(n + 1, i, X, Z)
-                if X is not None:
-                    Xv[...] = model.reset(Xv)
-                if Z is not None:
-                    Z[...] = _matvec(dh[i], Z, Zt, prod)
-            visit(n + 1, None, X, Z)
+        for lo in range(0, grid.n_steps, _BLOCK_STEPS):
+            k = min(_BLOCK_STEPS, grid.n_steps - lo)
+            if noisy or Z is not None:
+                block = next(increments)
+            if formed:
+                _matvec(sig_n[:, :, lo:lo + k], block.transpose(1, 0, 2),
+                        noise[:k].transpose(1, 0, 2), prod_b[:, :, :k])
+            for n in range(lo, lo + k):
+                if X is not None:  # X's flow: drift and diffusion at the pre-step state
+                    if sigma_of_x:
+                        s = np.broadcast_to(np.asarray(model.diffusion(Xnv), float),
+                                            Xnv.shape + (r,))
+                        _matvec(s.transpose(2, 3, 0, 1), block[n - lo, :, None], dx, prod_x)
+                    # an unbatched drift broadcasts; its floats are cast first
+                    np.multiply(model.drift(Xv), dt, out=Xtv, dtype=float)
+                    np.add(X, Xt, out=X)
+                    if noisy:
+                        np.multiply(eps, dx if sigma_of_x else noise[n - lo, :, None], out=dx)
+                        np.add(Xn, dx, out=Xn)
+                if Z is not None:  # Z's linear step along x
+                    np.multiply(_matvec(db[n], Z, Zt, prod), dt, out=Zt)
+                    np.add(Z, Zt, out=Z)
+                    np.add(Z, noise[n - lo], out=Z)
+                i = position.get(n + 1)
+                if i is not None:
+                    visit(n + 1, i, X, Z)
+                    if X is not None:
+                        Xv[...] = model.reset(Xv)
+                    if Z is not None:
+                        Z[...] = _matvec(dh[i], Z, Zt, prod)
+                visit(n + 1, None, X, Z)
 
 
 def _record(model, grid, values, left, X, Z, **pass_args):

@@ -26,10 +26,10 @@ _CHECK_EVERY = 1024  # regularized-kick substeps between finiteness checks
 _MAX_SUBSTEP_EXP = 24  # kick_limit_check runs at most 2^24 substeps per delta
 # substeps a kick table must give each process before it forks one.  In
 # fresh processes on a 2-vCPU host, where 2^15 substeps of a 2-d affine field
-# took about 0.1 s and a fork 30-50 ms (a round trip takes 7-9 ms since), a
-# second process changed the run of a halving table of 2^14 - 2 substeps in
-# all by +3 to +47 ms, of 2^15 - 2 by -13 to +32 ms and of 2^16 - 2 by -63 to
-# +14 ms (median -28): 2^14 forks only the last.
+# took about 0.1 s, a second process forked bare changed the run of a halving
+# table of 2^14 - 2 substeps in all by a median of -7 to -8 ms, of 2^15 - 2 by
+# -10 to -26 ms and of 2^16 - 2 by -66 to -93 ms: it breaks even near 2^14
+# substeps in all, and 2^14 forks only the last of these tables.
 _MIN_SUBSTEPS_PER_WORKER = 2**14
 
 

@@ -497,6 +497,34 @@ class TestWorkers:
         run_convergence_study(pendulum_model(), build_grid(4.0, 6, 1.0),
                               np.array([0.5, 0.5]), [1, 2, 3], 260, 0)
 
+    def test_without_fork_a_job_runs_in_process(self, monkeypatch):
+        """On a platform without os.fork a job is one share, and a study
+        forced onto two workers runs in process with the same report bytes."""
+        def report():
+            buf = io.StringIO()
+            write_report_csv(run_convergence_study(pendulum_model(), build_grid(2.0, 4, 1.0),
+                                                   np.array([0.5, 0.5]), [1, 2], 6, 3), buf)
+            return buf.getvalue()
+
+        def no_fork(*args):
+            raise AssertionError("a job forked without os.fork")
+
+        ref = report()
+        force_workers(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(_workers, "_fork_shares", no_fork)
+        assert _workers._split([5] * 10, 1) == [range(10)]
+        assert report() == ref
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        """Without os.sched_getaffinity the CPU count is os.cpu_count(), or
+        1 when that is unknown."""
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _workers._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _workers._usable_cpus() == 1
+
     def test_model_error_in_a_worker_comes_back(self, monkeypatch):
         """An exception a model raises in a worker reaches the caller with
         its type and message."""

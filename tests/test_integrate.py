@@ -429,9 +429,10 @@ def test_state_dependent_sigma_bytes():
 
 
 class TestBlockInvariance:
-    """integrate_coupled feeds a path's increments in _BLOCK_STEPS-step
-    blocks, and the stepper forms the noise of a block at once; no block
-    length changes a byte of the coupled trajectory."""
+    """integrate_coupled feeds a path's increments in blocks of _BLOCK_STEPS
+    steps, the last one shorter, and the stepper forms a block's sigma dW in
+    one _matvec before it steps the block node by node; no block length
+    changes a byte of the coupled trajectory."""
 
     @pytest.mark.parametrize("model", [pendulum_model(), state_dependent_pendulum()],
                              ids=["pendulum", "sigma-of-x"])
