@@ -224,9 +224,9 @@ def cmd_kickmap(args, t0: float) -> int:
     if r.shape != A.shape[:1]:
         raise ValueError(f"r has shape {r.shape}, expected {A.shape[:1]}")
     closed, _ = kickmap.affine_kick_map(A, c)
-    Al, cl = A.tolist(), c.tolist()  # g(x) = Ax + c, exactly rounded sums: no BLAS
-    rows = kickmap.kick_limit_check(lambda x: [math.fsum([*map(operator.mul, a, x), ci])
-                                               for a, ci in zip(Al, cl)], closed, r, deltas)
+    Ac = np.column_stack((A, c)).tolist()  # g(x) = [A c] [x 1], exactly rounded sums: no BLAS
+    rows = kickmap.kick_limit_check(
+        lambda x: [math.fsum(map(operator.mul, row, [*x, 1.0])) for row in Ac], closed, r, deltas)
 
     def write(f):
         f.write("delta,substeps,error\n")

@@ -344,30 +344,24 @@ def write_trajectory_csv(
     names = ["t"] + [f"{c}{j}" for c in "xXZAY" for j in range(1, d + 1)] + ["event"]
     out.write(",".join(names) + "\n")
 
-    # node n goes to row n + #{impulse nodes <= n}, the pre row of impulse i
-    # to row nodes[i] + i, just above its node's post row
+    # np.insert puts the pre row of each impulse node just above its post row
     nodes = np.array(grid.impulse_nodes, dtype=np.intp)
     n_rows = grid.n_steps + 1 + len(nodes)
-    node_rows = np.arange(grid.n_steps + 1)
-    node_rows += np.searchsorted(nodes, node_rows, side="right")
-    pre_rows = nodes + np.arange(len(nodes))
     table = np.empty((n_rows, 1 + 5 * d))
     times = grid.times()
-    table[node_rows, 0] = times
-    table[pre_rows, 0] = times[nodes]
+    table[:, 0] = np.insert(times, nodes, times[nodes])
     x, X, Z, A, Y = (table[:, 1 + k * d:1 + (k + 1) * d] for k in range(5))
     for col, traj in ((x, det), (X, noisy), (Z, fluct)):
-        col[node_rows] = traj.values
-        col[pre_rows] = traj.left
+        col[...] = np.insert(traj.values, nodes, traj.left, axis=0)
     np.add(x, epsilon * Z, out=A)
     if epsilon != 0.0:
         np.divide(X - x, epsilon, out=Y)
     else:
         Y[...] = 0.0
 
-    events = ["flow"] * n_rows
-    for row in pre_rows.tolist():
-        events[row], events[row + 1] = "pre", "post"
+    events = np.array(["flow"] * (grid.n_steps + 1), dtype=object)  # one str shared by every row
+    events[nodes] = "post"
+    events = np.insert(events, nodes, "pre").tolist()
     fmt = "%.17g," * (1 + 5 * d) + "%s\n"
     for lo in range(0, n_rows, _WRITE_ROWS):
         out.writelines(fmt % (*row, event) for row, event in

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import _workers
 
-_CHECK_EVERY = 1024  # regularized-kick substeps between finiteness checks
 _MAX_SUBSTEP_EXP = 24  # kick_limit_check runs at most 2^24 substeps per delta
 # substeps a kick table must give each process before it forks one.  In
 # fresh processes on a 2-vCPU host, where 2^15 substeps of a 2-d affine field
@@ -42,8 +41,10 @@ def regularized_kick(
     Euler, so the result depends on substeps only, never on delta.  The
     state is a list of d Python floats, and g returns d floats (a list, a
     tuple or a (d,) array); a field written for arrays wraps its input in
-    np.asarray(z).  Raises FloatingPointError naming the first substep whose
-    state is not finite, or at which g raises OverflowError.
+    np.asarray(z).  Every substep is checked, so g only ever sees a finite
+    state.  Raises FloatingPointError naming the first substep whose state
+    is not finite, or at which g raises OverflowError; any other exception
+    from g passes unchanged.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -51,32 +52,16 @@ def regularized_kick(
         raise ValueError("substeps must be >= 1")
     z = np.atleast_1d(np.asarray(r, dtype=float)).tolist()
     h = 1.0 / substeps
-    # a non-finite component stays non-finite under z + h*g(z), so checking
-    # once per block and replaying a bad block step by step names the first
-    # bad substep.  Python floats raise where numpy gives inf (float ** 2,
-    # fsum's intermediate overflow), and g may raise at a non-finite state,
-    # so an exception from g also sends its block to the replay.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, substeps, _CHECK_EVERY):
-            start, hi = z, min(lo + _CHECK_EVERY, substeps)
+    with np.errstate(over="ignore", invalid="ignore"):  # a numpy field's inf is caught below
+        for n in range(substeps):
             try:
-                for _ in range(lo, hi):
-                    z = [zi + h * gi for zi, gi in zip(z, g(z), strict=True)]
-                if all(map(math.isfinite, z)):
-                    continue
-            except Exception:  # the replay raises it again or names its substep
-                pass
-            z = start
-            for n in range(lo, hi):
-                try:
-                    z = [zi + h * gi for zi, gi in zip(z, g(z), strict=True)]
-                    finite = all(map(math.isfinite, z))
-                except OverflowError:  # g overflowed at a finite state
-                    finite = False
-                if not finite:
-                    raise FloatingPointError(
-                        f"regularized kick overflowed at substep {n + 1}/{substeps}"
-                    )
+                z = [zi + h * gi for zi, gi in zip(z, g(z), strict=True)]
+                finite = all(map(math.isfinite, z))
+            except OverflowError:  # g overflowed at a finite state: float ** 2, fsum
+                finite = False
+            if not finite:
+                raise FloatingPointError(
+                    f"regularized kick overflowed at substep {n + 1}/{substeps}")
     return np.array(z)
 
 

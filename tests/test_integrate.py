@@ -390,24 +390,26 @@ class TestTrajectoryCsvBytes:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("eps", [2**-4, 0.3, 0.0])
     def test_hand_built(self, d, eps):
-        # impulses at the first node, at two adjacent nodes and at the last
-        grid = SampleGrid(dt=0.125, n_steps=10, impulse_nodes=(0, 4, 5, 10))
         rng = np.random.default_rng(d)
         special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -1.7976931348623157e308,
                             1e16, 0.1, -2.5e-300])
 
-        def traj():
-            n = (grid.n_steps + 1 + 4) * d
+        def traj(grid):
+            n = (grid.n_steps + 1 + len(grid.impulse_nodes)) * d
             cells = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
             cells[rng.permutation(n)[:len(special)]] = special
             cells = cells.reshape(-1, d)
-            return CadlagTrajectory(grid=grid, values=cells[:-4], left=cells[-4:])
+            return CadlagTrajectory(grid=grid, values=cells[:grid.n_steps + 1],
+                                    left=cells[grid.n_steps + 1:])
 
-        det, noisy, fluct = traj(), traj(), traj()
-        with np.errstate(all="ignore"):
-            expected = reference_trajectory_csv(det, noisy, fluct, eps)
-            got = written_csv(det, noisy, fluct, eps)
-        assert got == expected
+        # impulses at the first node, at two adjacent nodes and at the last; then none
+        for nodes in ((0, 4, 5, 10), ()):
+            grid = SampleGrid(dt=0.125, n_steps=10, impulse_nodes=nodes)
+            det, noisy, fluct = traj(grid), traj(grid), traj(grid)
+            with np.errstate(all="ignore"):
+                expected = reference_trajectory_csv(det, noisy, fluct, eps)
+                got = written_csv(det, noisy, fluct, eps)
+            assert got == expected, nodes
 
     @pytest.mark.parametrize("eps, alpha", [(2**-4, 1.0), (0.1, 0.5), (0.0, 0.25)])
     def test_pendulum(self, eps, alpha):

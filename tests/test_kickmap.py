@@ -133,6 +133,23 @@ class TestRegularizedKick:
                 regularized_kick(raising(ZeroDivisionError("float division by zero")),
                                  np.array([0.0]), 0.1, substeps)
 
+    @pytest.mark.parametrize("k", [1, 1024, 1025, 3000])
+    def test_field_sees_only_finite_states(self, k):
+        """Substep k is the first non-finite one: g is called k times, each
+        at a finite state, before regularized_kick raises."""
+        substeps, g = 4096, blows_up_at(k, 4096)
+        calls, non_finite = 0, 0
+
+        def field(z):
+            nonlocal calls, non_finite
+            calls += 1
+            non_finite += not all(map(math.isfinite, z))
+            return g(z)
+
+        with pytest.raises(FloatingPointError, match=f"substep {k}/{substeps}$"):
+            regularized_kick(field, np.array([0.0]), 0.1, substeps)
+        assert (calls, non_finite) == (k, 0)
+
     def test_one_component_overflows_in_a_later_block(self):
         # z2' = z2^2 from 1.5 blows up near t = 2/3; Euler overflows a few
         # substeps after it passes 1/h, while z1 stays finite.  The list
