@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     Model,
-    affine_kick_model,
     pendulum_model,
 )
 from .integrate import (
@@ -22,7 +21,7 @@ from .integrate import (
     integrate_deterministic,
     sample_brownian,
 )
-from .kickmap import affine_kick_map, kick_limit_check, regularized_kick
+from .kickmap import affine_kick_map, affine_kick_model, kick_limit_check, regularized_kick
 from .analysis import (
     ConvergenceReport,
     fit_loglog_slope,

@@ -27,6 +27,7 @@ from .integrate import (
     IntegrationOverflowError,
     SampleGrid,
     _brownian_blocks,
+    _matvec,
     _prepare_along_path,
     _step,
     integrate_deterministic,
@@ -134,10 +135,7 @@ def run_convergence_study(
             np.subtract(diff[0], np.multiply(eps3, Z[:, None], out=diff[1]), out=diff[1])
             np.maximum(sup, np.abs(diff, out=t), out=sup)
             # squared norm summed in component order
-            sq = np.multiply(diff, diff, out=t)[:, 0]
-            for j in range(1, model.d):
-                sq = np.add(sq, t[:, j], out=n2)
-            np.maximum(sup_n2, sq, out=sup_n2)
+            np.maximum(sup_n2, _matvec(diff, diff, n2, t), out=sup_n2)
 
         X = np.empty(shape)
         X[...] = det.values[0][:, None, None]

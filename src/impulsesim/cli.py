@@ -68,14 +68,14 @@ def _resolve_model(args) -> dynamics.Model:
     d = len(args.x0)
     A = np.zeros((d, d)) if args.A is None else args.A
     c = np.zeros(A.shape[0]) if args.c is None else args.c
-    return dynamics.affine_kick_model(A, c)
+    return kickmap.affine_kick_model(A, c)
 
 
 def _write_file(path: str, write):
     """Call write on a text file for path.  A regular file, new or existing, is
     written to a sibling file, returned to be renamed over path, with the mode
     of the file it replaces, or open's for a new one.  Any other path (a device
-    such as /dev/null) is written in place, and None returned."""
+    such as /dev/null, a FIFO) is written in place, and None returned."""
     try:
         st = os.lstat(path)
     except FileNotFoundError:
@@ -104,18 +104,23 @@ def _write_file(path: str, write):
 
 def _emit(args, t0: float, write) -> None:
     """Call write on the file named by --out, or on stdout when it is not set,
-    and then write its manifest, `<out>.manifest.json`.  A regular file is
-    renamed into place only once both are written, so a run that fails or is
-    killed before then leaves both paths as they were; a new output renamed
-    into place before its manifest's rename fails is removed again."""
+    and then write its manifest, `<out>.manifest.json`.  A regular file, also
+    one named by a symlink, which stays a link, is renamed into place only
+    once both are written, so a run that fails or is killed before then
+    leaves both paths as they were; a new output renamed into place before its
+    manifest's rename fails is removed again.  Stdout, a device or a FIFO is
+    written in place and gets no manifest."""
     if args.out is None:
         write(sys.stdout)
         return
-    paths = (args.out, args.out + ".manifest.json")
-    new = not os.path.lexists(args.out)
+    out = os.path.realpath(args.out) if os.path.isfile(args.out) else args.out
+    paths = (out, args.out + ".manifest.json")
+    new = not os.path.lexists(out)
     staged = []  # per path, the sibling file to rename over it, or None
     try:
-        staged.append(_write_file(args.out, write))
+        staged.append(_write_file(out, write))
+        if staged[0] is None:  # written in place
+            return
         manifest = {
             "subcommand": args.subcommand,
             "parameters": {k: v for k, v in vars(args).items()
@@ -137,7 +142,7 @@ def _emit(args, t0: float, write) -> None:
                 os.replace(tmp, path)
     except BaseException:
         if new and staged and not os.path.lexists(staged[0]):  # renamed into place
-            os.remove(args.out)
+            os.remove(out)
         for tmp in filter(os.path.lexists, filter(None, staged)):  # not yet renamed
             os.remove(tmp)
         raise

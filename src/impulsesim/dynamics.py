@@ -3,10 +3,10 @@
 A system with impulse effects flows along an ODE between impulses and is
 reset instantaneously by a map h at each impulse time; the impulse times
 themselves, t_k = k - 1 + alpha, belong to the grid (integrate.build_grid).
-The built-in models carry analytic Jacobians: the kicked pendulum, and
-`affine_kick_model(A, c)`, the kick-only system whose reset is the
-closed-form kick map of the field Ax + c.  A Model built without a
-Jacobian falls back to central finite differences.
+This module holds Model, the central finite-difference Jacobians that a
+Model built without a Jacobian falls back to, and the kicked pendulum, whose
+Jacobians are analytic.  The affine kick-only model lives in kickmap, beside
+the closed-form kick map that is its reset.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-
-from . import kickmap
 
 # cube root of machine epsilon: the standard central-difference step scale
 _FD_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -115,24 +113,4 @@ def pendulum_model(alpha_pend: float = 1.0) -> Model:
         diffusion=lambda x: eye2,
         reset=reset,
         reset_jacobian=partial(jacobian, eye2, 0.1),
-    )
-
-
-def affine_kick_model(A: np.ndarray, c: np.ndarray) -> Model:
-    """Kick-only system: zero drift, identity diffusion (r = d), and the
-    closed-form kick map of the kick field Ax + c as its reset.
-
-    The reset Jacobian is the constant matrix exp(A).
-    """
-    kick, jac = kickmap.affine_kick_map(A, c)  # checks the shapes of A and c
-    d = jac.shape[0]
-    eye = np.eye(d)
-    return Model(
-        d=d,
-        r=d,
-        drift=lambda x: np.zeros_like(np.asarray(x, float)),
-        drift_jacobian=lambda x: np.zeros((d, d)),
-        diffusion=lambda x: eye,
-        reset=kick,
-        reset_jacobian=lambda x: jac,
     )

@@ -117,16 +117,17 @@ class CadlagTrajectory:
     left: np.ndarray  # (len(grid.impulse_nodes), d)
 
 
-def _matvec(a: np.ndarray, v: np.ndarray, out: np.ndarray, prod: np.ndarray):
-    """out = a v, component-major: a (d, r, ...) against v (r, ...), batch
-    axes ... broadcasting, into out (d, ...): all products rounded one by one
-    in one multiply into prod (d, r, ...), then summed in column order.  The
-    bits of a path never depend on how many paths are stacked; with `@`
-    they can, since BLAS may fuse the multiply-adds of a single row (gemv)
-    but not of many (gemm)."""
-    np.multiply(a, v, out=prod)
+def _matvec(a: np.ndarray, v: np.ndarray, out=None, prod=None):
+    """out = a v without BLAS, the package's one such product: a (d, r, ...)
+    against v (r, ...), batch axes ... broadcasting, into out (d, ...),
+    component-major.  All products are rounded one by one in one multiply
+    into prod (d, r, ...), then summed over axis 1 in column order; a buffer
+    not given is allocated.  No bits depend on the CPU or on how many paths
+    are stacked; with `@` they can, as BLAS may fuse the multiply-adds of a
+    single row (gemv) but not of many (gemm)."""
+    prod = np.multiply(a, v, out=prod)
     # x + -0.0 is x, signed zeros included: one column is copied bit for bit
-    np.add(prod[:, 0], prod[:, 1] if prod.shape[1] > 1 else -0.0, out=out)
+    out = np.add(prod[:, 0], prod[:, 1] if prod.shape[1] > 1 else -0.0, out=out)
     for j in range(2, prod.shape[1]):
         np.add(out, prod[:, j], out=out)
     return out
@@ -232,24 +233,21 @@ def _step(model, grid, visit, X, Z, eps=None, increments=None, along=None):
                 visit(n + 1, None, X, Z)
 
 
-def _record(model, grid, values, left, X, Z, **pass_args):
-    """Run a pass of _step over one path, copying its X's k lanes, or its Z,
-    into values (k, n_steps + 1, d) and left (k, n_impulses, d)."""
+def _record(model, grid, X, Z, **pass_args) -> list[CadlagTrajectory]:
+    """Run a pass of _step over one path and return its X's k lanes, or its
+    Z, as cadlag trajectories; raises at the first non-finite step of any."""
     state = X[..., 0].T if Z is None else Z.T
+    values = np.empty((len(state), grid.n_steps + 1, model.d))
+    left = np.empty((len(state), len(grid.impulse_nodes), model.d))
 
     def visit(n, i, X, Z):
         (values[:, n] if i is None else left[:, i])[...] = state
 
     _step(model, grid, visit, X, Z, **pass_args)
-
-
-def _trajectories(grid, values, left) -> list[CadlagTrajectory]:
-    """values and left of _record as cadlag trajectories; raises at the first non-finite step."""
-    bad = list(np.flatnonzero(~np.isfinite(values).all(axis=(0, 2))))
-    bad += [grid.impulse_nodes[i]
-            for i in np.flatnonzero(~np.isfinite(left).all(axis=(0, 2)))]
-    if bad:
-        raise IntegrationOverflowError(f"trajectory became non-finite at step {min(bad)}")
+    finite = np.isfinite(values).all(axis=(0, 2))  # per node; a left limit counts at its node
+    finite[list(grid.impulse_nodes)] &= np.isfinite(left).all(axis=(0, 2))
+    if not finite.all():
+        raise IntegrationOverflowError(f"trajectory became non-finite at step {finite.argmin()}")
     return [CadlagTrajectory(grid=grid, values=v, left=lv) for v, lv in zip(values, left)]
 
 
@@ -278,11 +276,8 @@ def _check_x0(model: Model, x0) -> np.ndarray:
 
 def integrate_deterministic(model: Model, grid: SampleGrid, x0: np.ndarray) -> CadlagTrajectory:
     """Explicit Euler flow of the impulsive ODE on the grid."""
-    values = np.empty((1, grid.n_steps + 1, model.d))
-    left = np.empty((1, len(grid.impulse_nodes), model.d))
-    _record(model, grid, values, left, _check_x0(model, x0).reshape(-1, 1, 1).copy(), None,
-            eps=np.zeros(1))
-    return _trajectories(grid, values, left)[0]
+    return _record(model, grid, _check_x0(model, x0).reshape(-1, 1, 1).copy(), None,
+                   eps=np.zeros(1))[0]
 
 
 def integrate_coupled(
@@ -297,20 +292,18 @@ def integrate_coupled(
     flow of the SDE at noise scale epsilon, and Z the fluctuation process:
     dZ = Db(x) Z dt + sigma(x) dW from Z = 0, its left limit at an impulse
     mapped by Dh at the deterministic left limit.  A flow pass steps x and
-    X as two lanes of one batch; then a pass along x steps Z on the same
-    increments.  epsilon=0 gives X = x bitwise, signed zeros included."""
+    X as two lanes of one batch and raises if either leaves the finite
+    floats; only then does a pass along x step Z on the same increments.
+    epsilon=0 gives X = x bitwise, signed zeros included."""
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     x0 = _check_x0(model, x0)
     _check_path(model, grid, path)
-    values = np.empty((3, grid.n_steps + 1, model.d))  # x, X, Z
-    left = np.empty((3, len(grid.impulse_nodes), model.d))
-    _record(model, grid, values[:2], left[:2], np.repeat(x0[:, None, None], 2, axis=1), None,
-            eps=np.array([0.0, epsilon]), increments=_path_blocks(path))
-    [det] = _trajectories(grid, values[:1], left[:1])
-    _record(model, grid, values[2:], left[2:], None, np.zeros((model.d, 1)),
-            increments=_path_blocks(path), along=_prepare_along_path(model, grid, det))
-    return (det, *_trajectories(grid, values[1:], left[1:]))
+    det, noisy = _record(model, grid, np.repeat(x0[:, None, None], 2, axis=1), None,
+                         eps=np.array([0.0, epsilon]), increments=_path_blocks(path))
+    [fluct] = _record(model, grid, None, np.zeros((model.d, 1)), increments=_path_blocks(path),
+                      along=_prepare_along_path(model, grid, det))
+    return det, noisy, fluct
 
 
 # Views of integrate_coupled that only perfbench/spans.py reads, by name; they

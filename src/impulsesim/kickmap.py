@@ -3,10 +3,11 @@
 An impulse forcing g(x) * sum_n delta(t - t_n) acts, in the vanishing-width
 limit, like the unit-time flow of zdot = g(z).  For affine fields
 g(x) = Ax + c this flow has the closed form exp(A) r + K c with
-K = integral_0^1 exp(uA) du.  A kick field g is a plain callable that takes
-the state as a list of d Python floats and returns d floats: a list, a tuple
-or a (d,) array.  A field written for arrays wraps its input in
-np.asarray(z).
+K = integral_0^1 exp(uA) du, whose matrix products are the stepper's own
+integrate._matvec; affine_kick_model is the kick-only Model with that reset.
+A kick field g is a plain callable that takes the state as a list of d
+Python floats and returns d floats: a list, a tuple or a (d,) array.  A
+field written for arrays wraps its input in np.asarray(z).
 
 A large kick_limit_check table runs its rows on the usable CPUs, each
 row's substeps its weight in _workers.run_shares.  Every row is computed
@@ -21,6 +22,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import _workers
+from .dynamics import Model
+from .integrate import _matvec
 
 _MAX_SUBSTEP_EXP = 24  # kick_limit_check runs at most 2^24 substeps per delta
 # substeps a kick table must give each process before it forks one.  In
@@ -65,15 +68,6 @@ def regularized_kick(
     return np.array(z)
 
 
-def _matmul(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ b for x (..., k), b (k, m), summed in column order as integrate._matvec
-    does, without BLAS: no bits depend on the CPU or on how many rows x stacks."""
-    out = x[..., :1] * b[0]
-    for j in range(1, b.shape[0]):
-        out = out + x[..., j:j + 1] * b[j]
-    return out
-
-
 def _expm(M: np.ndarray) -> np.ndarray:
     """exp(M) by scaling and squaring: a degree-18 Taylor polynomial of
     M / 2^s, whose 1-norm is at most 1/2, squared s times (N. J. Higham,
@@ -81,9 +75,9 @@ def _expm(M: np.ndarray) -> np.ndarray:
     s = max(0, math.frexp(np.abs(M).sum(axis=0).max())[1] + 1)
     X, E = M * 2.0**-s, np.eye(len(M))
     for k in range(18, 0, -1):  # Horner: I + X/1 (I + X/2 (... (I + X/18)))
-        E = np.eye(len(M)) + _matmul(X, E) / k
+        E = np.eye(len(M)) + _matvec(X[..., None], E) / k
     for _ in range(s):
-        E = _matmul(E, E)
+        E = _matvec(E[..., None], E)
     return E
 
 
@@ -110,16 +104,38 @@ def affine_kick_map(A: np.ndarray, c: np.ndarray):
     d = A.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         block = _expm(np.block([[A, np.eye(d)], [np.zeros((d, 2 * d))]]))
-        eA, Kc = block[:d, :d], _matmul(c, block[:d, d:].T)
+        eA, Kc = block[:d, :d], _matvec(block[:d, d:], c)
     if not np.isfinite(block).all():
         raise ValueError(f"exp(A) overflows for A = {A.tolist()}")
     if not np.isfinite(Kc).all():
         raise ValueError(f"K c overflows for A = {A.tolist()}, c = {c.tolist()}")
 
-    def kick(r):
-        return _matmul(np.asarray(r, dtype=float), eA.T) + Kc
+    def kick(r):  # component-major (..., d), the layout of the stepper's views
+        r = np.asarray(r, dtype=float)
+        eAr = _matvec(eA.reshape(eA.shape + (1,) * (r.ndim - 1)), np.moveaxis(r, -1, 0))
+        return np.moveaxis(eAr, 0, -1) + Kc
 
     return kick, eA
+
+
+def affine_kick_model(A: np.ndarray, c: np.ndarray) -> Model:
+    """Kick-only system: zero drift, identity diffusion (r = d), and the
+    closed-form kick map of the kick field Ax + c as its reset.
+
+    The reset Jacobian is the constant matrix exp(A).
+    """
+    kick, jac = affine_kick_map(A, c)  # checks the shapes of A and c
+    d = jac.shape[0]
+    eye = np.eye(d)
+    return Model(
+        d=d,
+        r=d,
+        drift=lambda x: np.zeros_like(np.asarray(x, float)),
+        drift_jacobian=lambda x: np.zeros((d, d)),
+        diffusion=lambda x: eye,
+        reset=kick,
+        reset_jacobian=lambda x: jac,
+    )
 
 
 def kick_limit_check(

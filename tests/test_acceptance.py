@@ -14,7 +14,7 @@ import pytest
 from impulsesim import analysis
 from impulsesim.analysis import run_convergence_study
 from impulsesim.cli import main
-from impulsesim.dynamics import affine_kick_model, pendulum_model
+from impulsesim import affine_kick_model, pendulum_model
 from impulsesim.integrate import (
     build_grid,
     integrate_coupled,

@@ -23,7 +23,7 @@ from impulsesim.analysis import (
     run_convergence_study,
     write_report_csv,
 )
-from impulsesim.dynamics import Model, affine_kick_model, pendulum_model
+from impulsesim import Model, affine_kick_model, pendulum_model
 from impulsesim.integrate import (
     CadlagTrajectory,
     IntegrationOverflowError,

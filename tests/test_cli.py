@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -9,6 +10,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +443,52 @@ def test_failed_write_leaves_no_partial_output(existed, monkeypatch, tmp_path, c
     assert list(tmp_path.iterdir()) == ([out] if existed else [])
     if existed:
         assert out.read_text() == "kept\n"
+
+
+def test_symlinked_output_is_staged_beside_its_file(monkeypatch, tmp_path, capsys):
+    """An output named by a symlink is staged and renamed beside the file the
+    link names.  A writer that fails part way leaves that file's bytes and
+    the link; a good run replaces the file, with its manifest beside the link."""
+    def write_one_line_then_fail(f, *args):
+        f.write("t,partial\n")
+        raise OSError(28, "No space left on device")
+
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("precious\n")
+    link.symlink_to("real.csv")
+    with monkeypatch.context() as m:
+        m.setattr(integrate, "write_trajectory_csv", write_one_line_then_fail)
+        assert main(SIMULATE + ["--out", str(link)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert real.read_text() == "precious\n" and os.readlink(link) == "real.csv"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+    assert main(SIMULATE + ["--out", str(tmp_path / "plain.csv")]) == 0
+    assert main(SIMULATE + ["--out", str(link)]) == 0
+    assert os.readlink(link) == "real.csv"
+    assert real.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert json.loads((tmp_path / "link.csv.manifest.json").read_text())["outputs"] == [str(link)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.csv", "link.csv.manifest.json", "plain.csv", "plain.csv.manifest.json", "real.csv"]
+
+
+def test_fifo_output_is_written_in_place_without_a_manifest(tmp_path):
+    """A FIFO, like stdout or any target that is not a regular file, is
+    written in place and gets no manifest."""
+    fifo, got = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(SIMULATE + ["--out", str(fifo)]) == 0
+    finally:
+        if reader.is_alive() and not got:  # a run that never opened the FIFO: end the read
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=60)
+    assert main(SIMULATE + ["--out", str(tmp_path / "plain.csv")]) == 0
+    assert got == [(tmp_path / "plain.csv").read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fifo", "plain.csv", "plain.csv.manifest.json"]
 
 
 def test_killed_writer_leaves_no_output(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from impulsesim import dynamics
-from impulsesim.dynamics import affine_kick_model, pendulum_model
+from impulsesim import affine_kick_model, pendulum_model
 from impulsesim.integrate import _prepare_along_path, build_grid, integrate_deterministic
 
 

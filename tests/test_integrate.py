@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import warnings
@@ -482,3 +483,21 @@ class TestCoupledOverflow:
             with pytest.raises(IntegrationOverflowError) as got:
                 integrate_coupled(m, grid, x0, 0.5, path)
         assert str(got.value) == f"trajectory became non-finite at step {first}"
+
+    def test_raises_before_the_z_pass(self):
+        """An X that leaves the finite floats raises after the flow pass,
+        before Z steps along x: neither Jacobian is called."""
+        m, calls = self.overflow_model(), {"drift_jacobian": 0, "reset_jacobian": 0}
+
+        def counted(name, jac):
+            def counting(x):
+                calls[name] += 1
+                return jac(x)
+            return counting
+
+        m = dataclasses.replace(m, **{name: counted(name, getattr(m, name)) for name in calls})
+        grid = build_grid(4.0, 6, 1.0)
+        with pytest.raises(IntegrationOverflowError) as got:
+            integrate_coupled(m, grid, np.zeros(1), 0.5, sample_brownian(grid, 1, 3))
+        assert str(got.value) == "trajectory became non-finite at step 3"
+        assert calls == {"drift_jacobian": 0, "reset_jacobian": 0}

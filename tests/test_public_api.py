@@ -36,3 +36,9 @@ def test_model_fields():
     names = [f.name for f in dataclasses.fields(impulsesim.Model)]
     assert names == ["d", "r", "drift", "diffusion", "reset", "drift_jacobian",
                      "reset_jacobian"]
+
+
+def test_affine_kick_model_lives_beside_its_kick_map():
+    # dynamics imports nothing from the package, so it holds no kick model
+    assert impulsesim.affine_kick_model is impulsesim.kickmap.affine_kick_model
+    assert not hasattr(impulsesim.dynamics, "affine_kick_model")
