@@ -200,5 +200,6 @@ def write_report_csv(report: ConvergenceReport, out: IO[str]) -> None:
     blank = [""] * (d + 1)
     for label in ("slope", "r2"):
         for at, stat in enumerate(STATISTICS):
-            cells = blank * at + [fmt(v) for v in getattr(report, label)[at]] + blank * (3 - at)
+            values = [fmt(v) for v in getattr(report, label)[at]]
+            cells = blank * at + values + blank * (2 * len(STATISTICS) - 1 - at)
             out.write(",".join([f"{label}_{stat}", ""] + cells) + "\n")

@@ -1,10 +1,10 @@
 """Command-line front end: simulate / convergence / kickmap subcommands.
 
-Every output file is accompanied by a JSON manifest with the run's parsed
-options by name (an option without a default that was not given as null)
-and the Python and numpy versions, so any artifact can be reproduced
-bit-exactly, on any CPU: no output's bits go through BLAS.  Each subparser
-names its command as `run`.  All three compute first and then write
+Every output written to a file, not stdout, a device or a FIFO, gets a JSON
+manifest with the run's parsed options by name (an option without a default
+that was not given as null) and the Python and numpy versions, so it can be
+reproduced bit-exactly, on any CPU: no output's bits go through BLAS.  Each
+subparser names its command as `run`.  All three compute first and write
 through `_emit`, so a failed run leaves neither an output nor a manifest.
 """
 
@@ -46,6 +46,12 @@ def _parse_matrix(s: str) -> np.ndarray:
     return flat.reshape(n, n)
 
 
+def _parse_out(s: str) -> str:
+    if not s:  # it would name the working directory
+        raise argparse.ArgumentTypeError("expected a file name, got ''")
+    return s
+
+
 def _parse_eps_exps(s: str) -> list[int]:
     lo, dots, hi = s.partition("..")
     try:
@@ -71,21 +77,17 @@ def _resolve_model(args) -> dynamics.Model:
     return kickmap.affine_kick_model(A, c)
 
 
-def _write_file(path: str, write):
-    """Call write on a text file for path.  A regular file, new or existing, is
-    written to a sibling file, returned to be renamed over path, with the mode
-    of the file it replaces, or open's for a new one.  Any other path (a device
-    such as /dev/null, a FIFO) is written in place, and None returned."""
+def _write_file(path: str, write) -> str:
+    """Call write on a new sibling file of path and return it, to be renamed
+    over path with the mode of the file it replaces, or open's for a new one.
+    Anything at path but a writable regular file is refused, not replaced."""
     try:
-        st = os.lstat(path)
+        st = os.stat(path)
     except FileNotFoundError:
         st = None
-    if st is not None and not stat.S_ISREG(st.st_mode):
-        with open(path, "w", newline="\n") as f:
-            write(f)
-        return None
-    if st is not None and not os.access(path, os.W_OK):  # a rename would replace it
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    if st is not None and not (stat.S_ISREG(st.st_mode) and os.access(path, os.W_OK)):
+        code = errno.EISDIR if stat.S_ISDIR(st.st_mode) else errno.EACCES
+        raise OSError(code, os.strerror(code), path)
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"  # a killed run's sibling never blocks a new run
     try:  # a new file gets 0o666 under the umask, as from open
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666 if st is None else 0o600)
@@ -103,24 +105,26 @@ def _write_file(path: str, write):
 
 
 def _emit(args, t0: float, write) -> None:
-    """Call write on the file named by --out, or on stdout when it is not set,
-    and then write its manifest, `<out>.manifest.json`.  A regular file, also
-    one named by a symlink, which stays a link, is renamed into place only
-    once both are written, so a run that fails or is killed before then
-    leaves both paths as they were; a new output renamed into place before its
-    manifest's rename fails is removed again.  Stdout, a device or a FIFO is
-    written in place and gets no manifest."""
+    """Call write on --out, or on stdout when it is not set.  An existing --out
+    that is not a regular file (a device, a FIFO) is written in place and gets
+    no manifest.  Any other is staged beside the file it resolves to, and its
+    manifest beside --out; both are renamed into place once both are written,
+    and a new output renamed before its manifest's rename fails is removed."""
     if args.out is None:
         write(sys.stdout)
         return
-    out = os.path.realpath(args.out) if os.path.isfile(args.out) else args.out
-    paths = (out, args.out + ".manifest.json")
-    new = not os.path.lexists(out)
-    staged = []  # per path, the sibling file to rename over it, or None
+    try:  # follows links, but resolves no name: /dev/stdout's pipe has none
+        st = os.stat(args.out)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):  # stdout's pipe is a FIFO
+        with open(args.out, "w", newline="\n") as f:
+            write(f)
+        return
+    paths = [os.path.realpath(p) for p in (args.out, args.out + ".manifest.json")]
+    staged = []  # per path, the sibling file to rename over it
     try:
-        staged.append(_write_file(out, write))
-        if staged[0] is None:  # written in place
-            return
+        staged.append(_write_file(paths[0], write))
         manifest = {
             "subcommand": args.subcommand,
             "parameters": {k: v for k, v in vars(args).items()
@@ -138,12 +142,11 @@ def _emit(args, t0: float, write) -> None:
 
         staged.append(_write_file(paths[1], write_manifest))
         for tmp, path in zip(staged, paths):
-            if tmp is not None:
-                os.replace(tmp, path)
+            os.replace(tmp, path)
     except BaseException:
-        if new and staged and not os.path.lexists(staged[0]):  # renamed into place
-            os.remove(out)
-        for tmp in filter(os.path.lexists, filter(None, staged)):  # not yet renamed
+        if st is None and staged and not os.path.lexists(staged[0]):  # a new output renamed
+            os.remove(paths[0])
+        for tmp in filter(os.path.lexists, staged):  # not yet renamed
             os.remove(tmp)
         raise
 
@@ -158,7 +161,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--x0", type=_parse_vector, default="0.5,0.5",
                    help="initial state, comma-separated")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    p.add_argument("--out", type=_parse_out, help="output CSV path (default stdout)")
     p.add_argument("--A", type=_parse_matrix,
                    help="affine_kick: kick matrix, row-major comma-separated (default 0)")
     p.add_argument("--c", type=_parse_vector, help="affine_kick: kick offset vector (default 0)")
@@ -196,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kick.add_argument("--r", type=_parse_vector, required=True,
                         help="starting point, comma-separated")
     p_kick.add_argument("--deltas", type=_parse_vector, default="0.1,0.05,0.025,0.0125")
-    p_kick.add_argument("--out", default=None)
+    p_kick.add_argument("--out", type=_parse_out)
     p_kick.set_defaults(run=cmd_kickmap)
     return parser
 

@@ -33,7 +33,12 @@ from impulsesim.integrate import (
     sample_brownian,
 )
 
-from test_integrate import constant_model, linear_model, state_dependent_pendulum
+from test_integrate import (
+    constant_model,
+    linear_model,
+    multiplicative_model,
+    state_dependent_pendulum,
+)
 
 
 def sup_error(a, b, shift=None, shift_scale=1.0):
@@ -221,6 +226,72 @@ class TestConvergenceStudy:
                 run_convergence_study(m, grid, x0, exps, 4, 0)
         with pytest.raises(ValueError, match="eps exponent 1 is repeated"):
             run_convergence_study(m, grid, x0, [1, 1, 2], 4, 0)
+
+
+class TestMultiplicativeNoiseOracle:
+    """The study's per-path sups against the closed form of
+    multiplicative_model: the one exact oracle of X's flow through a
+    state-dependent sigma(X_n) dW_n.  With N(t) impulses up to t (one fewer
+    at a left limit) and W the path's Brownian motion, per coordinate
+
+        x(t) = x0 kappa^N(t) e^(a t)
+        X(t) = x(t) exp(eps s W(t) - eps^2 s^2 t / 2)
+        Z(t) = s W(t) x(t),
+
+    since d(s W x) = a (s W x) dt + s x dW, and a reset maps both by kappa.
+    Euler-Maruyama has strong order 1/2 in dt with multiplicative noise, so
+    the per-path error of the CLT sups halves every two levels of m."""
+
+    EXPS = list(range(2, 9))
+    N_PATHS = 200
+
+    def exact_sups(self, grid, a, s, kappa, x0, W):
+        """(2, n_eps, d) sups of |X - x| and |X - x - eps Z| over the nodes and
+        left limits, on W (n_steps + 1, d) from W_0 = 0; the differences go
+        through expm1, so no O(eps^2) residual loses its digits."""
+        nodes = np.array(grid.impulse_nodes)
+        n_impulses = np.concatenate((np.searchsorted(nodes, np.arange(grid.n_steps + 1),
+                                                    side="right"), np.arange(len(nodes))))
+        t = np.concatenate((grid.times(), grid.times()[nodes]))[:, None]
+        W = np.concatenate((W, W[nodes]))
+        x = x0 * kappa ** n_impulses[:, None] * np.exp(a * t)
+        sups = np.empty((2, len(self.EXPS), len(a)))
+        for e, i in enumerate(self.EXPS):
+            noise = 2.0**-i * s * W  # eps Z / x
+            growth = np.expm1(noise - (2.0**-i * s) ** 2 * t / 2)  # (X - x) / x
+            sups[0, e] = np.abs(x * growth).max(axis=0)
+            sups[1, e] = np.abs(x * (growth - noise)).max(axis=0)
+        return sups
+
+    def relative_errors(self, m, a, s, kappa, x0):
+        """The study at dt = 2^-m, and its per-path sups' relative errors
+        against the closed form on each path's own increments."""
+        a, s, kappa, x0 = (np.asarray(v, float) for v in (a, s, kappa, x0))
+        grid = build_grid(4.0, m, 1.0)
+        rep = run_convergence_study(multiplicative_model(a, s, kappa), grid, x0,
+                                    self.EXPS, self.N_PATHS, 0)
+        exact = np.empty_like(rep.paths)
+        for j in range(self.N_PATHS):
+            W = np.cumsum(sample_brownian(grid, len(a), 0, j).increments, axis=0)
+            exact[:, :, j] = self.exact_sups(grid, a, s, kappa, x0,
+                                             np.vstack((np.zeros(len(a)), W)))
+        return rep, rep.paths / exact - 1
+
+    @pytest.mark.parametrize("a, s, kappa, x0", [
+        ([0.3], [1.0], [0.8], [1.0]),
+        ([0.3, -0.2], [1.0, 0.5], [0.8, 1.25], [1.0, 0.5]),
+    ], ids=["scalar", "diagonal-d2"])
+    def test_study_converges_to_the_closed_form(self, a, s, kappa, x0):
+        rms = {}
+        for m in (6, 8):
+            rep, rel = self.relative_errors(m, a, s, kappa, x0)
+            rms[m] = np.sqrt(np.mean(rel**2, axis=(1, 2)))  # (2, d): per statistic, coordinate
+            assert np.all((0.85 <= rep.slope[0]) & (rep.slope[0] <= 1.15)), rep.slope
+            assert np.all((1.75 <= rep.slope[1]) & (rep.slope[1] <= 2.25)), rep.slope
+            assert np.all(rms[m][0] < 0.02), rms[m]  # LLN: 1.2% scalar at m = 6
+        # strong order 1/2: two levels of m halve the CLT sups' per-path error
+        ratio = rms[6][1] / rms[8][1]
+        assert np.all((1.6 <= ratio) & (ratio <= 2.5)), (rms, ratio)
 
 
 def three_state_model():
@@ -800,6 +871,21 @@ class TestReportCsv:
             table = rep.slope if label.startswith("slope") else rep.r2
             cells[block * k:(block + 1) * k] = [fmt(v) for v in table[block]]
             assert row == [label, ""] + cells
+
+    def test_every_row_has_the_header_width_for_any_statistics(self, monkeypatch):
+        """A third statistic widens the header by a mean and a sem block;
+        each footer row pads to the same width."""
+        monkeypatch.setattr(analysis, "STATISTICS", ("lln", "clt", "third"))
+        d, n_eps = 2, 3
+        tables = np.arange(3 * n_eps * (d + 1), dtype=float).reshape(3, n_eps, d + 1)
+        rep = analysis.ConvergenceReport(
+            eps_exponents=(1, 2, 3), mean=tables, sem=tables, slope=tables[:, 0],
+            r2=tables[:, 1], paths=np.zeros((3, n_eps, 1, d)))
+        buf = io.StringIO()
+        write_report_csv(rep, buf)
+        rows = [ln.split(",") for ln in buf.getvalue().splitlines()]
+        assert len(rows) == 1 + n_eps + 2 * 3
+        assert {len(row) for row in rows} == {2 + 2 * 3 * (d + 1)}
 
 
 class TestReportBytes:

@@ -491,6 +491,56 @@ def test_fifo_output_is_written_in_place_without_a_manifest(tmp_path):
         "fifo", "plain.csv", "plain.csv.manifest.json"]
 
 
+def test_dangling_symlinked_output_is_staged_beside_its_target(monkeypatch, tmp_path, capsys):
+    """An output named by a symlink to a file that does not exist yet is
+    staged beside that file, like a link to an existing one: a writer that
+    fails part way leaves no file there, and a good run creates it, keeps
+    the link and writes the manifest beside the link."""
+    def write_one_line_then_fail(f, *args):
+        f.write("t,partial\n")
+        raise OSError(28, "No space left on device")
+
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    link.symlink_to("target.csv")
+    with monkeypatch.context() as m:
+        m.setattr(integrate, "write_trajectory_csv", write_one_line_then_fail)
+        assert main(SIMULATE + ["--out", str(link)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+    assert main(SIMULATE + ["--out", str(tmp_path / "plain.csv")]) == 0
+    assert main(SIMULATE + ["--out", str(link)]) == 0
+    assert os.readlink(link) == "target.csv"
+    assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert json.loads((tmp_path / "link.csv.manifest.json").read_text())["outputs"] == [str(link)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.csv", "link.csv.manifest.json", "plain.csv", "plain.csv.manifest.json", "target.csv"]
+
+
+def test_manifest_name_taken_by_a_fifo_is_refused(tmp_path, capsys):
+    """A manifest is never written into a FIFO or a device: a name taken by
+    one is refused before anything is renamed, and both paths stay as they
+    were."""
+    out, manifest = tmp_path / "out.csv", tmp_path / "out.csv.manifest.json"
+    out.write_text("kept\n")
+    os.mkfifo(manifest)
+    assert main(SIMULATE + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{manifest}'\n"
+    assert out.read_text() == "kept\n" and manifest.is_fifo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest.json"]
+
+
+@pytest.mark.parametrize("argv", [SIMULATE, ["kickmap", "--A=1", "--c", "1", "--r=1"]],
+                         ids=["simulate", "kickmap"])
+def test_empty_output_name_is_a_usage_error(argv, monkeypatch, tmp_path, capsys):
+    """An empty --out would name the working directory: the parser refuses it."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", ""])
+    assert info.value.code == 2
+    assert "argument --out: expected a file name, got ''" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_killed_writer_leaves_no_output(tmp_path):
     """A run killed while it writes, here by SIGKILL after one line, leaves
     neither an output nor a manifest at their paths."""

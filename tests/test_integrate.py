@@ -68,6 +68,23 @@ def state_dependent_pendulum():
     )
 
 
+def multiplicative_model(a, s, kappa):
+    """Per coordinate i, b = a_i x_i, sigma = s_i x_i on its own noise
+    component and h = kappa_i x_i: a linear SDE with multiplicative noise,
+    whose whole coupled triple has a pathwise closed form (see
+    test_analysis.TestMultiplicativeNoiseOracle)."""
+    a, s, kappa = (np.asarray(v, float) for v in (a, s, kappa))
+    sigma = np.diag(s)
+    return Model(
+        len(a), len(a),
+        drift=lambda x: a * x,
+        diffusion=lambda x: x[..., None] * sigma,
+        reset=lambda x: kappa * x,
+        drift_jacobian=lambda x: np.diag(a),
+        reset_jacobian=lambda x: np.diag(kappa),
+    )
+
+
 class TestBuildGrid:
     def test_paper_scale_grid(self):
         grid = build_grid(8.0, 12, 1.0)
