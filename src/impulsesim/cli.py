@@ -22,9 +22,6 @@ import sys
 import time
 
 import numpy as np
-# numpy loads it on first use; simulate and convergence always draw from it,
-# so it loads with the CLI
-import numpy.random  # noqa: F401
 
 from . import __version__, analysis, dynamics, integrate, kickmap
 

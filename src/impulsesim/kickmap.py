@@ -47,7 +47,9 @@ def regularized_kick(
     np.asarray(z).  Every substep is checked, so g only ever sees a finite
     state.  Raises FloatingPointError naming the first substep whose state
     is not finite, or at which g raises OverflowError; any other exception
-    from g passes unchanged.
+    from g passes unchanged.  delta is only validated; it stays while
+    perfbench/spans.py reads substeps as the fourth positional argument
+    (ROADMAP.md, item 1).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")

@@ -821,18 +821,32 @@ def test_import_leaves_the_fork_runner_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-1] == "2 []"  # after the study's slope lines
 
 
+# numpy 2 loads numpy.random and numpy.ma on first attribute access, so each
+# costs start-up only where it is used: a run's first draw loads numpy.random,
+# and no command uses numpy.ma.  Rows: what runs, then whether numpy.random
+# is loaded after it.
+MODULE_BUDGET = [
+    ("", False),
+    ("main(['kickmap', '--A', '1', '--c', '1', '--r', '1', '--deltas', '0.5,0.25'])", False),
+    ("main(['simulate', '--eps', '0.25', '--T', '2', '--dt-exp', '3'])", True),
+    ("main(['convergence', '--paths', '4', '--eps-exps', '1..3', '--T', '2', "
+     "'--dt-exp', '3'])", True),
+]
+
+
 def test_runs_leave_numpy_ma_unloaded():
-    """simulate and convergence never use numpy.ma; numpy loads it lazily,
-    so loading it would only add to every run's start-up."""
-    code = ("import sys; from impulsesim.cli import main; "
-            "main(['simulate', '--eps', '0.25', '--T', '2', '--dt-exp', '3']); "
-            "main(['convergence', '--paths', '4', '--eps-exps', '1..3', '--T', '2', "
-            "'--dt-exp', '3']); print('numpy.ma' in sys.modules, file=sys.stderr)")
+    """Importing the CLI, and a kick table, load neither numpy.random nor
+    numpy.ma; simulate and convergence load numpy.random at their first
+    draw, and still not numpy.ma.  Each row runs in a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "False"
+    for run, random_loaded in MODULE_BUDGET:
+        code = ("import sys; from impulsesim.cli import main\n" + run + "\n"
+                "print([m in sys.modules for m in ('numpy.random', 'numpy.ma')], "
+                "file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == str([random_loaded, False]), run
 
 
 def test_closed_stdout_exits_1_without_traceback():

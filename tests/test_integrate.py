@@ -518,3 +518,26 @@ class TestCoupledOverflow:
             integrate_coupled(m, grid, np.zeros(1), 0.5, sample_brownian(grid, 1, 3))
         assert str(got.value) == "trajectory became non-finite at step 3"
         assert calls == {"drift_jacobian": 0, "reset_jacobian": 0}
+
+
+@pytest.mark.parametrize("epsilon, diffusion", [(0.25, 2), (0.0, 1)])
+def test_coupled_model_call_budget(epsilon, diffusion):
+    """The flow pass makes one drift call per step and one reset call per
+    impulse for x and X together; the Z pass calls no model function.  The
+    Jacobians and sigma along x are taken once, and at eps > 0 the flow pass
+    also probes sigma at the start state."""
+    names = ("drift", "diffusion", "reset", "drift_jacobian", "reset_jacobian")
+    m, calls = pendulum_model(), dict.fromkeys(names, 0)
+
+    def counted(name, f):
+        def counting(x):
+            calls[name] += 1
+            return f(x)
+        return counting
+
+    m = dataclasses.replace(m, **{name: counted(name, getattr(m, name)) for name in names})
+    grid = build_grid(2.0, 4, 1.0)
+    assert (grid.n_steps, grid.impulse_nodes) == (32, (16, 32))
+    integrate_coupled(m, grid, np.array([1.0, 0.0]), epsilon, sample_brownian(grid, m.r, 0))
+    assert calls == {"drift": 32, "diffusion": diffusion, "reset": 2,
+                     "drift_jacobian": 1, "reset_jacobian": 1}
