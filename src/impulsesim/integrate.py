@@ -5,12 +5,13 @@ other code writes it down.  One batched stepper holds the two recursions, each
 written once: the flow of X, whose lanes at noise scale 0 are the
 deterministic flow x, and the linear step of the fluctuation process Z along
 x, which calls no model function.  It runs either, or both in lockstep, over
-Brownian blocks of _BLOCK_STEPS steps: each block is drawn once, turned into
-its sigma dW once, and stepped node by node.  integrate_coupled gives one
-path's triple (x, X, Z) in two passes: x and X as two lanes of one flow batch,
-then Z alone along x.  The Monte Carlo study steps x alone, then X at every
-noise scale and path in lockstep with Z.  write_trajectory_csv writes the
-triple as one table.
+Brownian blocks of _BLOCK_STEPS steps, drawn _DRAW_BLOCKS blocks at a time:
+each block is turned into its sigma dW once and stepped node by node, so the
+step buffers hold one block.  integrate_coupled gives one path's triple (x,
+X, Z) in two passes: x and X as two lanes of one flow batch, then Z alone
+along x.  The Monte Carlo study steps x alone, then X at every noise scale
+and path in lockstep with Z.  write_trajectory_csv writes the triple as one
+table.
 
 At an impulse node the Euler step into the node produces the left
 limit, the reset applies instantaneously, and the step out of the node
@@ -31,7 +32,10 @@ import numpy as np
 from .dynamics import Model
 
 
-_BLOCK_STEPS = 256  # Brownian increments per path drawn, and their noise formed, at a time
+_BLOCK_STEPS = 32  # Brownian increments per path whose noise is formed and stepped at a time
+# blocks drawn per path in one generator call, 256 steps: the draws of 125
+# paths at m = 12 took 0.21-0.24 s so, and 0.41-0.50 s at one block per call
+_DRAW_BLOCKS = 8
 
 
 class IntegrationOverflowError(RuntimeError):
@@ -143,17 +147,20 @@ def _prepare_along_path(model: Model, grid: SampleGrid, det: CadlagTrajectory):
 
 
 def _brownian_blocks(grid: SampleGrid, r: int, seed: int, path_indices):
-    """Brownian increments of one path per index, drawn _BLOCK_STEPS steps at
-    a time into one reused (steps, r, n_paths) buffer; path p's draws are
-    bitwise those of sample_brownian(grid, r, seed, path_indices[p])."""
+    """Brownian increments of one path per index, drawn _DRAW_BLOCKS blocks
+    at a time into one reused (steps, r, n_paths) buffer and yielded as views
+    of _BLOCK_STEPS steps, the last one shorter; path p's draws are bitwise
+    those of sample_brownian(grid, r, seed, path_indices[p])."""
     rngs = [_rng(seed, j) for j in path_indices]
     sd = math.sqrt(grid.dt)
-    buf = np.empty((min(_BLOCK_STEPS, grid.n_steps), r, len(rngs)))
-    for lo in range(0, grid.n_steps, _BLOCK_STEPS):
-        block = buf[:min(_BLOCK_STEPS, grid.n_steps - lo)]
+    steps = _DRAW_BLOCKS * _BLOCK_STEPS  # whole blocks, so no block spans two draws
+    buf = np.empty((min(steps, grid.n_steps), r, len(rngs)))
+    for lo in range(0, grid.n_steps, steps):
+        drawn = buf[:min(steps, grid.n_steps - lo)]
         for p, rng in enumerate(rngs):
-            block[:, :, p] = rng.normal(0.0, sd, size=block.shape[:2])
-        yield block
+            drawn[:, :, p] = rng.normal(0.0, sd, size=drawn.shape[:2])
+        for b in range(0, len(drawn), _BLOCK_STEPS):
+            yield drawn[b:b + _BLOCK_STEPS]
 
 
 def _step(model, grid, visit, X, Z, eps=None, increments=None, along=None):
@@ -169,12 +176,12 @@ def _step(model, grid, visit, X, Z, eps=None, increments=None, along=None):
     has a noisy lane or Z steps; along is _prepare_along_path of x.  X's sigma
     is along's, or one diffusion call at X's start.  When it is one constant
     (d, r), X's noise, like Z's sigma(x_n) dW_n, is formed a block at a time in
-    one _matvec; else it is sigma(X_n) dW_n.  visit(n, i, X, Z) sees each node
-    n from 0 (i None) and each left limit (at node n = grid.impulse_nodes[i],
-    before the reset), with the same arrays each time: a visitor that keeps
-    values must copy them.  The model's callables see (..., d) views.  A value
-    that leaves the finite floats raises no warning: the callers check the
-    recorded values.
+    one _matvec, into buffers of one block; else it is sigma(X_n) dW_n.
+    visit(n, i, X, Z) sees each node n from 0 (i None) and each left limit (at
+    node n = grid.impulse_nodes[i], before the reset), with the same arrays
+    each time: a visitor that keeps values must copy them.  The model's
+    callables see (..., d) views.  A value that leaves the finite floats
+    raises no warning: the callers check the recorded values.
     """
     d, r, dt = model.d, model.r, np.array(grid.dt)  # 0-d: multiplies faster than a float
     position = {node: i for i, node in enumerate(grid.impulse_nodes)}

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -155,6 +156,8 @@ class TestFitLoglogSlope:
             fit_loglog_slope([1.0, 2.0], [1.0, -1.0])
         with pytest.raises(ValueError, match="distinct"):
             fit_loglog_slope([-3.0, -3.0, -3.0], [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="equal length"):
+            fit_loglog_slope([-1.0, -2.0, -3.0], [0.1, 0.2])
         for xs, ys in (([1.0, 2.0], [1.0, np.nan]), ([1.0, np.nan], [1.0, 2.0]),
                        ([1.0, 2.0], [1.0, np.inf])):
             with pytest.raises(ValueError, match="finite"):
@@ -226,6 +229,27 @@ class TestConvergenceStudy:
                 run_convergence_study(m, grid, x0, exps, 4, 0)
         with pytest.raises(ValueError, match="eps exponent 1 is repeated"):
             run_convergence_study(m, grid, x0, [1, 1, 2], 4, 0)
+
+    def test_memory_budget(self, monkeypatch):
+        """A chunk draws 256 steps at a time but forms and steps its noise 32
+        at a time: 100 paths at dt = 2^-10, T = 8 and 10 eps, in process,
+        peak below 1.8 MB of traced allocations (2.4 MB with 256-step blocks,
+        1.5 MB with 32)."""
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+        model, x0 = pendulum_model(), np.array([0.5, 0.5])
+        # a first, small study loads numpy.random and warms numpy's caches
+        run_convergence_study(model, build_grid(1.0, 2, 1.0), x0, [1, 2], 2, 0)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()  # a no-op when already tracing
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_convergence_study(model, build_grid(8.0, 10, 1.0), x0, range(1, 11), 100, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 1.8e6, f"traced peak {peak / 1e6:.3f} MB"
 
 
 class TestMultiplicativeNoiseOracle:
@@ -505,8 +529,11 @@ class TestBatchingInvariance:
              per_state=True)
     @example(model=state_dependent_pendulum(), m=4, n_paths=7, chunk=1, block=3, workers=3,
              per_state=False)
+    # 512 steps, more than one draw: 7-step blocks stay aligned across draws
+    @example(model=pendulum_model(), m=8, n_paths=3, chunk=3, block=7, workers=1,
+             per_state=False)
     def test_report_bytes(self, model, m, n_paths, chunk, block, workers, per_state):
-        grid = build_grid(2.0, m, 0.5)  # 8, 16 or 32 steps
+        grid = build_grid(2.0, m, 0.5)  # 8, 16 or 32 steps, or 512 in an example
         seed = 5
         args = (grid, np.array([0.5, 0.5]), [1, 3], n_paths, seed)
         ref = run_convergence_study(model, *args)

@@ -401,6 +401,11 @@ def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, 
      "error: K c overflows for A = [[709.0]], c = [1e+308]"),
     (["kickmap", "--A=1", "--c", "0", "--r=1e308", "--deltas", "0.5"],
      "error: the closed form is not finite at r = [1e+308]"),
+    (["convergence", "--model", "affine_kick", "--A=0.5,0,0,0.5", "--x0", "1,2,3",
+      "--paths", "2", "--T", "1", "--dt-exp", "2"],
+     "error: x0 has shape (3,), expected (2,)"),
+    (["kickmap", "--A", "1", "--c", "1", "--r", "1", "--deltas", "0"],
+     "error: deltas must be positive"),
 ], ids=["simulate", "convergence", "kickmap", "simulate-alpha-0", "convergence-alpha-1.5",
         "convergence-zero-mean-error", "simulate-T-inf", "simulate-T-nan",
         "simulate-dt-exp-2000", "kickmap-delta-1e-320", "kickmap-delta-nan",
@@ -411,7 +416,8 @@ def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, 
         "simulate-affine-alpha-pend", "convergence-eps-exp-repeated",
         "kickmap-fsum-overflow", "kickmap-field-raises-at-inf", "kickmap-expA-overflow",
         "simulate-affine-expA-overflow", "kickmap-expA-overflow-before-substeps",
-        "kickmap-Kc-overflow", "kickmap-closed-form-overflow"])
+        "kickmap-Kc-overflow", "kickmap-closed-form-overflow", "convergence-x0-dimension",
+        "kickmap-delta-0"])
 def test_failure_exits_1_without_output_or_manifest(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1

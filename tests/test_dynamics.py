@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -123,6 +124,9 @@ class TestAffineKickModel:
             affine_kick_model(np.zeros((2, 2)), np.zeros(3))
         with pytest.raises(ValueError, match="square"):
             affine_kick_model(np.zeros((2, 3)), np.zeros(2))
+        for dims in ({"d": 0}, {"r": 0}):
+            with pytest.raises(ValueError, match="dimensions d and r must be positive"):
+                dataclasses.replace(affine_kick_model(np.zeros((2, 2)), np.zeros(2)), **dims)
 
 
 def jacobian_consistency(model, n_points, seed, tol=1e-5):

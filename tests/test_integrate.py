@@ -113,6 +113,8 @@ class TestBuildGrid:
         for T, m in ((8.0, 2000), (2.0**30, 1000)):
             with pytest.raises(ValueError, match=f"m={m} is too large"):
                 build_grid(T, m, 1.0)
+        with pytest.raises(ValueError, match="^dt exponent m must be >= 0, got -1$"):
+            build_grid(1.0, -1, 1.0)
 
     def test_impulse_nodes_exact(self):
         grid = build_grid(5.0, 6, 0.25)

@@ -311,6 +311,9 @@ class TestKickLimitCheck:
         field = lambda x: x
         with pytest.raises(ValueError):
             kick_limit_check(field, lambda r: r, np.zeros(1), [0.1, 0.2])
+        for deltas in ([0.1, 0.0], [-0.1]):
+            with pytest.raises(ValueError, match="deltas must be positive"):
+                kick_limit_check(field, lambda r: r, np.zeros(1), deltas)
 
 
 class TestKickTableWorkers:
