@@ -119,7 +119,7 @@ def run_convergence_study(
         raise ValueError("need at least 2 distinct eps exponents to fit a slope")
     eps = np.array([2.0**-i for i in eps_exponents])
     det = integrate_deterministic(model, grid, x0)
-    along = _prepare_along_path(model, grid, det)
+    along = _prepare_along_path(model, det)
 
     def run_chunk(idx_range):
         """Per-coordinate and squared-norm sups of |X - x| (index 0) and

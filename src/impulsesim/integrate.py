@@ -4,14 +4,15 @@ build_grid lays out the impulse schedule t_k = k - 1 + alpha as grid nodes; no
 other code writes it down.  One batched stepper holds the two recursions, each
 written once: the flow of X, whose lanes at noise scale 0 are the
 deterministic flow x, and the linear step of the fluctuation process Z along
-x, which calls no model function.  It runs either, or both in lockstep, over
-Brownian blocks of _BLOCK_STEPS steps, drawn _DRAW_BLOCKS blocks at a time:
-each block is turned into its sigma dW once and stepped node by node, so the
-step buffers hold one block.  integrate_coupled gives one path's triple (x,
-X, Z) in two passes: x and X as two lanes of one flow batch, then Z alone
-along x.  The Monte Carlo study steps x alone, then X at every noise scale
-and path in lockstep with Z.  write_trajectory_csv writes the triple as one
-table.
+x.  It runs either, or both in lockstep, over Brownian blocks of _BLOCK_STEPS
+steps, drawn _DRAW_BLOCKS blocks at a time: each block is turned into its
+sigma dW once and stepped node by node, and Z's Db(x), with a sigma(x) that is
+not constant, is taken on the block's nodes of x, so the step buffers hold
+one block and only the trajectories grow with the steps.  integrate_coupled
+gives one path's triple (x, X, Z) in two passes: x and X as two lanes of one
+flow batch, then Z alone along x.  The Monte Carlo study steps x alone, then
+X at every noise scale and path in lockstep with Z.  write_trajectory_csv
+writes the triple as one table.
 
 At an impulse node the Euler step into the node produces the left
 limit, the reset applies instantaneously, and the step out of the node
@@ -137,13 +138,12 @@ def _matvec(a: np.ndarray, v: np.ndarray, out=None, prod=None):
     return out
 
 
-def _prepare_along_path(model: Model, grid: SampleGrid, det: CadlagTrajectory):
-    """Db and sigma along x(t), and Dh at its impulse left limits, one call each."""
-    n, d = grid.n_steps, model.d
-    db = np.broadcast_to(np.asarray(model.drift_jacobian(det.values[:n]), float), (n, d, d))
-    sig = np.asarray(model.diffusion(det.values[:n]), dtype=float)
+def _prepare_along_path(model: Model, det: CadlagTrajectory):
+    """What a pass along x takes once: x's nodes, sigma probed on x's first
+    node, (d, r) if constant, and Dh at x's impulse left limits, one call each."""
+    sig = np.asarray(model.diffusion(det.values[:1]), dtype=float)
     dh = np.asarray(model.reset_jacobian(det.left), float)
-    return db, sig, np.broadcast_to(dh, (len(det.left), d, d))
+    return det.values, sig, np.broadcast_to(dh, (len(det.left), model.d, model.d))
 
 
 def _brownian_blocks(grid: SampleGrid, r: int, seed: int, path_indices):
@@ -176,12 +176,13 @@ def _step(model, grid, visit, X, Z, eps=None, increments=None, along=None):
     has a noisy lane or Z steps; along is _prepare_along_path of x.  X's sigma
     is along's, or one diffusion call at X's start.  When it is one constant
     (d, r), X's noise, like Z's sigma(x_n) dW_n, is formed a block at a time in
-    one _matvec, into buffers of one block; else it is sigma(X_n) dW_n.
-    visit(n, i, X, Z) sees each node n from 0 (i None) and each left limit (at
-    node n = grid.impulse_nodes[i], before the reset), with the same arrays
-    each time: a visitor that keeps values must copy them.  The model's
-    callables see (..., d) views.  A value that leaves the finite floats
-    raises no warning: the callers check the recorded values.
+    one _matvec; else it is sigma(X_n) dW_n.  Z's Db(x_n), and a sigma(x_n)
+    that is not constant, are one call per block, on its nodes of x: no buffer
+    holds more than one block.  visit(n, i, X, Z) sees each node n from 0 (i
+    None) and each left limit (at node n = grid.impulse_nodes[i], before the
+    reset), with the same arrays each time: a visitor that keeps values must
+    copy them.  The model's callables see (..., d) views.  A value that leaves
+    the finite floats raises no warning: the callers check the recorded values.
     """
     d, r, dt = model.d, model.r, np.array(grid.dt)  # 0-d: multiplies faster than a float
     position = {node: i for i, node in enumerate(grid.impulse_nodes)}
@@ -198,11 +199,10 @@ def _step(model, grid, visit, X, Z, eps=None, increments=None, along=None):
         eps = np.broadcast_to(eps[quiet:, None], Xn.shape).copy()  # unit strides multiply faster
         dx, prod_x = np.empty_like(Xn), np.empty((d, r) + Xn.shape[1:])
     if Z is not None:
-        db, sig, dh = along[0][..., None], along[1], along[2][..., None]
+        x, sig, dh = along[0], along[1], along[2][..., None]
         Zt, prod = np.empty_like(Z), np.empty((d, d) + Z.shape[1:])
     formed = Z is not None or (noisy and not sigma_of_x)  # sigma dW a block at a time
     if formed:
-        sig_n = np.broadcast_to(sig, (grid.n_steps, d, r)).transpose(1, 2, 0)[..., None]
         shape = (min(_BLOCK_STEPS, grid.n_steps), d, (X if Z is None else Z).shape[-1])
         noise, prod_b = np.empty(shape), np.empty((d, r) + shape[::2])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -211,9 +211,14 @@ def _step(model, grid, visit, X, Z, eps=None, increments=None, along=None):
             k = min(_BLOCK_STEPS, grid.n_steps - lo)
             if noisy or Z is not None:
                 block = next(increments)
+            if Z is not None:  # Db, and a sigma that is not constant, on this block's x
+                db = np.broadcast_to(np.asarray(model.drift_jacobian(x[lo:lo + k]), float),
+                                     (k, d, d))[..., None]
+                if along[1].shape != (d, r):
+                    sig = np.asarray(model.diffusion(x[lo:lo + k]), float)
             if formed:
-                _matvec(sig_n[:, :, lo:lo + k], block.transpose(1, 0, 2),
-                        noise[:k].transpose(1, 0, 2), prod_b[:, :, :k])
+                _matvec(np.broadcast_to(sig, (k, d, r)).transpose(1, 2, 0)[..., None],
+                        block.transpose(1, 0, 2), noise[:k].transpose(1, 0, 2), prod_b[:, :, :k])
             for n in range(lo, lo + k):
                 if X is not None:  # X's flow: drift and diffusion at the pre-step state
                     if sigma_of_x:
@@ -227,7 +232,7 @@ def _step(model, grid, visit, X, Z, eps=None, increments=None, along=None):
                         np.multiply(eps, dx if sigma_of_x else noise[n - lo, :, None], out=dx)
                         np.add(Xn, dx, out=Xn)
                 if Z is not None:  # Z's linear step along x
-                    np.multiply(_matvec(db[n], Z, Zt, prod), dt, out=Zt)
+                    np.multiply(_matvec(db[n - lo], Z, Zt, prod), dt, out=Zt)
                     np.add(Z, Zt, out=Z)
                     np.add(Z, noise[n - lo], out=Z)
                 i = position.get(n + 1)
@@ -309,7 +314,7 @@ def integrate_coupled(
     det, noisy = _record(model, grid, np.repeat(x0[:, None, None], 2, axis=1), None,
                          eps=np.array([0.0, epsilon]), increments=_path_blocks(path))
     [fluct] = _record(model, grid, None, np.zeros((model.d, 1)), increments=_path_blocks(path),
-                      along=_prepare_along_path(model, grid, det))
+                      along=_prepare_along_path(model, det))
     return det, noisy, fluct
 
 

@@ -230,26 +230,51 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="eps exponent 1 is repeated"):
             run_convergence_study(m, grid, x0, [1, 1, 2], 4, 0)
 
-    def test_memory_budget(self, monkeypatch):
-        """A chunk draws 256 steps at a time but forms and steps its noise 32
-        at a time: 100 paths at dt = 2^-10, T = 8 and 10 eps, in process,
-        peak below 1.8 MB of traced allocations (2.4 MB with 256-step blocks,
-        1.5 MB with 32)."""
-        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
-        model, x0 = pendulum_model(), np.array([0.5, 0.5])
-        # a first, small study loads numpy.random and warms numpy's caches
-        run_convergence_study(model, build_grid(1.0, 2, 1.0), x0, [1, 2], 2, 0)
+    @staticmethod
+    def traced_peak(model, T, eps_exps, n_paths):
+        """Traced peak in bytes of one in-process study at dt = 2^-10, above
+        what was allocated when it began."""
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()  # a no-op when already tracing
         tracemalloc.reset_peak()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            run_convergence_study(model, build_grid(8.0, 10, 1.0), x0, range(1, 11), 100, 0)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            run_convergence_study(model, build_grid(T, 10, 1.0), np.array([0.5, 0.5]),
+                                  eps_exps, n_paths, 0)
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak < 1.8e6, f"traced peak {peak / 1e6:.3f} MB"
+
+    @pytest.fixture
+    def warm(self, monkeypatch):
+        """One process, and a first, small study that loads numpy.random and
+        warms numpy's caches."""
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+        run_convergence_study(pendulum_model(), build_grid(1.0, 2, 1.0), np.array([0.5, 0.5]),
+                              [1, 2], 2, 0)
+
+    def test_memory_budget(self, warm):
+        """A chunk draws 256 steps at a time but forms and steps its noise 32
+        at a time, and takes Db along x a block at a time: 100 paths at dt =
+        2^-10, T = 8 and 10 eps, in process, peak below 1.3 MB of traced
+        allocations (1.19 MB measured; 1.46 MB with Db held for the whole
+        path, 2.4 MB with 256-step noise blocks as well)."""
+        peak = self.traced_peak(pendulum_model(), 8.0, range(1, 11), 100)
+        assert peak < 1.3e6, f"traced peak {peak / 1e6:.3f} MB"
+
+    @pytest.mark.parametrize("build_model", [pendulum_model, state_dependent_pendulum],
+                             ids=["pendulum", "state_dependent_pendulum"])
+    def test_memory_does_not_grow_with_the_horizon(self, warm, build_model):
+        """Beyond x's own 8 d bytes a step, a study's traced peak does not
+        grow with its steps: from T = 2 to T = 8 at dt = 2^-10 it grows by
+        16 B a step (48 with Db held for the whole path, 147 with a
+        state-dependent sigma held as well); the bound leaves 8 B a step."""
+        model = build_model()
+        short, long = (self.traced_peak(model, T, [1, 2], 16) for T in (2.0, 8.0))
+        steps = 6 * 2**10
+        assert long - short < (8 * model.d + 8) * steps, \
+            f"the peak grew by {(long - short) / steps:.1f} B a step"
 
 
 class TestMultiplicativeNoiseOracle:

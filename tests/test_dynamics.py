@@ -7,7 +7,15 @@ from hypothesis import given, strategies as st
 
 from impulsesim import dynamics
 from impulsesim import affine_kick_model, pendulum_model
-from impulsesim.integrate import _prepare_along_path, build_grid, integrate_deterministic
+from impulsesim.integrate import (
+    _BLOCK_STEPS,
+    _prepare_along_path,
+    build_grid,
+    integrate_coupled,
+    sample_brownian,
+)
+
+from test_integrate import state_dependent_pendulum
 
 
 def enumerate_impulse_count(alpha, t, k_max=10_000):
@@ -230,16 +238,41 @@ class TestBatchedJacobians:
             batch = np.broadcast_to(jac(xs), (5, 7, model.d, model.d))
             assert batch.tobytes() == stacked(jac, xs).tobytes()
 
-    @pytest.mark.parametrize("model", JACOBIAN_MODELS, ids=JACOBIAN_IDS)
-    @pytest.mark.parametrize("T, alpha", [(2.0, 0.5), (0.5, 1.0)], ids=["impulses", "none"])
-    def test_prepare_along_path(self, model, T, alpha):
-        # one call along x and one at its left limits, also for a constant
-        # Jacobian and for a grid without impulses
-        grid = build_grid(T, 3, alpha)
-        det = integrate_deterministic(model, grid, np.full(model.d, 0.5))
-        db, _, dh = _prepare_along_path(model, grid, det)
-        d, n = model.d, grid.n_steps
-        assert db.shape == (n, d, d) and dh.shape == (len(grid.impulse_nodes), d, d)
-        assert db.tobytes() == stacked(model.drift_jacobian, det.values[:n]).tobytes()
+    @pytest.mark.parametrize("model", JACOBIAN_MODELS + [state_dependent_pendulum()],
+                             ids=JACOBIAN_IDS + ["state_dependent_sigma"])
+    @pytest.mark.parametrize("T, m, alpha", [(2.5, 4, 0.5), (0.75, 6, 1.0)],
+                             ids=["impulses", "none"])
+    def test_prepare_along_path(self, model, T, m, alpha):
+        # the Z pass takes Db, and a sigma that is not constant, on each block
+        # [lo, lo + _BLOCK_STEPS) of x's nodes, the last one shorter, with the
+        # rows of one whole-path call; Dh is one call on all the left limits,
+        # also for a constant Jacobian and for a grid without impulses
+        grid, calls = build_grid(T, m, alpha), {"drift_jacobian": [], "diffusion": []}
+
+        def recorded(name, f):
+            def record(x):
+                calls[name].append((np.array(x), f(x)))
+                return calls[name][-1][1]
+            return record
+
+        traced = dataclasses.replace(model, **{k: recorded(k, getattr(model, k)) for k in calls})
+        det, _, _ = integrate_coupled(traced, grid, np.full(model.d, 0.5), 0.0,
+                                      sample_brownian(grid, model.r, 0))
+        n, d, x = grid.n_steps, model.d, det.values
+        blocks = [x[lo:min(lo + _BLOCK_STEPS, n)] for lo in range(0, n, _BLOCK_STEPS)]
+        assert [len(b) for b in blocks] == [_BLOCK_STEPS, n - _BLOCK_STEPS]
+        (probe, sig), *per_block = calls["diffusion"]  # the first probes x's first node
+        assert probe.tobytes() == x[:1].tobytes()
+        checks = [(model.drift_jacobian, calls["drift_jacobian"], (d, d))]
+        if np.ndim(model.diffusion(x[:2])) == 2:  # one constant sigma, not called again
+            assert np.shape(sig) == (d, model.r) and per_block == []
+        else:
+            checks.append((model.diffusion, per_block, (d, model.r)))
+        for f, got, shape in checks:
+            assert [a.tobytes() for a, _ in got] == [b.tobytes() for b in blocks]
+            rows = np.concatenate([np.broadcast_to(y, (len(a),) + shape) for a, y in got])
+            assert rows.tobytes() == np.broadcast_to(f(x[:n]), (n,) + shape).tobytes()
+        _, _, dh = _prepare_along_path(model, det)
+        assert dh.shape == (len(grid.impulse_nodes), d, d)
         if grid.impulse_nodes:
             assert dh.tobytes() == stacked(model.reset_jacobian, det.left).tobytes()

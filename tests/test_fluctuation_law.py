@@ -71,7 +71,7 @@ def fluctuation_samples(model, grid, det, seed, n_paths):
 
     _step(model, grid, visit, None, np.zeros((model.d, n_paths)),
           increments=_brownian_blocks(grid, model.r, seed, range(n_paths)),
-          along=_prepare_along_path(model, grid, det))
+          along=_prepare_along_path(model, det))
     return left, final
 
 

@@ -525,9 +525,10 @@ class TestCoupledOverflow:
 @pytest.mark.parametrize("epsilon, diffusion", [(0.25, 2), (0.0, 1)])
 def test_coupled_model_call_budget(epsilon, diffusion):
     """The flow pass makes one drift call per step and one reset call per
-    impulse for x and X together; the Z pass calls no model function.  The
-    Jacobians and sigma along x are taken once, and at eps > 0 the flow pass
-    also probes sigma at the start state."""
+    impulse for x and X together; the Z pass calls drift_jacobian once per
+    Brownian block, on that block's nodes of x.  A constant sigma along x and
+    the reset Jacobian at its left limits are taken once, and at eps > 0 the
+    flow pass also probes sigma at the start state."""
     names = ("drift", "diffusion", "reset", "drift_jacobian", "reset_jacobian")
     m, calls = pendulum_model(), dict.fromkeys(names, 0)
 
@@ -538,8 +539,10 @@ def test_coupled_model_call_budget(epsilon, diffusion):
         return counting
 
     m = dataclasses.replace(m, **{name: counted(name, getattr(m, name)) for name in names})
-    grid = build_grid(2.0, 4, 1.0)
-    assert (grid.n_steps, grid.impulse_nodes) == (32, (16, 32))
-    integrate_coupled(m, grid, np.array([1.0, 0.0]), epsilon, sample_brownian(grid, m.r, 0))
-    assert calls == {"drift": 32, "diffusion": diffusion, "reset": 2,
-                     "drift_jacobian": 1, "reset_jacobian": 1}
+    for dt_exp, n_steps, nodes, blocks in ((4, 32, (16, 32), 1), (6, 128, (64, 128), 4)):
+        calls.update(dict.fromkeys(names, 0))
+        grid = build_grid(2.0, dt_exp, 1.0)
+        assert (grid.n_steps, grid.impulse_nodes) == (n_steps, nodes)
+        integrate_coupled(m, grid, np.array([1.0, 0.0]), epsilon, sample_brownian(grid, m.r, 0))
+        assert calls == {"drift": n_steps, "diffusion": diffusion, "reset": 2,
+                         "drift_jacobian": blocks, "reset_jacobian": 1}, n_steps
