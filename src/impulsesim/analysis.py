@@ -29,7 +29,6 @@ from .integrate import (
     SampleGrid,
     _brownian_blocks,
     _matvec,
-    _prepare_along_path,
     _step,
     integrate_deterministic,
 )
@@ -119,7 +118,6 @@ def run_convergence_study(
         raise ValueError("need at least 2 distinct eps exponents to fit a slope")
     eps = np.array([2.0**-i for i in eps_exponents])
     det = integrate_deterministic(model, grid, x0)
-    along = _prepare_along_path(model, det)
 
     def run_chunk(idx_range):
         """Per-coordinate and squared-norm sups of |X - x| (index 0) and
@@ -142,7 +140,7 @@ def run_convergence_study(
         X = np.empty(shape)
         X[...] = det.values[0][:, None, None]
         blocks = _brownian_blocks(grid, model.r, base_seed, idx_range)
-        _step(model, grid, visit, X, np.zeros((model.d, len(idx_range))), eps, blocks, along)
+        _step(model, grid, visit, X, np.zeros((model.d, len(idx_range))), eps, blocks, det)
         return sup, sup_n2
 
     def run_share(share):

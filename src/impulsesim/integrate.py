@@ -5,14 +5,14 @@ other code writes it down.  One batched stepper holds the two recursions, each
 written once: the flow of X, whose lanes at noise scale 0 are the
 deterministic flow x, and the linear step of the fluctuation process Z along
 x.  It runs either, or both in lockstep, over Brownian blocks of _BLOCK_STEPS
-steps, drawn _DRAW_BLOCKS blocks at a time: each block is turned into its
-sigma dW once and stepped node by node, and Z's Db(x), with a sigma(x) that is
-not constant, is taken on the block's nodes of x, so the step buffers hold
-one block and only the trajectories grow with the steps.  integrate_coupled
-gives one path's triple (x, X, Z) in two passes: x and X as two lanes of one
-flow batch, then Z alone along x.  The Monte Carlo study steps x alone, then
-X at every noise scale and path in lockstep with Z.  write_trajectory_csv
-writes the triple as one table.
+steps, drawn _DRAW_BLOCKS blocks at a time, each turned into its sigma dW once
+and stepped node by node.  A pass makes its own model calls: Dh and a sigma
+probe once, and Z's Db(x), with a sigma(x) that is not constant, on each
+block's nodes of x, so the step buffers hold one block and only the
+trajectories grow with the steps.  integrate_coupled gives one path's triple
+(x, X, Z) in two passes: x and X as two lanes of one flow batch, then Z alone
+along x.  The Monte Carlo study steps x alone, then X at every noise scale and
+path in lockstep with Z.  write_trajectory_csv writes the triple as one table.
 
 At an impulse node the Euler step into the node produces the left
 limit, the reset applies instantaneously, and the step out of the node
@@ -138,14 +138,6 @@ def _matvec(a: np.ndarray, v: np.ndarray, out=None, prod=None):
     return out
 
 
-def _prepare_along_path(model: Model, det: CadlagTrajectory):
-    """What a pass along x takes once: x's nodes, sigma probed on x's first
-    node, (d, r) if constant, and Dh at x's impulse left limits, one call each."""
-    sig = np.asarray(model.diffusion(det.values[:1]), dtype=float)
-    dh = np.asarray(model.reset_jacobian(det.left), float)
-    return det.values, sig, np.broadcast_to(dh, (len(det.left), model.d, model.d))
-
-
 def _brownian_blocks(grid: SampleGrid, r: int, seed: int, path_indices):
     """Brownian increments of one path per index, drawn _DRAW_BLOCKS blocks
     at a time into one reused (steps, r, n_paths) buffer and yielded as views
@@ -170,38 +162,41 @@ def _step(model, grid, visit, X, Z, eps=None, increments=None, along=None):
 
     States are component-major and updated in place, and either may be None: X
     (d, n_eps, n_paths) at noise scales eps (n_eps,), zeros first, and Z (d,
-    n_paths) from 0.  The noise update never writes a lane at eps 0: it keeps
-    the bits of x.  increments yields blocks (steps, r, n_paths) of
-    _BLOCK_STEPS steps, the last one shorter, n_steps in all, read only when X
-    has a noisy lane or Z steps; along is _prepare_along_path of x.  X's sigma
-    is along's, or one diffusion call at X's start.  When it is one constant
-    (d, r), X's noise, like Z's sigma(x_n) dW_n, is formed a block at a time in
-    one _matvec; else it is sigma(X_n) dW_n.  Z's Db(x_n), and a sigma(x_n)
-    that is not constant, are one call per block, on its nodes of x: no buffer
-    holds more than one block.  visit(n, i, X, Z) sees each node n from 0 (i
-    None) and each left limit (at node n = grid.impulse_nodes[i], before the
-    reset), with the same arrays each time: a visitor that keeps values must
-    copy them.  The model's callables see (..., d) views.  A value that leaves
-    the finite floats raises no warning: the callers check the recorded values.
+    n_paths) from 0, stepped along x's trajectory along.  The noise update
+    never writes a lane at eps 0: it keeps the bits of x.  increments yields
+    blocks (steps, r, n_paths) of _BLOCK_STEPS steps, the last one shorter,
+    n_steps in all.  The pass makes every model call it needs: Dh is one
+    reset_jacobian call on along.left, and sigma one diffusion call at the
+    first state, x's if Z steps, else X's noisy lanes.  A (d, r) sigma is one
+    constant, and both noises are then formed a block at a time in one _matvec;
+    else X's is sigma(X_n) dW_n.  Z's Db(x_n), and a sigma(x_n) that is not
+    constant, are one call per block, on its nodes of x: no buffer holds more
+    than one block.  visit(n, i, X, Z) sees each node n from 0 (i None) and
+    each left limit (at node n = grid.impulse_nodes[i], before the reset), with
+    the same arrays each time: a visitor that keeps values must copy them.  The
+    model's callables see (..., d) views.  A value that leaves the finite
+    floats raises no warning: the callers check the recorded values.
     """
     d, r, dt = model.d, model.r, np.array(grid.dt)  # 0-d: multiplies faster than a float
     position = {node: i for i, node in enumerate(grid.impulse_nodes)}
-    noisy = sigma_of_x = False
+    noisy, const = False, True
     if X is not None:
         quiet = int(np.count_nonzero(eps == 0))
         Xt = np.empty_like(X)
         Xv, Xtv = X.transpose(1, 2, 0), Xt.transpose(1, 2, 0)  # the model's (..., d) views
         Xn, Xnv = X[:, quiet:], Xv[quiet:]  # the noisy lanes
         noisy = Xn.size > 0
+    if noisy or Z is not None:  # sigma at the pass's first state: (d, r) means constant
+        sig = np.asarray(model.diffusion(along.values[:1] if Z is not None else Xnv), float)
+        const = sig.shape == (d, r)
     if noisy:
-        sig = np.asarray(along[1] if along is not None else model.diffusion(Xnv), float)
-        sigma_of_x = sig.shape != (d, r)
         eps = np.broadcast_to(eps[quiet:, None], Xn.shape).copy()  # unit strides multiply faster
-        dx, prod_x = np.empty_like(Xn), np.empty((d, r) + Xn.shape[1:])
+        dx, prod_x = np.empty_like(Xn), None if const else np.empty((d, r) + Xn.shape[1:])
     if Z is not None:
-        x, sig, dh = along[0], along[1], along[2][..., None]
+        x, dh = along.values, np.broadcast_to(np.asarray(model.reset_jacobian(along.left), float),
+                                              (len(along.left), d, d))[..., None]
         Zt, prod = np.empty_like(Z), np.empty((d, d) + Z.shape[1:])
-    formed = Z is not None or (noisy and not sigma_of_x)  # sigma dW a block at a time
+    formed = Z is not None or (noisy and const)  # sigma dW a block at a time
     if formed:
         shape = (min(_BLOCK_STEPS, grid.n_steps), d, (X if Z is None else Z).shape[-1])
         noise, prod_b = np.empty(shape), np.empty((d, r) + shape[::2])
@@ -214,14 +209,14 @@ def _step(model, grid, visit, X, Z, eps=None, increments=None, along=None):
             if Z is not None:  # Db, and a sigma that is not constant, on this block's x
                 db = np.broadcast_to(np.asarray(model.drift_jacobian(x[lo:lo + k]), float),
                                      (k, d, d))[..., None]
-                if along[1].shape != (d, r):
+                if not const:
                     sig = np.asarray(model.diffusion(x[lo:lo + k]), float)
             if formed:
                 _matvec(np.broadcast_to(sig, (k, d, r)).transpose(1, 2, 0)[..., None],
                         block.transpose(1, 0, 2), noise[:k].transpose(1, 0, 2), prod_b[:, :, :k])
             for n in range(lo, lo + k):
                 if X is not None:  # X's flow: drift and diffusion at the pre-step state
-                    if sigma_of_x:
+                    if noisy and not const:
                         s = np.broadcast_to(np.asarray(model.diffusion(Xnv), float),
                                             Xnv.shape + (r,))
                         _matvec(s.transpose(2, 3, 0, 1), block[n - lo, :, None], dx, prod_x)
@@ -229,7 +224,7 @@ def _step(model, grid, visit, X, Z, eps=None, increments=None, along=None):
                     np.multiply(model.drift(Xv), dt, out=Xtv, dtype=float)
                     np.add(X, Xt, out=X)
                     if noisy:
-                        np.multiply(eps, dx if sigma_of_x else noise[n - lo, :, None], out=dx)
+                        np.multiply(eps, noise[n - lo, :, None] if const else dx, out=dx)
                         np.add(Xn, dx, out=Xn)
                 if Z is not None:  # Z's linear step along x
                     np.multiply(_matvec(db[n - lo], Z, Zt, prod), dt, out=Zt)
@@ -314,7 +309,7 @@ def integrate_coupled(
     det, noisy = _record(model, grid, np.repeat(x0[:, None, None], 2, axis=1), None,
                          eps=np.array([0.0, epsilon]), increments=_path_blocks(path))
     [fluct] = _record(model, grid, None, np.zeros((model.d, 1)), increments=_path_blocks(path),
-                      along=_prepare_along_path(model, det))
+                      along=det)
     return det, noisy, fluct
 
 

@@ -540,31 +540,38 @@ class TestCoupledMatchesPasses:
 
 
 class TestBatchingInvariance:
-    """Worker count, chunk size, Brownian block length and a constant sigma
-    returned per state change no bit of the report; the streamed draws are
-    bitwise those of sample_brownian."""
+    """Worker count, chunk size, Brownian block length, blocks per draw and a
+    constant sigma returned per state change no bit of the report; the
+    streamed draws are bitwise those of sample_brownian."""
 
     @settings(max_examples=15, deadline=None)
     @given(model=st.sampled_from([pendulum_model(), state_dependent_pendulum()]),
            m=st.integers(2, 4), n_paths=st.integers(2, 9),
            chunk=st.sampled_from([1, 3, 7]), block=st.sampled_from([1, 3, 5, 7]),
-           workers=st.sampled_from([1, 2, 3]), per_state=st.booleans())
+           draw=st.sampled_from([1, 3, 8]), workers=st.sampled_from([1, 2, 3]),
+           per_state=st.booleans())
     # two workers with one chunk each, and three with uneven shares (2, 2, 3)
-    @example(model=pendulum_model(), m=3, n_paths=6, chunk=3, block=5, workers=2,
+    @example(model=pendulum_model(), m=3, n_paths=6, chunk=3, block=5, draw=8, workers=2,
              per_state=True)
-    @example(model=state_dependent_pendulum(), m=4, n_paths=7, chunk=1, block=3, workers=3,
-             per_state=False)
+    @example(model=state_dependent_pendulum(), m=4, n_paths=7, chunk=1, block=3, draw=8,
+             workers=3, per_state=False)
     # 512 steps, more than one draw: 7-step blocks stay aligned across draws
-    @example(model=pendulum_model(), m=8, n_paths=3, chunk=3, block=7, workers=1,
+    @example(model=pendulum_model(), m=8, n_paths=3, chunk=3, block=7, draw=8, workers=1,
              per_state=False)
-    def test_report_bytes(self, model, m, n_paths, chunk, block, workers, per_state):
-        grid = build_grid(2.0, m, 0.5)  # 8, 16 or 32 steps, or 512 in an example
+    # 256 steps in 8 draws of one 32-step block, and in 3 draws of 96, 96 and 64 steps
+    @example(model=state_dependent_pendulum(), m=7, n_paths=3, chunk=2, block=32, draw=1,
+             workers=1, per_state=False)
+    @example(model=pendulum_model(), m=7, n_paths=4, chunk=3, block=32, draw=3, workers=2,
+             per_state=True)
+    def test_report_bytes(self, model, m, n_paths, chunk, block, draw, workers, per_state):
+        grid = build_grid(2.0, m, 0.5)  # 8, 16 or 32 steps, or 256 or 512 in an example
         seed = 5
         args = (grid, np.array([0.5, 0.5]), [1, 3], n_paths, seed)
         ref = run_convergence_study(model, *args)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_CHUNK_SIZE", chunk)
             mp.setattr(integrate, "_BLOCK_STEPS", block)
+            mp.setattr(integrate, "_DRAW_BLOCKS", draw)
             force_workers(mp, workers)
             rep = run_convergence_study(per_state_sigma(model) if per_state else model, *args)
             draws = np.concatenate([b.copy() for b in
@@ -699,27 +706,25 @@ class TestWorkers:
             if w is not None:
                 os.close(w)
 
-    def test_constant_sigma_is_evaluated_once(self, monkeypatch):
-        """A study whose diffusion returns one (d, r) matrix calls it once, in
-        the calling process, before it forks its workers."""
-        parent, base, events = os.getpid(), pendulum_model(), []
-        fork_shares = _workers._fork_shares
+    def test_sigma_and_dh_are_taken_once_per_chunk(self, monkeypatch):
+        """A study whose diffusion returns one (d, r) matrix probes it once per
+        chunk, at the chunk's first state, and takes Dh once per chunk: not
+        per step or per block (3 chunks of 128 steps in 4 blocks here)."""
+        base, calls = pendulum_model(), {"diffusion": 0, "reset_jacobian": 0}
 
-        def diffusion(x):
-            if os.getpid() != parent:
-                raise ValueError("diffusion called in a study worker")
-            events.append("diffusion")
-            return base.diffusion(x)
+        def counted(name):
+            def count(x):
+                calls[name] += 1
+                return getattr(base, name)(x)
+            return count
 
-        def fork(*args):
-            events.append("fork")
-            return fork_shares(*args)
-
-        force_workers(monkeypatch, 2)
-        monkeypatch.setattr(_workers, "_fork_shares", fork)
-        run_convergence_study(dataclasses.replace(base, diffusion=diffusion),
-                              build_grid(2.0, 4, 1.0), np.array([0.5, 0.5]), [1, 2], 4, 0)
-        assert events == ["diffusion", "fork"]
+        monkeypatch.setattr(analysis, "_CHUNK_SIZE", 2)
+        force_workers(monkeypatch, 1)
+        grid = build_grid(2.0, 6, 1.0)
+        assert grid.n_steps == 4 * integrate._BLOCK_STEPS and len(grid.impulse_nodes) == 2
+        run_convergence_study(dataclasses.replace(base, **{k: counted(k) for k in calls}),
+                              grid, np.array([0.5, 0.5]), [1, 2], 6, 0)
+        assert calls == {"diffusion": 3, "reset_jacobian": 3}
 
     def test_worker_exits_when_the_calling_process_dies(self):
         """A worker whose study process is killed exits too, and does not

@@ -9,7 +9,6 @@ from impulsesim import dynamics
 from impulsesim import affine_kick_model, pendulum_model
 from impulsesim.integrate import (
     _BLOCK_STEPS,
-    _prepare_along_path,
     build_grid,
     integrate_coupled,
     sample_brownian,
@@ -242,12 +241,13 @@ class TestBatchedJacobians:
                              ids=JACOBIAN_IDS + ["state_dependent_sigma"])
     @pytest.mark.parametrize("T, m, alpha", [(2.5, 4, 0.5), (0.75, 6, 1.0)],
                              ids=["impulses", "none"])
-    def test_prepare_along_path(self, model, T, m, alpha):
+    def test_coefficients_along_x(self, model, T, m, alpha):
         # the Z pass takes Db, and a sigma that is not constant, on each block
         # [lo, lo + _BLOCK_STEPS) of x's nodes, the last one shorter, with the
         # rows of one whole-path call; Dh is one call on all the left limits,
         # also for a constant Jacobian and for a grid without impulses
-        grid, calls = build_grid(T, m, alpha), {"drift_jacobian": [], "diffusion": []}
+        names = ("drift_jacobian", "diffusion", "reset_jacobian")
+        grid, calls = build_grid(T, m, alpha), {name: [] for name in names}
 
         def recorded(name, f):
             def record(x):
@@ -272,7 +272,7 @@ class TestBatchedJacobians:
             assert [a.tobytes() for a, _ in got] == [b.tobytes() for b in blocks]
             rows = np.concatenate([np.broadcast_to(y, (len(a),) + shape) for a, y in got])
             assert rows.tobytes() == np.broadcast_to(f(x[:n]), (n,) + shape).tobytes()
-        _, _, dh = _prepare_along_path(model, det)
-        assert dh.shape == (len(grid.impulse_nodes), d, d)
-        if grid.impulse_nodes:
-            assert dh.tobytes() == stacked(model.reset_jacobian, det.left).tobytes()
+        [(left, dh)] = calls["reset_jacobian"]
+        assert left.tobytes() == det.left.tobytes()
+        dh = np.broadcast_to(np.asarray(dh, float), (len(grid.impulse_nodes), d, d))
+        assert dh.tobytes() == stacked(model.reset_jacobian, det.left).tobytes()

@@ -22,7 +22,6 @@ import pytest
 from impulsesim.dynamics import pendulum_model
 from impulsesim.integrate import (
     _brownian_blocks,
-    _prepare_along_path,
     _step,
     build_grid,
     integrate_coupled,
@@ -71,7 +70,7 @@ def fluctuation_samples(model, grid, det, seed, n_paths):
 
     _step(model, grid, visit, None, np.zeros((model.d, n_paths)),
           increments=_brownian_blocks(grid, model.r, seed, range(n_paths)),
-          along=_prepare_along_path(model, det))
+          along=det)
     return left, final
 
 
