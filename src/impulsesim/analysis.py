@@ -7,11 +7,11 @@ bounds being verified.  A large enough study steps its paths on the usable
 CPUs (see _workers.run_shares), a path weighing its steps times the noise
 scales.  A share runs in fixed-size chunks, in order; a chunk steps all
 its paths and noise scales component-major and in place, drawing each
-path's increments from its own generator several time blocks at a time,
-forming and stepping their noise a block at a time, and reduces the sups
-as it goes.  No path's bits depend on its share, chunk or block, and
-the reduction runs on the sups of all paths in path-index order, so the
-report is bit-identical for any worker count, chunk size or block size.
+path's increments from its own generator, forming their noise and stepping
+them one time block at a time, and reduces the sups as it goes.  No path's
+bits depend on its share, chunk or block, and the reduction runs on the sups
+of all paths in path-index order, so the report is bit-identical for any
+worker count, chunk size or block size.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .integrate import (
     integrate_deterministic,
 )
 
-# paths per chunk: a chunk holds O(paths x Brownian draw) memory, about 8 KB
-# a path at d = r = 2 and 10 eps, so this bounds the step loop's memory
-# however many paths a study has.
+# paths per chunk: a chunk holds O(paths x Brownian block) memory, about
+# 7.5 KB a path at d = r = 2 and 10 eps, so this bounds the step loop's
+# memory however many paths a study has.
 _CHUNK_SIZE = 250
 
 # path-steps (paths x eps x steps) a study must give each process before it

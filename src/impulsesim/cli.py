@@ -52,7 +52,9 @@ def _parse_out(s: str) -> str:
 def _parse_eps_exps(s: str) -> list[int]:
     lo, dots, hi = s.partition("..")
     try:
-        return list(range(int(lo), int(hi) + 1)) if dots else [int(v) for v in s.split(",")]
+        if dots:  # 1075 exponents from lo hold one that is not positive or underflows
+            return list(range(int(lo), min(int(hi), int(lo) + 1074) + 1))
+        return [int(v) for v in s.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not 'lo..hi' or a comma-separated list of integers: {s!r}")
@@ -255,7 +257,7 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, FloatingPointError, MemoryError, OSError,
             integrate.IntegrationOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error:", str(exc) or type(exc).__name__, file=sys.stderr)  # MemoryError() is empty
         return 1
 
 

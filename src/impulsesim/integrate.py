@@ -5,10 +5,10 @@ other code writes it down.  One batched stepper holds the two recursions, each
 written once: the flow of X, whose lanes at noise scale 0 are the
 deterministic flow x, and the linear step of the fluctuation process Z along
 x.  It runs either, or both in lockstep, over Brownian blocks of _BLOCK_STEPS
-steps, drawn _DRAW_BLOCKS blocks at a time, each turned into its sigma dW once
-and stepped node by node.  A pass makes its own model calls: Dh and a sigma
-probe once, and Z's Db(x), with a sigma(x) that is not constant, on each
-block's nodes of x, so the step buffers hold one block and only the
+steps, each drawn in one generator call per path, turned into its sigma dW
+once and stepped node by node.  A pass makes its own model calls: Dh and a
+sigma probe once, and Z's Db(x), with a sigma(x) that is not constant, on
+each block's nodes of x, so the step buffers hold one block and only the
 trajectories grow with the steps.  integrate_coupled gives one path's triple
 (x, X, Z) in two passes: x and X as two lanes of one flow batch, then Z alone
 along x.  The Monte Carlo study steps x alone, then X at every noise scale and
@@ -33,10 +33,7 @@ import numpy as np
 from .dynamics import Model
 
 
-_BLOCK_STEPS = 32  # Brownian increments per path whose noise is formed and stepped at a time
-# blocks drawn per path in one generator call, 256 steps: the draws of 125
-# paths at m = 12 took 0.21-0.24 s so, and 0.41-0.50 s at one block per call
-_DRAW_BLOCKS = 8
+_BLOCK_STEPS = 64  # Brownian increments per path drawn, formed into sigma dW and stepped at a time
 
 
 class IntegrationOverflowError(RuntimeError):
@@ -139,20 +136,18 @@ def _matvec(a: np.ndarray, v: np.ndarray, out=None, prod=None):
 
 
 def _brownian_blocks(grid: SampleGrid, r: int, seed: int, path_indices):
-    """Brownian increments of one path per index, drawn _DRAW_BLOCKS blocks
-    at a time into one reused (steps, r, n_paths) buffer and yielded as views
-    of _BLOCK_STEPS steps, the last one shorter; path p's draws are bitwise
-    those of sample_brownian(grid, r, seed, path_indices[p])."""
-    rngs = [_rng(seed, j) for j in path_indices]
-    sd = math.sqrt(grid.dt)
-    steps = _DRAW_BLOCKS * _BLOCK_STEPS  # whole blocks, so no block spans two draws
-    buf = np.empty((min(steps, grid.n_steps), r, len(rngs)))
-    for lo in range(0, grid.n_steps, steps):
-        drawn = buf[:min(steps, grid.n_steps - lo)]
-        for p, rng in enumerate(rngs):
-            drawn[:, :, p] = rng.normal(0.0, sd, size=drawn.shape[:2])
-        for b in range(0, len(drawn), _BLOCK_STEPS):
-            yield drawn[b:b + _BLOCK_STEPS]
+    """Brownian increments of one path per index, yielded as one reused
+    (steps, r, n_paths) block of _BLOCK_STEPS steps, the last one shorter;
+    path p's draws are bitwise those of sample_brownian(grid, r, seed,
+    path_indices[p]): normal(0.0, sd)'s 0.0 + sd * z, so -0.0 comes out +0.0."""
+    rngs, sd = [_rng(seed, j) for j in path_indices], math.sqrt(grid.dt)
+    z, buf = np.empty((len(rngs), _BLOCK_STEPS, r)), np.empty((_BLOCK_STEPS, r, len(rngs)))
+    for lo in range(0, grid.n_steps, _BLOCK_STEPS):
+        k = min(_BLOCK_STEPS, grid.n_steps - lo)
+        for rng, out in zip(rngs, z[:, :k]):
+            rng.standard_normal(out=out)
+        block = np.multiply(z[:, :k].transpose(1, 2, 0), sd, out=buf[:k])
+        yield np.add(0.0, block, out=block)
 
 
 def _step(model, grid, visit, X, Z, eps=None, increments=None, along=None):

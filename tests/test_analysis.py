@@ -255,11 +255,11 @@ class TestConvergenceStudy:
                               [1, 2], 2, 0)
 
     def test_memory_budget(self, warm):
-        """A chunk draws 256 steps at a time but forms and steps its noise 32
-        at a time, and takes Db along x a block at a time: 100 paths at dt =
+        """A chunk draws, forms and steps its noise one 64-step block at a
+        time, and takes Db along x a block at a time: 100 paths at dt =
         2^-10, T = 8 and 10 eps, in process, peak below 1.3 MB of traced
-        allocations (1.19 MB measured; 1.46 MB with Db held for the whole
-        path, 2.4 MB with 256-step noise blocks as well)."""
+        allocations (1.02 MB measured; 1.16 MB with 256-step draws, 1.46 MB
+        with Db held for the whole path as well)."""
         peak = self.traced_peak(pendulum_model(), 8.0, range(1, 11), 100)
         assert peak < 1.3e6, f"traced peak {peak / 1e6:.3f} MB"
 
@@ -540,30 +540,29 @@ class TestCoupledMatchesPasses:
 
 
 class TestBatchingInvariance:
-    """Worker count, chunk size, Brownian block length, blocks per draw and a
-    constant sigma returned per state change no bit of the report; the
-    streamed draws are bitwise those of sample_brownian."""
+    """Worker count, chunk size, Brownian block length and a constant sigma
+    returned per state change no bit of the report; the streamed draws are
+    bitwise those of sample_brownian."""
 
     @settings(max_examples=15, deadline=None)
     @given(model=st.sampled_from([pendulum_model(), state_dependent_pendulum()]),
            m=st.integers(2, 4), n_paths=st.integers(2, 9),
            chunk=st.sampled_from([1, 3, 7]), block=st.sampled_from([1, 3, 5, 7]),
-           draw=st.sampled_from([1, 3, 8]), workers=st.sampled_from([1, 2, 3]),
-           per_state=st.booleans())
+           workers=st.sampled_from([1, 2, 3]), per_state=st.booleans())
     # two workers with one chunk each, and three with uneven shares (2, 2, 3)
-    @example(model=pendulum_model(), m=3, n_paths=6, chunk=3, block=5, draw=8, workers=2,
+    @example(model=pendulum_model(), m=3, n_paths=6, chunk=3, block=5, workers=2,
              per_state=True)
-    @example(model=state_dependent_pendulum(), m=4, n_paths=7, chunk=1, block=3, draw=8,
+    @example(model=state_dependent_pendulum(), m=4, n_paths=7, chunk=1, block=3,
              workers=3, per_state=False)
-    # 512 steps, more than one draw: 7-step blocks stay aligned across draws
-    @example(model=pendulum_model(), m=8, n_paths=3, chunk=3, block=7, draw=8, workers=1,
+    # 512 steps in 73 blocks of 7 steps and a last one of 1 step
+    @example(model=pendulum_model(), m=8, n_paths=3, chunk=3, block=7, workers=1,
              per_state=False)
-    # 256 steps in 8 draws of one 32-step block, and in 3 draws of 96, 96 and 64 steps
-    @example(model=state_dependent_pendulum(), m=7, n_paths=3, chunk=2, block=32, draw=1,
+    # 256 steps in 8 blocks of 32, and in 3 blocks of 96, 96 and 64 steps
+    @example(model=state_dependent_pendulum(), m=7, n_paths=3, chunk=2, block=32,
              workers=1, per_state=False)
-    @example(model=pendulum_model(), m=7, n_paths=4, chunk=3, block=32, draw=3, workers=2,
+    @example(model=pendulum_model(), m=7, n_paths=4, chunk=3, block=96, workers=2,
              per_state=True)
-    def test_report_bytes(self, model, m, n_paths, chunk, block, draw, workers, per_state):
+    def test_report_bytes(self, model, m, n_paths, chunk, block, workers, per_state):
         grid = build_grid(2.0, m, 0.5)  # 8, 16 or 32 steps, or 256 or 512 in an example
         seed = 5
         args = (grid, np.array([0.5, 0.5]), [1, 3], n_paths, seed)
@@ -571,7 +570,6 @@ class TestBatchingInvariance:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_CHUNK_SIZE", chunk)
             mp.setattr(integrate, "_BLOCK_STEPS", block)
-            mp.setattr(integrate, "_DRAW_BLOCKS", draw)
             force_workers(mp, workers)
             rep = run_convergence_study(per_state_sigma(model) if per_state else model, *args)
             draws = np.concatenate([b.copy() for b in
@@ -709,7 +707,7 @@ class TestWorkers:
     def test_sigma_and_dh_are_taken_once_per_chunk(self, monkeypatch):
         """A study whose diffusion returns one (d, r) matrix probes it once per
         chunk, at the chunk's first state, and takes Dh once per chunk: not
-        per step or per block (3 chunks of 128 steps in 4 blocks here)."""
+        per step or per block (3 chunks of 256 steps in 4 blocks here)."""
         base, calls = pendulum_model(), {"diffusion": 0, "reset_jacobian": 0}
 
         def counted(name):
@@ -720,7 +718,7 @@ class TestWorkers:
 
         monkeypatch.setattr(analysis, "_CHUNK_SIZE", 2)
         force_workers(monkeypatch, 1)
-        grid = build_grid(2.0, 6, 1.0)
+        grid = build_grid(2.0, 7, 1.0)
         assert grid.n_steps == 4 * integrate._BLOCK_STEPS and len(grid.impulse_nodes) == 2
         run_convergence_study(dataclasses.replace(base, **{k: counted(k) for k in calls}),
                               grid, np.array([0.5, 0.5]), [1, 2], 6, 0)

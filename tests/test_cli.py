@@ -307,16 +307,37 @@ def test_manifest_replays_the_run(argv, tmp_path):
 
 
 def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, capsys):
-    """A run numpy cannot allocate for prints one error line, not a traceback."""
-    message = ("Unable to allocate 4.00 PiB for an array with shape (281474976710656, 2) "
-               "and data type float64")
+    """A run that cannot allocate prints one named error line, not a
+    traceback; a Python list that cannot grow raises a bare MemoryError(),
+    which is named by its type."""
+    numpy_message = ("Unable to allocate 4.00 PiB for an array with shape "
+                     "(281474976710656, 2) and data type float64")
+    for exc, message in ((MemoryError(numpy_message), numpy_message),
+                         (MemoryError(), "MemoryError")):
+        def refuse(*args):
+            raise exc
 
-    def refuse(*args):
-        raise MemoryError(message)
+        monkeypatch.setattr(integrate, "sample_brownian", refuse)
+        assert main(SIMULATE + ["--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
-    monkeypatch.setattr(integrate, "sample_brownian", refuse)
-    assert main(SIMULATE + ["--out", str(tmp_path / "out.csv")]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+
+def test_huge_eps_range_fails_on_its_first_bad_exponent(tmp_path):
+    """A billion-exponent range is refused by its first exponent that
+    underflows, with one error line: under a 1.5 GB address-space limit the
+    parser builds no list that cannot fit."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)\n"
+            "from impulsesim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code, "convergence",
+                           "--eps-exps", "1..1000000000", "--out", "out.csv"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: eps exponent 1075 underflows: 2^-1075 is 0.0 as a float\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -239,7 +239,7 @@ class TestBatchedJacobians:
 
     @pytest.mark.parametrize("model", JACOBIAN_MODELS + [state_dependent_pendulum()],
                              ids=JACOBIAN_IDS + ["state_dependent_sigma"])
-    @pytest.mark.parametrize("T, m, alpha", [(2.5, 4, 0.5), (0.75, 6, 1.0)],
+    @pytest.mark.parametrize("T, m, alpha", [(2.5, 5, 0.5), (0.75, 7, 1.0)],
                              ids=["impulses", "none"])
     def test_coefficients_along_x(self, model, T, m, alpha):
         # the Z pass takes Db, and a sigma that is not constant, on each block

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import math
 import warnings
 
 import numpy as np
@@ -157,6 +158,37 @@ class TestSampleBrownian:
         grid = build_grid(1.0, 2, 1.0)
         with pytest.raises(ValueError, match=r"^path index must be >= 0, got -1$"):
             sample_brownian(grid, 2, 0, -1)
+
+    def test_blocks_are_normals_bits_signed_zeros_included(self, monkeypatch):
+        """A streamed block is normal(0.0, sd)'s 0.0 + sd * z of the same
+        standard normals z, bit for bit: a -0.0, drawn or rounded to, comes
+        out +0.0.  The generators are stubs that cycle through such z."""
+        cycle = np.array([-0.0, 1.5, 0.0, -2.25, -5e-324, 0.5, -1e-300])
+
+        class Stub:
+            def __init__(self, path):
+                self.at = path  # each path starts at its own place in the cycle
+
+            def take(self, shape):
+                n = math.prod(shape)
+                self.at += n
+                return cycle[np.arange(self.at - n, self.at) % len(cycle)].reshape(shape)
+
+            def standard_normal(self, out):
+                out[...] = self.take(out.shape)
+
+            def normal(self, loc, scale, size):
+                return loc + scale * self.take(size)
+
+        monkeypatch.setattr(integrate, "_rng", lambda seed, j: Stub(j))
+        grid = build_grid(2.5, 5, 0.5)  # 80 steps: one full block and a shorter one
+        drawn = np.concatenate([b.copy() for b in
+                                integrate._brownian_blocks(grid, 2, 0, range(3))])
+        assert (drawn == 0).any()
+        for j in range(3):
+            expected = Stub(j).normal(0.0, math.sqrt(grid.dt), (grid.n_steps, 2))
+            assert drawn[:, :, j].tobytes() == expected.tobytes(), j
+        assert not np.signbit(drawn[drawn == 0]).any()
 
 
 class TestDeterministic:
@@ -539,7 +571,7 @@ def test_coupled_model_call_budget(epsilon, diffusion):
         return counting
 
     m = dataclasses.replace(m, **{name: counted(name, getattr(m, name)) for name in names})
-    for dt_exp, n_steps, nodes, blocks in ((4, 32, (16, 32), 1), (6, 128, (64, 128), 4)):
+    for dt_exp, n_steps, nodes, blocks in ((4, 32, (16, 32), 1), (7, 256, (128, 256), 4)):
         calls.update(dict.fromkeys(names, 0))
         grid = build_grid(2.0, dt_exp, 1.0)
         assert (grid.n_steps, grid.impulse_nodes) == (n_steps, nodes)
