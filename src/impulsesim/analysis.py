@@ -8,16 +8,17 @@ CPUs (see _workers.run_shares), a path weighing its steps times the noise
 scales.  A share runs in fixed-size chunks, in order; a chunk steps all
 its paths and noise scales component-major and in place, drawing each
 path's increments from its own generator, forming their noise and stepping
-them one time block at a time, and reduces the sups as it goes.  No path's
-bits depend on its share, chunk or block, and the reduction runs on the sups
-of all paths in path-index order, so the report is bit-identical for any
-worker count, chunk size or block size.
+them one time block at a time, and reduces the sups as it goes.  The
+chunks' sups join in one per-path table in path-index order, (2, n_eps,
+n_paths, d + 1) with the norm last, and the report derives every summary
+from it.  No path's bits depend on its share, chunk or block, so the report
+is bit-identical for any worker count, chunk size or block size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
@@ -51,17 +52,33 @@ STATISTICS = ("lln", "clt")
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-eps mean sup-norm errors and fitted log2-log2 slopes.  Axis 0 of
-    each table is the statistic, in STATISTICS order; the last axis of mean,
-    sem, slope and r2 is the columns e1..ed, norm (the Euclidean norm)."""
+    """Per-path sup-norm errors, and the per-eps means and fitted log2-log2
+    slopes derived from them; a column of zero mean at some eps raises.  Axis
+    0 of each table is the statistic, in STATISTICS order; the last axis is
+    the columns e1..ed, norm (the Euclidean norm)."""
 
     eps_exponents: tuple[int, ...]
-    mean: np.ndarray  # (2, n_eps, d + 1)
-    sem: np.ndarray  # standard errors of the mean (diagnostic extension)
-    slope: np.ndarray  # (2, d + 1)
-    r2: np.ndarray
-    # per-path sups, path axis in path-index order: (2, n_eps, n_paths, d)
-    paths: np.ndarray
+    paths: np.ndarray  # per-path sups in path-index order: (2, n_eps, n_paths, d + 1)
+    mean: np.ndarray = field(init=False)  # (2, n_eps, d + 1)
+    sem: np.ndarray = field(init=False)  # standard errors of the mean (diagnostic extension)
+    slope: np.ndarray = field(init=False)  # (2, d + 1)
+    r2: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        # the norm reduces from its own contiguous array: reduced with the
+        # stacked columns it would sum in another order, changing its last bits
+        coords, norm = self.paths[..., :-1], np.ascontiguousarray(self.paths[..., -1])
+        mean = np.dstack((coords.mean(axis=2), norm.mean(axis=2)))
+        sem = np.dstack((coords.std(axis=2, ddof=1), norm.std(axis=2, ddof=1)))
+        for s, e, j in zip(*np.nonzero(mean <= 0)):
+            col = "norm" if j == coords.shape[-1] else f"e{j + 1}"
+            raise ValueError(f"{STATISTICS[s]} mean error of column {col} is 0 at "
+                             f"eps={2.0**-self.eps_exponents[e]}: no log-log slope can be fitted")
+        xs = -np.array(self.eps_exponents, dtype=float)
+        fits = np.array([[fit_loglog_slope(xs, col) for col in table.T] for table in mean])
+        for name, table in (("mean", mean), ("sem", sem / np.sqrt(self.paths.shape[2])),
+                            ("slope", fits[..., 0]), ("r2", fits[..., 2])):
+            object.__setattr__(self, name, table)
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
@@ -117,12 +134,14 @@ def run_convergence_study(
     if len(eps_exponents) < 2:
         raise ValueError("need at least 2 distinct eps exponents to fit a slope")
     eps = np.array([2.0**-i for i in eps_exponents])
+    # allocated before any pass: a study whose table cannot fit fails here
+    paths = np.empty((2, len(eps), n_paths, model.d + 1))
     det = integrate_deterministic(model, grid, x0)
 
     def run_chunk(idx_range):
-        """Per-coordinate and squared-norm sups of |X - x| (index 0) and
-        |X - x - eps*Z| (index 1), component-major: (2, d, n_eps, n_paths)
-        and (2, n_eps, n_paths)."""
+        """The chunk's per-path table: sups of |X - x| (index 0) and
+        |X - x - eps*Z| (index 1), per coordinate and of the norm,
+        (2, n_eps, n_paths, d + 1); stepped component-major."""
         shape = (model.d, len(eps), len(idx_range))
         eps3 = np.broadcast_to(eps[:, None], shape).copy()  # unit strides multiply faster
         sup, sup_n2 = np.zeros((2,) + shape), np.zeros((2,) + shape[1:])
@@ -141,7 +160,7 @@ def run_convergence_study(
         X[...] = det.values[0][:, None, None]
         blocks = _brownian_blocks(grid, model.r, base_seed, idx_range)
         _step(model, grid, visit, X, np.zeros((model.d, len(idx_range))), eps, blocks, det)
-        return sup, sup_n2
+        return np.concatenate((np.moveaxis(sup, 1, -1), np.sqrt(sup_n2)[..., None]), axis=-1)
 
     def run_share(share):
         return [run_chunk(range(lo, min(lo + _CHUNK_SIZE, share.stop)))
@@ -151,34 +170,14 @@ def run_convergence_study(
         return (f"a study worker process died: the sups of paths {shares[0].start}"
                 f"..{shares[-1].stop - 1} were lost")
 
-    results = _workers.run_shares(run_share, [len(eps) * grid.n_steps] * n_paths,
-                                  _MIN_WORK_PER_WORKER, lost)
-
-    # assemble in path-index order; all downstream reductions see one array,
-    # per-coordinate sups laid out (2, n_eps, n_paths, d)
-    sup, sup_n2 = (np.concatenate(parts, axis=-1) for parts in zip(*results))
-    paths = np.ascontiguousarray(np.moveaxis(sup, 1, -1))
-    bad = ~np.isfinite(sup_n2).all(axis=0)  # NaN survives np.maximum
+    np.concatenate(_workers.run_shares(run_share, [len(eps) * grid.n_steps] * n_paths,
+                                       _MIN_WORK_PER_WORKER, lost), axis=2, out=paths)
+    bad = ~np.isfinite(paths[..., -1]).all(axis=0)  # NaN survives np.maximum and sqrt
     if bad.any():
         raise IntegrationOverflowError("path overflow at " + "; ".join(
             f"eps={eps[e]}, path index {', '.join(map(str, np.flatnonzero(row)))}"
             for e, row in enumerate(bad) if row.any()))
-
-    # means and standard errors over paths, (2, n_eps, d + 1), column d the
-    # norm; the norm reduces on its own: a reduction over the stacked columns
-    # would sum it in another order and change its last bits
-    norm = np.sqrt(sup_n2)
-    mean = np.dstack((paths.mean(axis=2), norm.mean(axis=2)))
-    sem = np.dstack((paths.std(axis=2, ddof=1), norm.std(axis=2, ddof=1)))
-    for s, e, j in zip(*np.nonzero(mean <= 0)):
-        col = "norm" if j == model.d else f"e{j + 1}"
-        raise ValueError(f"{STATISTICS[s]} mean error of column {col} is 0 at "
-                         f"eps={eps[e]}: no log-log slope can be fitted")
-    xs = -np.array(eps_exponents, dtype=float)
-    fits = np.array([[fit_loglog_slope(xs, col) for col in table.T] for table in mean])
-    return ConvergenceReport(eps_exponents=eps_exponents, mean=mean,
-                             sem=sem / np.sqrt(n_paths), slope=fits[..., 0],
-                             r2=fits[..., 2], paths=paths)
+    return ConvergenceReport(eps_exponents=eps_exponents, paths=paths)
 
 
 def write_report_csv(report: ConvergenceReport, out: IO[str]) -> None:

@@ -295,21 +295,23 @@ class TestMultiplicativeNoiseOracle:
     N_PATHS = 200
 
     def exact_sups(self, grid, a, s, kappa, x0, W):
-        """(2, n_eps, d) sups of |X - x| and |X - x - eps Z| over the nodes and
-        left limits, on W (n_steps + 1, d) from W_0 = 0; the differences go
-        through expm1, so no O(eps^2) residual loses its digits."""
+        """(2, n_eps, d + 1) sups of |X - x| and |X - x - eps Z| over the nodes
+        and left limits, per coordinate and of the norm, on W (n_steps + 1, d)
+        from W_0 = 0; the differences go through expm1, so no O(eps^2)
+        residual loses its digits."""
         nodes = np.array(grid.impulse_nodes)
         n_impulses = np.concatenate((np.searchsorted(nodes, np.arange(grid.n_steps + 1),
                                                     side="right"), np.arange(len(nodes))))
         t = np.concatenate((grid.times(), grid.times()[nodes]))[:, None]
         W = np.concatenate((W, W[nodes]))
         x = x0 * kappa ** n_impulses[:, None] * np.exp(a * t)
-        sups = np.empty((2, len(self.EXPS), len(a)))
+        sups = np.empty((2, len(self.EXPS), len(a) + 1))
         for e, i in enumerate(self.EXPS):
             noise = 2.0**-i * s * W  # eps Z / x
             growth = np.expm1(noise - (2.0**-i * s) ** 2 * t / 2)  # (X - x) / x
-            sups[0, e] = np.abs(x * growth).max(axis=0)
-            sups[1, e] = np.abs(x * (growth - noise)).max(axis=0)
+            for k, diff in enumerate((x * growth, x * (growth - noise))):
+                sups[k, e, :-1] = np.abs(diff).max(axis=0)
+                sups[k, e, -1] = np.sqrt((diff**2).sum(axis=1).max())
         return sups
 
     def relative_errors(self, m, a, s, kappa, x0):
@@ -334,7 +336,7 @@ class TestMultiplicativeNoiseOracle:
         rms = {}
         for m in (6, 8):
             rep, rel = self.relative_errors(m, a, s, kappa, x0)
-            rms[m] = np.sqrt(np.mean(rel**2, axis=(1, 2)))  # (2, d): per statistic, coordinate
+            rms[m] = np.sqrt(np.mean(rel**2, axis=(1, 2)))  # (2, d + 1): per statistic, column
             assert np.all((0.85 <= rep.slope[0]) & (rep.slope[0] <= 1.15)), rep.slope
             assert np.all((1.75 <= rep.slope[1]) & (rep.slope[1] <= 2.25)), rep.slope
             assert np.all(rms[m][0] < 0.02), rms[m]  # LLN: 1.2% scalar at m = 6
@@ -439,8 +441,8 @@ def random_models(draw):
 class TestStudyMatchesPerPath:
     """The study's per-path sups equal, bitwise, sup_error over the
     integrate_coupled trajectories fed the same increments (left limits
-    included); so do its norm means and standard errors, from squares summed
-    in component order."""
+    included), and its per-path norms the root of sup_sq_norm, from squares
+    summed in component order; so do its norm means and standard errors."""
 
     @pytest.mark.parametrize("model, alpha", [
         (pendulum_model(), 1.0),
@@ -463,12 +465,12 @@ class TestStudyMatchesPerPath:
             path = sample_brownian(grid, model.r, seed, j)
             for e, eps in enumerate(2.0**-i for i in rep.eps_exponents):
                 det, noisy, fluct = integrate_coupled(model, grid, x0, eps, path)
-                lln = sup_error(noisy, det)
-                clt = sup_error(noisy, det, shift=fluct, shift_scale=eps)
-                assert lln.tobytes() == rep.paths[0, e, j].tobytes(), (e, j)
-                assert clt.tobytes() == rep.paths[1, e, j].tobytes(), (e, j)
                 n2[0, e, j] = sup_sq_norm(noisy, det)
                 n2[1, e, j] = sup_sq_norm(noisy, det, fluct, eps)
+                lln = [*sup_error(noisy, det), np.sqrt(n2[0, e, j])]
+                clt = [*sup_error(noisy, det, shift=fluct, shift_scale=eps), np.sqrt(n2[1, e, j])]
+                assert np.array(lln).tobytes() == rep.paths[0, e, j].tobytes(), (e, j)
+                assert np.array(clt).tobytes() == rep.paths[1, e, j].tobytes(), (e, j)
         for norm, mean, sem in zip(np.sqrt(n2), rep.mean[..., -1], rep.sem[..., -1]):
             assert norm.mean(axis=1).tobytes() == mean.tobytes()
             se = norm.std(axis=1, ddof=1) / np.sqrt(n_paths)
@@ -486,10 +488,11 @@ class TestStudyMatchesPerPath:
             path = sample_brownian(grid, model.r, seed, j)
             for e, eps in enumerate(2.0**-i for i in rep.eps_exponents):
                 det, noisy, fluct = integrate_coupled(model, grid, x0, eps, path)
-                lln = sup_error(noisy, det)
-                clt = sup_error(noisy, det, shift=fluct, shift_scale=eps)
-                assert lln.tobytes() == rep.paths[0, e, j].tobytes(), (e, j)
-                assert clt.tobytes() == rep.paths[1, e, j].tobytes(), (e, j)
+                lln = [*sup_error(noisy, det), np.sqrt(sup_sq_norm(noisy, det))]
+                clt = [*sup_error(noisy, det, shift=fluct, shift_scale=eps),
+                       np.sqrt(sup_sq_norm(noisy, det, fluct, eps))]
+                assert np.array(lln).tobytes() == rep.paths[0, e, j].tobytes(), (e, j)
+                assert np.array(clt).tobytes() == rep.paths[1, e, j].tobytes(), (e, j)
 
 
 class TestCoupledMatchesPasses:
@@ -932,15 +935,22 @@ class TestReportCsv:
         each footer row pads to the same width."""
         monkeypatch.setattr(analysis, "STATISTICS", ("lln", "clt", "third"))
         d, n_eps = 2, 3
-        tables = np.arange(3 * n_eps * (d + 1), dtype=float).reshape(3, n_eps, d + 1)
-        rep = analysis.ConvergenceReport(
-            eps_exponents=(1, 2, 3), mean=tables, sem=tables, slope=tables[:, 0],
-            r2=tables[:, 1], paths=np.zeros((3, n_eps, 1, d)))
+        paths = np.arange(1.0, 1 + 3 * n_eps * 2 * (d + 1)).reshape(3, n_eps, 2, d + 1)
+        rep = analysis.ConvergenceReport(eps_exponents=(1, 2, 3), paths=paths)
         buf = io.StringIO()
         write_report_csv(rep, buf)
         rows = [ln.split(",") for ln in buf.getvalue().splitlines()]
         assert len(rows) == 1 + n_eps + 2 * 3
         assert {len(row) for row in rows} == {2 + 2 * 3 * (d + 1)}
+
+
+def test_report_refuses_a_column_of_zero_mean():
+    """A report built from per-path sups with a column of zeros at one eps
+    names the statistic, the column and the eps, as a study does."""
+    paths = np.ones((2, 3, 4, 3))
+    paths[1, 1, :, 1] = 0.0
+    with pytest.raises(ValueError, match=r"^clt mean error of column e2 is 0 at eps=0\.25: "):
+        analysis.ConvergenceReport(eps_exponents=(1, 2, 3), paths=paths)
 
 
 class TestReportBytes:

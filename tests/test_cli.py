@@ -97,9 +97,10 @@ class TestSimulate:
 @pytest.mark.parametrize("seed", [0, 5])
 def test_simulate_replays_study_path_0(seed, tmp_path, monkeypatch):
     """simulate --seed s --path-index j draws path j of a study at seed s: the
-    sups of its CSV columns, over every row (left limits included), equal the
-    study's per-path sups of path j bit for bit at every eps.  Path 0 is the
-    default; path 3 is stepped in the study's forked worker."""
+    sups of its CSV columns and of their norm, over every row (left limits
+    included), equal the study's per-path sups of path j bit for bit at every
+    eps.  Path 0 is the default; path 3 is stepped in the study's forked
+    worker."""
     exps = [2, 4]
     common = ["--T", "4", "--dt-exp", "6", "--x0", "0.5,0.5", "--seed", str(seed)]
     force_workers(monkeypatch, 2)  # the calling process steps paths 0-1, a worker 2-3
@@ -112,10 +113,11 @@ def test_simulate_replays_study_path_0(seed, tmp_path, monkeypatch):
                         + common + index) == 0
             table = np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(1, 7))
             x, X, Z = table[:, 0:2], table[:, 2:4], table[:, 4:6]
-            lln = np.abs(X - x).max(axis=0)
-            clt = np.abs((X - x) - eps * Z).max(axis=0)
-            assert lln.tobytes() == rep.paths[0, e, j].tobytes(), (j, eps)
-            assert clt.tobytes() == rep.paths[1, e, j].tobytes(), (j, eps)
+            for s, diff in enumerate((X - x, (X - x) - eps * Z)):
+                # the norm from squares summed in component order
+                norm = np.sqrt((diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]).max())
+                sups = np.append(np.abs(diff).max(axis=0), norm)
+                assert sups.tobytes() == rep.paths[s, e, j].tobytes(), (s, j, eps)
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -326,19 +328,27 @@ def test_memory_error_exits_1_without_output_or_manifest(monkeypatch, tmp_path, 
 def test_huge_eps_range_fails_on_its_first_bad_exponent(tmp_path):
     """A billion-exponent range is refused by its first exponent that
     underflows, with one error line: under a 1.5 GB address-space limit the
-    parser builds no list that cannot fit."""
+    parser builds no list that cannot fit.  A billion-path study is refused
+    when it allocates its per-path table, before any pass or per-path list,
+    by numpy's error naming the table's shape."""
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)\n"
             "from impulsesim.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", code, "convergence",
-                           "--eps-exps", "1..1000000000", "--out", "out.csv"],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "error: eps exponent 1075 underflows: 2^-1075 is 0.0 as a float\n"
-    assert list(tmp_path.iterdir()) == []
+    for argv, stderr in (
+        (["--eps-exps", "1..1000000000"],
+         re.escape("error: eps exponent 1075 underflows: 2^-1075 is 0.0 as a float\n")),
+        (["--paths", "1000000000", "--dt-exp", "2", "--T", "1"],
+         r"error: Unable to allocate .* with shape \(2, 10, 1000000000, 3\) .*\n"),
+    ):
+        proc = subprocess.run([sys.executable, "-c", code, "convergence", *argv,
+                               "--out", "out.csv"],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout) == (1, ""), argv
+        assert re.fullmatch(stderr, proc.stderr), proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -38,6 +38,12 @@ def test_model_fields():
                      "reset_jacobian"]
 
 
+def test_convergence_report_is_built_from_its_per_path_table():
+    # mean, sem, slope and r2 are derived from paths, never passed in
+    names = tuple(f.name for f in dataclasses.fields(impulsesim.ConvergenceReport) if f.init)
+    assert names == ("eps_exponents", "paths")
+
+
 def test_affine_kick_model_lives_beside_its_kick_map():
     # dynamics imports nothing from the package, so it holds no kick model
     assert impulsesim.affine_kick_model is impulsesim.kickmap.affine_kick_model
