@@ -50,12 +50,14 @@ _MIN_WORK_PER_WORKER = 2**22
 STATISTICS = ("lln", "clt")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
     """Per-path sup-norm errors, and the per-eps means and fitted log2-log2
-    slopes derived from them; a column of zero mean at some eps raises.  Axis
-    0 of each table is the statistic, in STATISTICS order; the last axis is
-    the columns e1..ed, norm (the Euclidean norm)."""
+    slopes derived from them.  Axis 0 of each table is the statistic, in
+    STATISTICS order; the last axis is the columns e1..ed, norm (the Euclidean
+    norm).  Fewer than 2 paths, a sup that is not finite, or a column of
+    zero mean at some eps raises.  The tables are read-only, paths a view of
+    the given array, and a report compares and hashes by identity."""
 
     eps_exponents: tuple[int, ...]
     paths: np.ndarray  # per-path sups in path-index order: (2, n_eps, n_paths, d + 1)
@@ -65,6 +67,13 @@ class ConvergenceReport:
     r2: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.paths.shape[2] < 2:
+            raise ValueError(f"a report needs at least 2 paths, got {self.paths.shape[2]}")
+        bad = ~np.isfinite(self.paths).all(axis=(0, 3))  # (n_eps, n_paths)
+        if bad.any():
+            raise IntegrationOverflowError("path overflow at " + "; ".join(
+                f"eps={2.0**-i}, path index {', '.join(map(str, np.flatnonzero(row)))}"
+                for i, row in zip(self.eps_exponents, bad) if row.any()))
         # the norm reduces from its own contiguous array: reduced with the
         # stacked columns it would sum in another order, changing its last bits
         coords, norm = self.paths[..., :-1], np.ascontiguousarray(self.paths[..., -1])
@@ -76,8 +85,10 @@ class ConvergenceReport:
                              f"eps={2.0**-self.eps_exponents[e]}: no log-log slope can be fitted")
         xs = -np.array(self.eps_exponents, dtype=float)
         fits = np.array([[fit_loglog_slope(xs, col) for col in table.T] for table in mean])
-        for name, table in (("mean", mean), ("sem", sem / np.sqrt(self.paths.shape[2])),
+        for name, table in (("paths", self.paths.view()), ("mean", mean),
+                            ("sem", sem / np.sqrt(self.paths.shape[2])),
                             ("slope", fits[..., 0]), ("r2", fits[..., 2])):
+            table.flags.writeable = False
             object.__setattr__(self, name, table)
 
 
@@ -119,7 +130,8 @@ def run_convergence_study(
     Path j draws the increments of sample_brownian(grid, model.r, base_seed,
     j), so integrate_coupled replays it.  The deterministic trajectory is
     shared across all paths and noise scales.  A path whose sup is not
-    finite raises, naming every such (eps, path index).
+    finite (NaN survives np.maximum and sqrt) makes the report raise,
+    naming every such (eps, path index).
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
@@ -172,11 +184,6 @@ def run_convergence_study(
 
     np.concatenate(_workers.run_shares(run_share, [len(eps) * grid.n_steps] * n_paths,
                                        _MIN_WORK_PER_WORKER, lost), axis=2, out=paths)
-    bad = ~np.isfinite(paths[..., -1]).all(axis=0)  # NaN survives np.maximum and sqrt
-    if bad.any():
-        raise IntegrationOverflowError("path overflow at " + "; ".join(
-            f"eps={eps[e]}, path index {', '.join(map(str, np.flatnonzero(row)))}"
-            for e, row in enumerate(bad) if row.any()))
     return ConvergenceReport(eps_exponents=eps_exponents, paths=paths)
 
 

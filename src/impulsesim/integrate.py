@@ -99,10 +99,15 @@ def _rng(seed: int, path_index: int) -> np.random.Generator:
 
 def sample_brownian(grid: SampleGrid, r: int, seed: int, path_index: int = 0) -> BrownianPath:
     """Draw the Brownian increments of path path_index at seed on the grid;
-    path j of a study at base_seed s is sample_brownian(grid, r, s, j)."""
+    path j of a study at base_seed s is sample_brownian(grid, r, s, j), drawn
+    by the study's own _brownian_blocks."""
     if r < 1:
         raise ValueError("noise dimension r must be >= 1")
-    increments = _rng(seed, path_index).normal(0.0, math.sqrt(grid.dt), (grid.n_steps, r))
+    increments = np.empty((grid.n_steps, r))
+    # blocks first: they check seed and path index even on an empty grid
+    for block, lo in zip(_brownian_blocks(grid, r, seed, [path_index]),
+                         range(0, grid.n_steps, _BLOCK_STEPS)):
+        increments[lo:lo + len(block)] = block[..., 0]
     return BrownianPath(increments=increments, dt=grid.dt)
 
 
@@ -138,8 +143,8 @@ def _matvec(a: np.ndarray, v: np.ndarray, out=None, prod=None):
 def _brownian_blocks(grid: SampleGrid, r: int, seed: int, path_indices):
     """Brownian increments of one path per index, yielded as one reused
     (steps, r, n_paths) block of _BLOCK_STEPS steps, the last one shorter;
-    path p's draws are bitwise those of sample_brownian(grid, r, seed,
-    path_indices[p]): normal(0.0, sd)'s 0.0 + sd * z, so -0.0 comes out +0.0."""
+    path p's draws are its generator's normal(0.0, sd, (n_steps, r)) bit for
+    bit: 0.0 + sd * z, so -0.0 comes out +0.0.  The package's one drawer."""
     rngs, sd = [_rng(seed, j) for j in path_indices], math.sqrt(grid.dt)
     z, buf = np.empty((len(rngs), _BLOCK_STEPS, r)), np.empty((_BLOCK_STEPS, r, len(rngs)))
     for lo in range(0, grid.n_steps, _BLOCK_STEPS):
@@ -318,7 +323,7 @@ def integrate_fluctuation(model, grid, det, path):
     return integrate_coupled(model, grid, det.values[0], 0.0, path)[2]
 
 
-_WRITE_ROWS = 4096  # rows turned into Python floats at once; bounds the writer's memory
+_WRITE_ROWS = 4096  # rows turned into Python floats at once; the array table is whole
 
 
 def write_trajectory_csv(

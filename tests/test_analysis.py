@@ -953,6 +953,53 @@ def test_report_refuses_a_column_of_zero_mean():
         analysis.ConvergenceReport(eps_exponents=(1, 2, 3), paths=paths)
 
 
+class TestReportRefuses:
+    """The report is the one check of which per-path tables can be summarized:
+    a hand-built table is refused as a study's is, before any reduction."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("col", [0, 2], ids=["coordinate", "norm"])
+    def test_a_non_finite_sup_names_every_eps_and_path(self, bad, col):
+        paths = np.ones((2, 3, 5, 3))
+        paths[0, 0, 4, col] = bad
+        paths[1, 2, (1, 3), col] = bad  # two paths at one eps, in the clt table
+        paths[:, 2, 3, col] = bad  # both statistics of one path name it once
+        with pytest.raises(IntegrationOverflowError, match=(
+                r"^path overflow at eps=0\.5, path index 4; "
+                r"eps=0\.125, path index 1, 3$")):
+            analysis.ConvergenceReport(eps_exponents=(1, 2, 3), paths=paths)
+
+    def test_one_path(self):
+        with pytest.raises(ValueError, match=r"^a report needs at least 2 paths, got 1$"):
+            analysis.ConvergenceReport(eps_exponents=(1, 2), paths=np.ones((2, 2, 1, 2)))
+
+
+class TestReportIsAValue:
+    def report(self):
+        paths = np.arange(1.0, 1 + 2 * 3 * 4 * 3).reshape(2, 3, 4, 3)
+        return analysis.ConvergenceReport(eps_exponents=(1, 2, 3), paths=paths)
+
+    @pytest.mark.parametrize("name", ["paths", "mean", "sem", "slope", "r2"])
+    def test_tables_are_read_only(self, name):
+        rep = self.report()
+        table = getattr(rep, name)
+        before = table.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0.0
+        assert getattr(rep, name).tobytes() == before
+
+    def test_fields_cannot_be_rebound(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.report().mean = np.zeros((2, 3, 3))
+
+    def test_compares_and_hashes_by_identity(self):
+        a, b = self.report(), self.report()
+        assert np.array_equal(a.paths, b.paths)
+        assert (a == b) is False and a != b
+        assert (a == a) is True
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 class TestReportBytes:
     """sha256 of the report CSV of two small seeded studies, d = 2 and d = 1:
     a change to any byte of a report fails here.  No byte goes through BLAS,

@@ -155,14 +155,16 @@ class TestSampleBrownian:
             sample_brownian(grid, 0, 1)
 
     def test_negative_path_index_named(self):
-        grid = build_grid(1.0, 2, 1.0)
-        with pytest.raises(ValueError, match=r"^path index must be >= 0, got -1$"):
-            sample_brownian(grid, 2, 0, -1)
+        for grid in (build_grid(1.0, 2, 1.0), SampleGrid(dt=1.0, n_steps=0, impulse_nodes=())):
+            with pytest.raises(ValueError, match=r"^path index must be >= 0, got -1$"):
+                sample_brownian(grid, 2, 0, -1)
 
     def test_blocks_are_normals_bits_signed_zeros_included(self, monkeypatch):
-        """A streamed block is normal(0.0, sd)'s 0.0 + sd * z of the same
-        standard normals z, bit for bit: a -0.0, drawn or rounded to, comes
-        out +0.0.  The generators are stubs that cycle through such z."""
+        """A streamed block, and so a sampled path, is normal(0.0, sd)'s
+        0.0 + sd * z of the same standard normals z, bit for bit: a -0.0,
+        drawn or rounded to, comes out +0.0.  The generators are stubs that
+        cycle through such z and have no normal method: the package draws
+        through standard_normal alone."""
         cycle = np.array([-0.0, 1.5, 0.0, -2.25, -5e-324, 0.5, -1e-300])
 
         class Stub:
@@ -177,18 +179,28 @@ class TestSampleBrownian:
             def standard_normal(self, out):
                 out[...] = self.take(out.shape)
 
-            def normal(self, loc, scale, size):
-                return loc + scale * self.take(size)
-
         monkeypatch.setattr(integrate, "_rng", lambda seed, j: Stub(j))
         grid = build_grid(2.5, 5, 0.5)  # 80 steps: one full block and a shorter one
         drawn = np.concatenate([b.copy() for b in
                                 integrate._brownian_blocks(grid, 2, 0, range(3))])
         assert (drawn == 0).any()
         for j in range(3):
-            expected = Stub(j).normal(0.0, math.sqrt(grid.dt), (grid.n_steps, 2))
+            # numpy's normal(loc, scale) is loc + scale * z
+            expected = 0.0 + math.sqrt(grid.dt) * Stub(j).take((grid.n_steps, 2))
             assert drawn[:, :, j].tobytes() == expected.tobytes(), j
+            assert sample_brownian(grid, 2, 0, j).increments.tobytes() == expected.tobytes(), j
         assert not np.signbit(drawn[drawn == 0]).any()
+
+    @pytest.mark.parametrize("steps", [0, 1, 64, 200])
+    def test_path_is_its_generators_normal(self, steps):
+        """sample_brownian keeps the bits of one normal(0.0, sd) draw of the
+        whole path from its (seed, path index) generator, over any number of
+        blocks."""
+        grid = SampleGrid(dt=2.0**-6, n_steps=steps, impulse_nodes=())
+        for seed, j in ((0, 0), (3, 7)):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
+            expected = rng.normal(0.0, math.sqrt(grid.dt), (steps, 2))
+            assert sample_brownian(grid, 2, seed, j).increments.tobytes() == expected.tobytes()
 
 
 class TestDeterministic:
