@@ -14,7 +14,6 @@ from .dynamics import (
 from .integrate import (
     BrownianPath,
     CadlagTrajectory,
-    IntegrationOverflowError,
     SampleGrid,
     build_grid,
     integrate_coupled,
@@ -32,7 +31,6 @@ __all__ = [
     "BrownianPath",
     "CadlagTrajectory",
     "ConvergenceReport",
-    "IntegrationOverflowError",
     "Model",
     "SampleGrid",
     "affine_kick_map",

@@ -26,7 +26,6 @@ import numpy as np
 from . import _workers
 from .dynamics import Model
 from .integrate import (
-    IntegrationOverflowError,
     SampleGrid,
     _brownian_blocks,
     _matvec,
@@ -55,9 +54,10 @@ class ConvergenceReport:
     """Per-path sup-norm errors, and the per-eps means and fitted log2-log2
     slopes derived from them.  Axis 0 of each table is the statistic, in
     STATISTICS order; the last axis is the columns e1..ed, norm (the Euclidean
-    norm).  Fewer than 2 paths, a sup that is not finite, or a column of
-    zero mean at some eps raises.  The tables are read-only, paths a view of
-    the given array, and a report compares and hashes by identity."""
+    norm).  A table of another shape, fewer than 2 paths, a sup that is not
+    finite, or a column of zero mean at some eps raises.  The tables are
+    read-only, paths a copy of the given table, and a report compares and
+    hashes by identity."""
 
     eps_exponents: tuple[int, ...]
     paths: np.ndarray  # per-path sups in path-index order: (2, n_eps, n_paths, d + 1)
@@ -67,16 +67,21 @@ class ConvergenceReport:
     r2: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.paths.shape[2] < 2:
-            raise ValueError(f"a report needs at least 2 paths, got {self.paths.shape[2]}")
-        bad = ~np.isfinite(self.paths).all(axis=(0, 3))  # (n_eps, n_paths)
+        paths = np.array(self.paths, dtype=float)  # the report's own table
+        lead = (len(STATISTICS), len(self.eps_exponents))
+        if paths.ndim != 4 or paths.shape[:2] != lead or paths.shape[3] < 2:
+            raise ValueError(f"paths must have shape ({lead[0]}, {lead[1]}, n_paths, d + 1) with "
+                             f"d >= 1 for {lead[1]} eps exponents, got {paths.shape}")
+        if paths.shape[2] < 2:
+            raise ValueError(f"a report needs at least 2 paths, got {paths.shape[2]}")
+        bad = ~np.isfinite(paths).all(axis=(0, 3))  # (n_eps, n_paths)
         if bad.any():
-            raise IntegrationOverflowError("path overflow at " + "; ".join(
+            raise FloatingPointError("path overflow at " + "; ".join(
                 f"eps={2.0**-i}, path index {', '.join(map(str, np.flatnonzero(row)))}"
                 for i, row in zip(self.eps_exponents, bad) if row.any()))
         # the norm reduces from its own contiguous array: reduced with the
         # stacked columns it would sum in another order, changing its last bits
-        coords, norm = self.paths[..., :-1], np.ascontiguousarray(self.paths[..., -1])
+        coords, norm = paths[..., :-1], np.ascontiguousarray(paths[..., -1])
         mean = np.dstack((coords.mean(axis=2), norm.mean(axis=2)))
         sem = np.dstack((coords.std(axis=2, ddof=1), norm.std(axis=2, ddof=1)))
         for s, e, j in zip(*np.nonzero(mean <= 0)):
@@ -85,8 +90,8 @@ class ConvergenceReport:
                              f"eps={2.0**-self.eps_exponents[e]}: no log-log slope can be fitted")
         xs = -np.array(self.eps_exponents, dtype=float)
         fits = np.array([[fit_loglog_slope(xs, col) for col in table.T] for table in mean])
-        for name, table in (("paths", self.paths.view()), ("mean", mean),
-                            ("sem", sem / np.sqrt(self.paths.shape[2])),
+        for name, table in (("paths", paths), ("mean", mean),
+                            ("sem", sem / np.sqrt(paths.shape[2])),
                             ("slope", fits[..., 0]), ("r2", fits[..., 2])):
             table.flags.writeable = False
             object.__setattr__(self, name, table)

@@ -255,8 +255,7 @@ def main(argv=None) -> int:
         # stdout's reader left: send the rest to devnull (Python docs, "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, FloatingPointError, MemoryError, OSError,
-            integrate.IntegrationOverflowError) as exc:
+    except (ValueError, FloatingPointError, MemoryError, OSError) as exc:
         print("error:", str(exc) or type(exc).__name__, file=sys.stderr)  # MemoryError() is empty
         return 1
 

@@ -36,10 +36,6 @@ from .dynamics import Model
 _BLOCK_STEPS = 64  # Brownian increments per path drawn, formed into sigma dW and stepped at a time
 
 
-class IntegrationOverflowError(RuntimeError):
-    """Raised when a trajectory leaves the finite floats; never silently clamped."""
-
-
 @dataclass(frozen=True)
 class SampleGrid:
     """Uniform dyadic grid on [0, T] with dt = 2^-m, impulse-aligned."""
@@ -56,7 +52,8 @@ class SampleGrid:
 def build_grid(T: float, m: int, alpha: float) -> SampleGrid:
     """Grid on [0, T], dt = 2^-m, with impulse nodes at t_k = k - 1 + alpha <= T
     for k >= 1 and alpha in (0, 1]; rejects a misaligned alpha or T, a
-    non-finite T, and an m at which alpha*2^m or T*2^m is not a finite float."""
+    non-finite T, an m at which alpha*2^m or T*2^m is not a finite float, and
+    a T*2^m beyond the largest index."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not (math.isfinite(T) and T > 0):
@@ -76,6 +73,9 @@ def build_grid(T: float, m: int, alpha: float) -> SampleGrid:
         )
     if t_scaled != round(t_scaled):
         raise ValueError(f"T={T} is not a multiple of dt=2^-{m}")
+    if t_scaled > np.iinfo(np.intp).max:
+        raise ValueError(f"T={T} and m={m} give T*2^m = {t_scaled:g} steps, "
+                         f"more than the largest index {np.iinfo(np.intp).max}")
     n_steps = int(round(t_scaled))
     nodes = tuple(range(int(round(a_scaled)), n_steps + 1, scale))
     return SampleGrid(dt=1.0 / scale, n_steps=n_steps, impulse_nodes=nodes)
@@ -254,7 +254,7 @@ def _record(model, grid, X, Z, **pass_args) -> list[CadlagTrajectory]:
     finite = np.isfinite(values).all(axis=(0, 2))  # per node; a left limit counts at its node
     finite[list(grid.impulse_nodes)] &= np.isfinite(left).all(axis=(0, 2))
     if not finite.all():
-        raise IntegrationOverflowError(f"trajectory became non-finite at step {finite.argmin()}")
+        raise FloatingPointError(f"trajectory became non-finite at step {finite.argmin()}")
     return [CadlagTrajectory(grid=grid, values=v, left=lv) for v, lv in zip(values, left)]
 
 

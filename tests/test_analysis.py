@@ -27,7 +27,6 @@ from impulsesim.analysis import (
 from impulsesim import Model, affine_kick_model, pendulum_model
 from impulsesim.integrate import (
     CadlagTrajectory,
-    IntegrationOverflowError,
     build_grid,
     integrate_coupled,
     integrate_deterministic,
@@ -866,7 +865,7 @@ class TestStudyOverflow:
                 for i in exps:
                     try:
                         integrate_coupled(m, grid, x0, 2.0**-i, path)
-                    except IntegrationOverflowError:
+                    except FloatingPointError:
                         expected.add((2.0**-i, j))
             # more than one eps and more than one path blow up, not all of them;
             # one lies in a forked worker's share (from path 5 with two
@@ -877,7 +876,7 @@ class TestStudyOverflow:
             for workers in (1, 2, 3):
                 with pytest.MonkeyPatch.context() as mp:
                     force_workers(mp, workers)
-                    with pytest.raises(IntegrationOverflowError,
+                    with pytest.raises(FloatingPointError,
                                        match="path overflow at eps") as info:
                         run_convergence_study(m, grid, x0, exps, n_paths, seed)
                 named = {
@@ -964,7 +963,7 @@ class TestReportRefuses:
         paths[0, 0, 4, col] = bad
         paths[1, 2, (1, 3), col] = bad  # two paths at one eps, in the clt table
         paths[:, 2, 3, col] = bad  # both statistics of one path name it once
-        with pytest.raises(IntegrationOverflowError, match=(
+        with pytest.raises(FloatingPointError, match=(
                 r"^path overflow at eps=0\.5, path index 4; "
                 r"eps=0\.125, path index 1, 3$")):
             analysis.ConvergenceReport(eps_exponents=(1, 2, 3), paths=paths)
@@ -972,6 +971,24 @@ class TestReportRefuses:
     def test_one_path(self):
         with pytest.raises(ValueError, match=r"^a report needs at least 2 paths, got 1$"):
             analysis.ConvergenceReport(eps_exponents=(1, 2), paths=np.ones((2, 2, 1, 2)))
+
+    @pytest.mark.parametrize("exps, shape", [
+        ((1, 2), (2, 3, 4, 3)),
+        ((1, 2, 3, 4), (2, 3, 4, 3)),
+        ((1, 2, 3), (2, 3, 4)),
+        ((1, 2, 3), (2, 3, 4, 1)),
+        ((1, 2, 3), (1, 3, 4, 3)),
+    ], ids=["more-eps-rows-than-exponents", "fewer-eps-rows-than-exponents", "3-d",
+            "no-coordinate-column", "one-statistic"])
+    def test_a_table_of_the_wrong_shape(self, exps, shape):
+        # a NaN in the last entry: the shape is refused before any other check,
+        # so a NaN in an eps row with no exponent is not dropped unnamed
+        paths = np.ones(shape)
+        paths[(-1,) * len(shape)] = np.nan
+        with pytest.raises(ValueError, match=(
+                rf"^paths must have shape \(2, {len(exps)}, n_paths, d \+ 1\) with d >= 1 "
+                rf"for {len(exps)} eps exponents, got {re.escape(str(shape))}$")):
+            analysis.ConvergenceReport(eps_exponents=exps, paths=paths)
 
 
 class TestReportIsAValue:
@@ -987,6 +1004,16 @@ class TestReportIsAValue:
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 0.0
         assert getattr(rep, name).tobytes() == before
+
+    def test_owns_a_copy_of_the_given_table(self):
+        """Writing into the caller's array after construction leaves the
+        report's table, and the tables derived from it, as they were."""
+        p = np.arange(1.0, 73).reshape(2, 3, 4, 3)
+        r = analysis.ConvergenceReport((1, 2, 3), p)
+        p[...] = 0.0
+        assert r.paths[0, 0, 0].tolist() == [1.0, 2.0, 3.0]
+        assert r.mean[0, 0].tolist() == [5.5, 6.5, 7.5]
+        assert np.array_equal(r.paths, np.arange(1.0, 73).reshape(2, 3, 4, 3))
 
     def test_fields_cannot_be_rebound(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -7,7 +7,6 @@ import os
 import platform
 import re
 import runpy
-import shlex
 import subprocess
 import sys
 import threading
@@ -20,6 +19,7 @@ from impulsesim import (build_grid, dynamics, integrate, kickmap, pendulum_model
                         run_convergence_study)
 from impulsesim.cli import build_parser, main
 
+from readme_commands import readme_commands
 from test_analysis import force_workers
 from test_kickmap import reference_kick
 
@@ -437,6 +437,9 @@ def test_huge_eps_range_fails_on_its_first_bad_exponent(tmp_path):
      "error: x0 has shape (3,), expected (2,)"),
     (["kickmap", "--A", "1", "--c", "1", "--r", "1", "--deltas", "0"],
      "error: deltas must be positive"),
+    # T*2^m is a finite float but no index: refused before any array is built
+    (["simulate", "--eps", "0.1", "--T", "1e300", "--dt-exp", "2"],
+     "error: T=1e+300 and m=2 give T*2^m = 4e+300 steps, more than the largest index"),
 ], ids=["simulate", "convergence", "kickmap", "simulate-alpha-0", "convergence-alpha-1.5",
         "convergence-zero-mean-error", "simulate-T-inf", "simulate-T-nan",
         "simulate-dt-exp-2000", "kickmap-delta-1e-320", "kickmap-delta-nan",
@@ -448,7 +451,7 @@ def test_huge_eps_range_fails_on_its_first_bad_exponent(tmp_path):
         "kickmap-fsum-overflow", "kickmap-field-raises-at-inf", "kickmap-expA-overflow",
         "simulate-affine-expA-overflow", "kickmap-expA-overflow-before-substeps",
         "kickmap-Kc-overflow", "kickmap-closed-form-overflow", "convergence-x0-dimension",
-        "kickmap-delta-0"])
+        "kickmap-delta-0", "simulate-T-too-many-steps"])
 def test_failure_exits_1_without_output_or_manifest(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
@@ -707,12 +710,9 @@ def test_failed_manifest_rename(existed, monkeypatch, tmp_path, capsys):
 
 def test_readme_commands_parse():
     """Every `impulsesim ...` command in README.md's code blocks parses, so a
-    renamed or removed option fails here and not in a reader's shell."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
-    commands = [shlex.split(line, comments=True)
-                for block in blocks for line in block.replace("\\\n", " ").splitlines()
-                if line.startswith("impulsesim ")]
+    renamed or removed option fails here and not in a reader's shell.  CI
+    also runs them (python tests/readme_commands.py)."""
+    commands = readme_commands()
     assert len(commands) >= 3
     for argv in commands:
         try:

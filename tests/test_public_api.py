@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import pkgutil
 
 import impulsesim
 
@@ -7,7 +9,6 @@ PUBLIC = [
     "BrownianPath",
     "CadlagTrajectory",
     "ConvergenceReport",
-    "IntegrationOverflowError",
     "Model",
     "SampleGrid",
     "affine_kick_map",
@@ -29,6 +30,18 @@ def test_all_is_the_pinned_sorted_list_and_resolves():
     assert impulsesim.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(impulsesim, name, None) is not None, name
+
+
+def test_the_package_defines_no_exception_class():
+    """Errors are built-in types: ValueError is bad input, FloatingPointError
+    an overflow (a trajectory, a study table or a kick substep), and
+    ChildProcessError a lost worker."""
+    modules = [impulsesim] + [importlib.import_module(f"impulsesim.{info.name}")
+                              for info in pkgutil.iter_modules(impulsesim.__path__)]
+    for module in modules:  # the package's namespace holds every public name
+        for name, value in vars(module).items():
+            assert not (isinstance(value, type) and issubclass(value, BaseException)
+                        and value.__module__.startswith("impulsesim")), f"{module.__name__}.{name}"
 
 
 def test_model_fields():
