@@ -101,7 +101,8 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
     """Ordinary least squares of log2(ys) against xs.
 
     Returns (slope, intercept, r_squared) from exactly rounded sums of the
-    centred data, whose bits depend neither on the CPU nor on the pairs' order.
+    centred data, whose bits depend neither on the CPU nor on the pairs' order;
+    r_squared, which rounds above 1 on some exact fits, is clamped to 1.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -119,7 +120,7 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
     sxx, sxy, syy = (math.fsum(u * v for u, v in zip(a, b))
                      for a, b in ((dx, dx), (dx, dy), (dy, dy)))
     slope = sxy / sxx
-    return slope, y_mean - slope * x_mean, 1.0 if syy == 0.0 else slope * sxy / syy
+    return slope, y_mean - slope * x_mean, 1.0 if syy == 0.0 else min(1.0, slope * sxy / syy)
 
 
 def run_convergence_study(

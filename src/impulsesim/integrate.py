@@ -12,7 +12,7 @@ each block's nodes of x, so the step buffers hold one block and only the
 trajectories grow with the steps.  integrate_coupled gives one path's triple
 (x, X, Z) in two passes: x and X as two lanes of one flow batch, then Z alone
 along x.  The Monte Carlo study steps x alone, then X at every noise scale and
-path in lockstep with Z.  write_trajectory_csv writes the triple as one table.
+path in lockstep with Z.  write_trajectory_csv writes the triple block by block.
 
 At an impulse node the Euler step into the node produces the left
 limit, the reset applies instantaneously, and the step out of the node
@@ -323,9 +323,6 @@ def integrate_fluctuation(model, grid, det, path):
     return integrate_coupled(model, grid, det.values[0], 0.0, path)[2]
 
 
-_WRITE_ROWS = 4096  # rows turned into Python floats at once; the array table is whole
-
-
 def write_trajectory_csv(
     out: IO[str],
     det: CadlagTrajectory,
@@ -343,27 +340,21 @@ def write_trajectory_csv(
     d = det.values.shape[1]
     names = ["t"] + [f"{c}{j}" for c in "xXZAY" for j in range(1, d + 1)] + ["event"]
     out.write(",".join(names) + "\n")
-
-    # np.insert puts the pre row of each impulse node just above its post row
     nodes = np.array(grid.impulse_nodes, dtype=np.intp)
-    n_rows = grid.n_steps + 1 + len(nodes)
-    table = np.empty((n_rows, 1 + 5 * d))
-    times = grid.times()
-    table[:, 0] = np.insert(times, nodes, times[nodes])
-    x, X, Z, A, Y = (table[:, 1 + k * d:1 + (k + 1) * d] for k in range(5))
-    for col, traj in ((x, det), (X, noisy), (Z, fluct)):
-        col[...] = np.insert(traj.values, nodes, traj.left, axis=0)
-    np.add(x, epsilon * Z, out=A)
-    if epsilon != 0.0:
-        np.divide(X - x, epsilon, out=Y)
-    else:
-        Y[...] = 0.0
-
-    events = np.array(["flow"] * (grid.n_steps + 1), dtype=object)  # one str shared by every row
-    events[nodes] = "post"
-    events = np.insert(events, nodes, "pre").tolist()
     fmt = "%.17g," * (1 + 5 * d) + "%s\n"
-    for lo in range(0, n_rows, _WRITE_ROWS):
-        out.writelines(fmt % (*row, event) for row, event in
-                       zip(table[lo:lo + _WRITE_ROWS].tolist(), events[lo:lo + _WRITE_ROWS]))
-    return n_rows
+    for lo in range(0, grid.n_steps + 1, _BLOCK_STEPS):
+        hi = min(lo + _BLOCK_STEPS, grid.n_steps + 1)
+        i, j = np.searchsorted(nodes, (lo, hi))
+        t, events = np.arange(lo, hi) * grid.dt, ["flow"] * (hi - lo)
+        x, X, Z = (traj.values[lo:hi] for traj in (det, noisy, fluct))
+        if i < j:  # np.insert puts the pre row of each impulse node just above its post row
+            at = nodes[i:j] - lo
+            t = np.insert(t, at, t[at])
+            x, X, Z = (np.insert(traj.values[lo:hi], at, traj.left[i:j], axis=0)
+                       for traj in (det, noisy, fluct))
+            for k, a in enumerate(at.tolist()):
+                events[a + k:a + k + 1] = "pre", "post"
+        Y = (X - x) / epsilon if epsilon != 0.0 else np.zeros_like(x)
+        rows = np.column_stack((t, x, X, Z, x + epsilon * Z, Y)).tolist()
+        out.writelines(fmt % (*row, event) for row, event in zip(rows, events))
+    return grid.n_steps + 1 + len(nodes)

@@ -148,6 +148,15 @@ class TestFitLoglogSlope:
         assert slope == pytest.approx(os_, abs=1e-12)
         assert intercept == pytest.approx(oi, abs=1e-12)
 
+    def test_r_squared_is_at_most_one(self):
+        """slope * sxy / syy rounds to 1.0000000000000002 on the exact power
+        law y = 3.7 * 2^(x/2) at x = -1, -2, -3; the fit clamps it to 1."""
+        xs = [-1.0, -2.0, -3.0]
+        for a in (0.5, 1.0, 3.7):
+            for s in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0):
+                r2 = fit_loglog_slope(xs, [a * 2.0 ** (s * x) for x in xs])[2]
+                assert r2 <= 1.0, (a, s, r2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([1.0], [2.0])
